@@ -9,7 +9,7 @@ from pathlib import Path
 import yaml
 
 from . import config as cfg
-from .errors import ConfigError, ContractError, EmptyDescriptionError
+from .errors import ConfigError, ContractError, EmptyDescriptionError, ProviderError
 from .runner import RunArtifact, run_experiment, sweep, sweep_csv
 
 
@@ -152,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ContractError) as exc:
+    except (ConfigError, ContractError, ProviderError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

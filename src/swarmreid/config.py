@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -301,18 +302,24 @@ def require_valid(config: SimConfig) -> None:
         raise ConfigError("invalid config: " + "; ".join(problems))
 
 
+def _section_type(annotation: Any) -> type | None:
+    """The config dataclass a field holds (``X`` or ``X | None``), if any."""
+    for t in typing.get_args(annotation) or (annotation,):
+        if dataclasses.is_dataclass(t):
+            return t
+    return None
+
+
 def _from_dict_inner(cls: Any, d: dict) -> Any:
     kwargs = {}
+    hints = typing.get_type_hints(cls)
     for f in dataclasses.fields(cls):
         if f.name not in d:
             continue
         v = d[f.name]
-        if f.name in ("arena", "robots", "people", "perception", "noise",
-                      "thresholds", "providers"):
-            sub_cls = type(getattr(SimConfig(), f.name))
-            kwargs[f.name] = _from_dict_inner(sub_cls, v)
-        elif f.name in ("describer", "embedder", "summarizer"):
-            kwargs[f.name] = None if v is None else _from_dict_inner(ProviderEndpoint, v)
+        section = _section_type(hints[f.name])
+        if section is not None:
+            kwargs[f.name] = None if v is None else _from_dict_inner(section, v)
         elif f.name == "obstacles":
             kwargs[f.name] = tuple(tuple(float(x) for x in r) for r in v)
         elif f.name == "command":

@@ -81,13 +81,12 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return min(1.0, max(-1.0, float(np.dot(a, b))))
 
 
-def _winner(values: list[str], need: int) -> str | None:
+def _winner(votes: dict[str, int], need: int) -> str | None:
     """Plurality value with lexicographic tie-break, or None below quorum."""
-    if len(values) < need:
+    if sum(votes.values()) < need:
         return None
-    counts = Counter(values)
-    top = max(counts.values())
-    return min(v for v, c in counts.items() if c == top)
+    top = max(votes.values())
+    return min(v for v, c in votes.items() if c == top)
 
 
 def summarize(members: Iterable[Any]) -> str:
@@ -96,34 +95,40 @@ def summarize(members: Iterable[Any]) -> str:
     Per template slot, take the most frequent value among the member texts
     that mention the slot (ties resolved lexicographically); slots mentioned
     by fewer than ceil(n/4) members are dropped. Depends only on the multiset
-    of texts, so it is invariant under member permutation and duplication.
+    of texts, so it is invariant under member permutation and duplication;
+    each distinct text is parsed once and votes with its multiplicity.
 
     Accepts DescriptionRecord-like objects (anything with ``.text``) or raw
     strings.
     """
-    texts = [m if isinstance(m, str) else m.text for m in members]
+    texts = Counter(m if isinstance(m, str) else m.text for m in members)
     if not texts:
         raise EmptyClusterError("cannot summarize an empty member list")
-    need = math.ceil(len(texts) / 4)
-    parsed = [vocab.parse_description(t) for t in texts]
+    need = math.ceil(sum(texts.values()) / 4)
+    parsed = [(vocab.parse_description(t), n) for t, n in texts.items()]
 
-    noun = _winner([p.noun for p in parsed if p.noun is not None], need)
-    upper_type = _winner([p.upper_type for p in parsed if p.upper_type is not None], need)
-    upper_color = _winner([p.upper_color for p in parsed if p.upper_color is not None], need)
-    lower_type = _winner([p.lower_type for p in parsed if p.lower_type is not None], need)
-    lower_color = _winner([p.lower_color for p in parsed if p.lower_color is not None], need)
-    hair = _winner([p.hair_color for p in parsed if p.hair_color is not None], need)
+    def vote(slot: str) -> str | None:
+        votes: dict[str, int] = {}
+        for p, n in parsed:
+            value = getattr(p, slot)
+            if value is not None:
+                votes[value] = votes.get(value, 0) + n
+        return _winner(votes, need)
+
+    noun = vote("noun")
+    upper_type = vote("upper_type")
+    lower_type = vote("lower_type")
     accessories = tuple(
         a for a in vocab.ACCESSORIES
-        if sum(a in p.accessories for p in parsed) >= need
+        if sum(n for p, n in parsed if a in p.accessories) >= need
     )
 
     return vocab.render_description(
         noun=noun if noun is not None else "person",
-        upper=(upper_color, upper_type) if upper_type is not None else None,
-        lower=(lower_color, lower_type) if lower_type is not None else None,
+        upper=(vote("upper_color"), upper_type) if upper_type is not None else None,
+        lower=(vote("lower_color"), lower_type) if lower_type is not None else None,
         accessories=accessories,
-        hair_color=hair,
+        hair_color=vote("hair_color"),
     )
 
 

@@ -9,8 +9,9 @@ This is the only place the sealed ids are read.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -44,15 +45,7 @@ class MetricsReport:
     config_fingerprint: str
 
     def to_dict(self) -> dict:
-        return {
-            "cmc": list(self.cmc),
-            "map_score": self.map_score,
-            "avg_purity": self.avg_purity,
-            "normalized_purity": self.normalized_purity,
-            "clusters_per_robot": list(self.clusters_per_robot),
-            "detected_identity_count": self.detected_identity_count,
-            "config_fingerprint": self.config_fingerprint,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return canonical_json(self.to_dict())
@@ -155,11 +148,34 @@ def build_probe_gallery(
     return probes, gallery
 
 
-def _ranked(probe: Probe, gallery: Sequence[GalleryItem]) -> list[GalleryItem]:
-    sims = [language.cosine(probe.embedding, g.embedding) for g in gallery]
-    order = sorted(range(len(gallery)),
-                   key=lambda i: (-sims[i], gallery[i].uid, gallery[i].owner))
-    return [gallery[i] for i in order]
+def _rank_metrics(probes: Sequence[Probe], gallery: Sequence[GalleryItem],
+                  k_max: int) -> tuple[tuple[float, ...], float]:
+    """CMC over ranks 1..k_max and mAP, ranking the gallery once per probe.
+
+    The ranking key is (-similarity, uid, owner). Clusters share embedding
+    objects, so each distinct one is scored once, with ``language.cosine``
+    so that ties and ranks follow its exact floats.
+    """
+    distinct = {id(g.embedding): g.embedding for g in gallery}
+    slot = {key: i for i, key in enumerate(distinct)}
+    which = np.array([slot[id(g.embedding)] for g in gallery], dtype=np.intp)
+    origins, counters = np.array([g.uid for g in gallery], dtype=np.int64).T
+    owners = np.array([g.owner for g in gallery])
+    persons = np.array([g.person_id for g in gallery])
+    first_hits = [0] * k_max
+    ap_total = Fraction(0)
+    for probe in probes:
+        sims = np.array([language.cosine(probe.embedding, e)
+                         for e in distinct.values()])[which]
+        order = np.lexsort((owners, counters, origins, -sims))
+        ranks = np.flatnonzero(persons[order] == probe.person_id) + 1
+        if len(ranks):
+            if ranks[0] <= k_max:
+                first_hits[ranks[0] - 1] += 1
+            precisions = sum(Fraction(i, int(r)) for i, r in enumerate(ranks, start=1))
+            ap_total += Fraction(precisions, len(ranks))
+    cmc = tuple(c / len(probes) for c in accumulate(first_hits))
+    return cmc, float(ap_total / len(probes))
 
 
 def cmc_curve(probes: Sequence[Probe], gallery: Sequence[GalleryItem],
@@ -176,19 +192,7 @@ def cmc_curve(probes: Sequence[Probe], gallery: Sequence[GalleryItem],
         raise ContractError("k_max must be at least 1")
     if not probes:
         return tuple(0.0 for _ in range(k_max))
-    first_hit_counts = [0] * k_max
-    for probe in probes:
-        ranked = _ranked(probe, gallery)
-        for rank, item in enumerate(ranked[:k_max], start=1):
-            if item.person_id == probe.person_id:
-                first_hit_counts[rank - 1] += 1
-                break
-    cum = 0
-    out = []
-    for c in first_hit_counts:
-        cum += c
-        out.append(cum / len(probes))
-    return tuple(out)
+    return _rank_metrics(probes, gallery, k_max)[0]
 
 
 def mean_ap(probes: Sequence[Probe], gallery: Sequence[GalleryItem]) -> float:
@@ -203,18 +207,7 @@ def mean_ap(probes: Sequence[Probe], gallery: Sequence[GalleryItem]) -> float:
         raise ContractError("gallery must be non-empty")
     if not probes:
         return 0.0
-    ap_total = Fraction(0)
-    for probe in probes:
-        ranked = _ranked(probe, gallery)
-        correct = 0
-        precisions = []
-        for rank, item in enumerate(ranked, start=1):
-            if item.person_id == probe.person_id:
-                correct += 1
-                precisions.append(Fraction(correct, rank))
-        if precisions:
-            ap_total += Fraction(sum(precisions), len(precisions))
-    return float(ap_total / len(probes))
+    return _rank_metrics(probes, gallery, 1)[1]
 
 
 def compute_report(
@@ -231,8 +224,8 @@ def compute_report(
     """
     probes, gallery = build_probe_gallery(dbs, people, ops=ops)
     if gallery:
-        cmc = cmc_curve(probes, gallery, k_max=len(gallery))
-        ap = mean_ap(probes, gallery)
+        # Every gallery cluster has a detected person, so probes is non-empty.
+        cmc, ap = _rank_metrics(probes, gallery, len(gallery))
     else:
         cmc = ()
         ap = 0.0

@@ -71,6 +71,12 @@ class DescriptionRecord:
     tick: int
     track_id: int
     person_id: int
+    # Dedup identity (robot_id, track_id, tick), built once so that every
+    # database's key index shares one tuple per record.
+    key: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", (self.robot_id, self.track_id, self.tick))
 
     @classmethod
     def create(cls, text: str, robot_id: int, tick: int, track_id: int,
@@ -80,11 +86,6 @@ class DescriptionRecord:
             raise EmptyDescriptionError(f"description {text!r} has no usable tokens")
         return cls(text=text, tokens=tokens, robot_id=robot_id, tick=tick,
                    track_id=track_id, person_id=person_id)
-
-    @property
-    def key(self) -> tuple[int, int, int]:
-        """Dedup identity: (robot_id, track_id, tick)."""
-        return (self.robot_id, self.track_id, self.tick)
 
 
 @dataclass
@@ -105,9 +106,6 @@ class TrackTable:
         self._active_by_person: dict[int, int] = {}
         self._next_track_id = 0
         self._last_tick: int | None = None
-
-    def active_tracks(self) -> list[Track]:
-        return [self.tracks[tid] for tid in self._active_by_person.values()]
 
     def _retire(self, track_id: int) -> None:
         tr = self.tracks[track_id]

@@ -15,7 +15,10 @@ plumbing for swapping in an actual captioner or encoder.
 from __future__ import annotations
 
 import json
+import os
+import select
 import subprocess
+import time
 import urllib.request
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -53,28 +56,63 @@ def handle_request(request: dict) -> dict:
 
 
 class SubprocessProvider:
-    """Talks the protocol to a child process over stdin/stdout lines."""
+    """Talks the protocol to a child process over stdin/stdout lines.
 
-    def __init__(self, command: Sequence[str]) -> None:
-        self._proc = subprocess.Popen(
-            list(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            text=True, bufsize=1,
-        )
+    Each request must be answered within ``timeout`` seconds, and ``close``
+    gives the child as long to exit after its stdin closes before killing it.
+    """
+
+    def __init__(self, command: Sequence[str], timeout: float = 10.0) -> None:
+        self._timeout = timeout
+        self._pending = b""
+        try:
+            self._proc = subprocess.Popen(
+                list(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        except OSError as exc:
+            raise ProviderError(f"cannot start provider {list(command)}: {exc}") from exc
 
     def request(self, payload: dict) -> dict:
         if self._proc.poll() is not None:
             raise ProviderError("provider subprocess has exited")
-        self._proc.stdin.write(json.dumps(payload) + "\n")
-        self._proc.stdin.flush()
-        line = self._proc.stdout.readline()
-        if not line:
-            raise ProviderError("provider subprocess closed its stdout")
-        return _check(json.loads(line))
+        try:
+            self._proc.stdin.write(json.dumps(payload).encode("utf-8") + b"\n")
+            self._proc.stdin.flush()
+        except OSError as exc:
+            raise ProviderError(f"cannot write to provider subprocess: {exc}") from exc
+        line = self._read_line(time.monotonic() + self._timeout)
+        try:
+            response = json.loads(line)
+        except ValueError as exc:
+            raise ProviderError(f"provider sent a non-JSON line: {line[:200]!r}") from exc
+        return _check(response)
+
+    def _read_line(self, deadline: float) -> bytes:
+        """One reply line, read straight from the pipe so a stall times out."""
+        fd = self._proc.stdout.fileno()
+        while b"\n" not in self._pending:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
+                raise ProviderError(
+                    f"provider subprocess did not reply within {self._timeout}s")
+            chunk = os.read(fd, 65536)
+            if not chunk:
+                raise ProviderError("provider subprocess closed its stdout")
+            self._pending += chunk
+        line, _, self._pending = self._pending.partition(b"\n")
+        return line
 
     def close(self) -> None:
         if self._proc.poll() is None:
-            self._proc.stdin.close()
-            self._proc.wait(timeout=5)
+            try:
+                self._proc.stdin.close()
+            except OSError:
+                pass  # the child stopped reading; it is killed below if need be
+            try:
+                self._proc.wait(timeout=self._timeout)
+            except subprocess.TimeoutExpired:
+                self._proc.kill()
+                self._proc.wait()
+        self._proc.stdout.close()
 
 
 class HttpProvider:
@@ -90,8 +128,17 @@ class HttpProvider:
             data=json.dumps(payload).encode("utf-8"),
             headers={"Content-Type": "application/json"},
         )
-        with urllib.request.urlopen(req, timeout=self._timeout) as resp:
-            return _check(json.loads(resp.read().decode("utf-8")))
+        try:
+            # URLError, HTTPError and socket timeouts are all OSErrors.
+            with urllib.request.urlopen(req, timeout=self._timeout) as resp:
+                body = resp.read()
+        except OSError as exc:
+            raise ProviderError(f"provider request to {self._url} failed: {exc}") from exc
+        try:
+            response = json.loads(body)
+        except ValueError as exc:
+            raise ProviderError(f"provider sent a non-JSON body: {body[:200]!r}") from exc
+        return _check(response)
 
     def close(self) -> None:
         pass
@@ -133,13 +180,25 @@ class ResolvedProviders:
 
 
 def resolve_providers(cfg: ProvidersConfig) -> ResolvedProviders:
-    """Build the describer callable and LanguageOps for a run."""
+    """Build the describer callable and LanguageOps for a run.
+
+    If a transport fails to start, the ones already started are closed.
+    """
     transports = []
+
+    def start(endpoint: ProviderEndpoint):
+        try:
+            transport = _make_transport(endpoint)
+        except ProviderError:
+            for started in transports:
+                started.close()
+            raise
+        transports.append(transport)
+        return transport
 
     describe_fn = None
     if cfg.describer is not None:
-        t = _make_transport(cfg.describer)
-        transports.append(t)
+        t = start(cfg.describer)
 
         def describe_fn(attributes: PersonAttributes, _t=t) -> str:
             resp = _t.request({
@@ -153,8 +212,7 @@ def resolve_providers(cfg: ProvidersConfig) -> ResolvedProviders:
 
     embed_fn = REFERENCE_OPS.embed
     if cfg.embedder is not None:
-        t = _make_transport(cfg.embedder)
-        transports.append(t)
+        t = start(cfg.embedder)
         cache: dict[tuple[str, ...], np.ndarray] = {}
 
         def embed_fn(tokens: Sequence[str], _t=t, _cache=cache) -> np.ndarray:
@@ -163,7 +221,10 @@ def resolve_providers(cfg: ProvidersConfig) -> ResolvedProviders:
             if hit is not None:
                 return hit
             resp = _t.request({"v": PROTOCOL_VERSION, "op": "embed", "tokens": list(key)})
-            vec = np.asarray(resp.get("vector", ()), dtype=np.float64)
+            try:
+                vec = np.asarray(resp.get("vector", ()), dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise ProviderError(f"embedder returned a non-numeric vector: {exc}") from exc
             if vec.shape != (language.EMBEDDING_DIM,):
                 raise ProviderError(f"embedder returned shape {vec.shape}")
             norm = float(np.linalg.norm(vec))
@@ -176,8 +237,7 @@ def resolve_providers(cfg: ProvidersConfig) -> ResolvedProviders:
 
     summarize_fn = REFERENCE_OPS.summarize
     if cfg.summarizer is not None:
-        t = _make_transport(cfg.summarizer)
-        transports.append(t)
+        t = start(cfg.summarizer)
 
         def summarize_fn(members: Iterable, _t=t) -> str:
             texts = [m if isinstance(m, str) else m.text for m in members]

@@ -3,7 +3,7 @@
 Each robot keeps an online clustering of the descriptions it has produced or
 received. Assignment prefers track continuity, then falls back to cosine
 similarity against cluster summary embeddings. When two robots meet they
-swap snapshots and each side folds the other's clusters into its own.
+swap views of their clusters and each side folds the other's into its own.
 
 Cluster identity is the pair (origin robot id, origin-local counter). A
 received cluster keeps its uid, so later meetings recognize already-imported
@@ -16,7 +16,9 @@ from __future__ import annotations
 import json
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from itertools import islice
+from operator import attrgetter
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,18 +53,64 @@ class Cluster:
     members: list[DescriptionRecord]
     summary_text: str
     summary_embedding: np.ndarray
-    centroid_embedding: np.ndarray
     track_ids: set[tuple[int, int]]
+    # Member embeddings summed in member order. Every update binds a new
+    # array and never adds in place, so a ClusterView taken earlier keeps
+    # the sum it saw.
+    embedding_sum: np.ndarray
+    # centroid_embedding once derived; _refresh resets it
+    _centroid_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
-    def contributors(self) -> set[int]:
-        return {m.robot_id for m in self.members}
+    def centroid_embedding(self) -> np.ndarray:
+        """Unit mean member embedding, derived from the sum on first use."""
+        if self._centroid_cache is None:
+            self._centroid_cache = _centroid(
+                self.embedding_sum, len(self.members), self.summary_embedding)
+        return self._centroid_cache
 
     def matching_embedding(self, mode: str) -> np.ndarray:
         return self.summary_embedding if mode == "text" else self.centroid_embedding
 
     def last_member_tick(self) -> int:
         return max(m.tick for m in self.members)
+
+
+class ClusterView(NamedTuple):
+    """A cluster as it stood when the view was taken, without copying it.
+
+    ``members`` is the cluster's live list; the view covers its first ``n``
+    entries, which never change because members are only ever appended. The
+    summary and embedding fields are references to values that updates
+    replace rather than mutate.
+    """
+
+    uid: ClusterUid
+    members: list[DescriptionRecord]
+    n: int
+    summary_text: str
+    summary_embedding: np.ndarray
+    embedding_sum: np.ndarray
+
+    def matching_embedding(self, mode: str) -> np.ndarray:
+        if mode == "text":
+            return self.summary_embedding
+        return _centroid(self.embedding_sum, self.n, self.summary_embedding)
+
+
+def _centroid(embedding_sum: np.ndarray, n: int, fallback: np.ndarray) -> np.ndarray:
+    """Unit mean of ``n`` member embeddings from their running sum.
+
+    Summing from zero in member order and dividing by ``n`` reproduces
+    ``np.stack(vectors).mean(axis=0)`` bit for bit. A mean too short to
+    normalise yields ``fallback``.
+    """
+    centroid = embedding_sum / n
+    norm = float(np.linalg.norm(centroid))
+    return centroid / norm if norm > 1e-12 else fallback
+
+
+_record_key = attrgetter("key")
 
 
 @dataclass(frozen=True)
@@ -81,16 +129,6 @@ class ExchangeStats:
     merged_into_b: int
     copied_to_b: int
     records_added_to_b: int
-
-    def to_dict(self) -> dict:
-        return {
-            "merged_into_a": self.merged_into_a,
-            "copied_to_a": self.copied_to_a,
-            "records_added_to_a": self.records_added_to_a,
-            "merged_into_b": self.merged_into_b,
-            "copied_to_b": self.copied_to_b,
-            "records_added_to_b": self.records_added_to_b,
-        }
 
 
 class _SimilarityIndex:
@@ -148,24 +186,39 @@ class ClusterDatabase:
         self.tombstone_cap = tombstone_cap
         self.ops = ops
         self._keys: dict[tuple[int, int, int], ClusterUid] = {}
+        # (robot_id, track_id) -> lowest uid of a cluster holding that track
+        self._tracks: dict[tuple[int, int], ClusterUid] = {}
         self._index = _SimilarityIndex()
 
     # ---------- internals ----------
 
-    def _match_mode(self) -> str:
-        return "text" if self.mode == "text" else "vector"
+    def _new_cluster(self, uid: ClusterUid) -> Cluster:
+        """Register an empty cluster; callers add members and refresh it."""
+        zeros = np.zeros(EMBEDDING_DIM)
+        cluster = Cluster(uid=uid, members=[], summary_text="",
+                          summary_embedding=zeros, track_ids=set(),
+                          embedding_sum=zeros)
+        self.clusters[uid] = cluster
+        return cluster
 
-    def _refresh(self, cluster: Cluster) -> None:
-        """Recompute derived state after the member list changed."""
-        cluster.summary_text = self.ops.summarize(cluster.members)
-        cluster.summary_embedding = self.ops.embed(tokenize(cluster.summary_text))
-        vecs = np.stack([self.ops.embed(m.tokens) for m in cluster.members])
-        centroid = vecs.mean(axis=0)
-        norm = float(np.linalg.norm(centroid))
-        if norm > 1e-12:
-            cluster.centroid_embedding = centroid / norm
-        else:
-            cluster.centroid_embedding = cluster.summary_embedding
+    def _hold(self, cluster: Cluster, record: DescriptionRecord) -> None:
+        """Index a member of ``cluster`` by record key and by track."""
+        self._keys[record.key] = cluster.uid
+        track = (record.robot_id, record.track_id)
+        cluster.track_ids.add(track)
+        if self._tracks.setdefault(track, cluster.uid) > cluster.uid:
+            self._tracks[track] = cluster.uid
+
+    def _append(self, cluster: Cluster, record: DescriptionRecord) -> None:
+        cluster.embedding_sum = cluster.embedding_sum + self.ops.embed(record.tokens)
+        cluster.members.append(record)
+        self._hold(cluster, record)
+
+    def _refresh(self, cluster: Cluster, summary_text: str) -> None:
+        """Set the summary and re-index the cluster after appends."""
+        cluster.summary_text = summary_text
+        cluster.summary_embedding = self.ops.embed(tokenize(summary_text))
+        cluster._centroid_cache = None
         self._index.set(cluster.uid, cluster.matching_embedding(self.mode))
 
     def _remember_tombstone(self, absorbed: ClusterUid, survivor: ClusterUid) -> None:
@@ -191,14 +244,11 @@ class ClusterDatabase:
         # there, else a repeated exchange could keep mutating track_ids.
         added = 0
         for m in records:
-            if m.key in self._keys:
-                continue
-            cluster.members.append(m)
-            self._keys[m.key] = cluster.uid
-            cluster.track_ids.add((m.robot_id, m.track_id))
-            added += 1
+            if m.key not in self._keys:
+                self._append(cluster, m)
+                added += 1
         if added:
-            self._refresh(cluster)
+            self._refresh(cluster, self.ops.summarize(cluster.members))
         return added
 
     # ---------- operations ----------
@@ -223,11 +273,7 @@ class ClusterDatabase:
         if record.key in self._keys:
             raise ContractError(f"record {record.key} already assigned")
 
-        track_key = (record.robot_id, record.track_id)
-        target = min(
-            (uid for uid, c in self.clusters.items() if track_key in c.track_ids),
-            default=None,
-        )
+        target = self._tracks.get((record.robot_id, record.track_id))
         if target is None:
             vec = self.ops.embed(record.tokens)
             best = self._index.best(vec)
@@ -239,15 +285,7 @@ class ClusterDatabase:
 
         uid = (self.owner, self.uid_counter)
         self.uid_counter += 1
-        cluster = Cluster(
-            uid=uid, members=[record], summary_text="",
-            summary_embedding=np.zeros(EMBEDDING_DIM),
-            centroid_embedding=np.zeros(EMBEDDING_DIM),
-            track_ids={track_key},
-        )
-        self.clusters[uid] = cluster
-        self._keys[record.key] = uid
-        self._refresh(cluster)
+        self._add_members(self._new_cluster(uid), [record])
         return uid, True
 
     def query(self, text: str, k: int) -> list[QueryHit]:
@@ -279,55 +317,54 @@ class ClusterDatabase:
     def record_keys(self) -> set[tuple[int, int, int]]:
         return set(self._keys)
 
-    def snapshot(self) -> list[Cluster]:
-        """Value copies of all clusters, ascending uid."""
-        out = []
-        for uid in sorted(self.clusters):
-            c = self.clusters[uid]
-            out.append(Cluster(
-                uid=c.uid, members=list(c.members), summary_text=c.summary_text,
-                summary_embedding=c.summary_embedding,
-                centroid_embedding=c.centroid_embedding,
-                track_ids=set(c.track_ids),
-            ))
-        return out
+    def views(self) -> list[ClusterView]:
+        """Views of all clusters as they stand now, ascending uid."""
+        clusters = self.clusters
+        return [
+            ClusterView(c.uid, c.members, len(c.members), c.summary_text,
+                        c.summary_embedding, c.embedding_sum)
+            for c in map(clusters.__getitem__, sorted(clusters))
+        ]
 
-    def _absorb(self, received: list[Cluster], theta_merge: float) -> tuple[int, int, int]:
+    def _absorb(self, received: list[ClusterView], theta_merge: float) -> tuple[int, int, int]:
         merged = copied = added_total = 0
-        for rc in received:
-            target = self._resolve_uid(rc.uid)
+        held = self._keys.__contains__
+        for view in received:
+            members = islice(view.members, view.n)
+            target = self._resolve_uid(view.uid)
             if target is None:
-                best = self._index.best(rc.matching_embedding(self.mode))
+                vec = view.matching_embedding(self.mode)
+                best = self._index.best(vec)
                 if best is not None and best[1] >= theta_merge:
                     target = best[0]
-                    self._remember_tombstone(rc.uid, target)
+                    self._remember_tombstone(view.uid, target)
                 else:
-                    fresh = [m for m in rc.members if m.key not in self._keys]
+                    fresh = [m for m in members if not held(m.key)]
                     if not fresh:
                         # Every record already lives in some local cluster.
                         continue
-                    verbatim = len(fresh) == len(rc.members)
-                    cluster = Cluster(
-                        uid=rc.uid, members=[], summary_text=rc.summary_text,
-                        summary_embedding=rc.summary_embedding,
-                        centroid_embedding=rc.centroid_embedding,
-                        track_ids=set(rc.track_ids) if verbatim else set(),
-                    )
-                    self.clusters[rc.uid] = cluster
-                    if verbatim:
+                    if len(fresh) == view.n:
                         # Verbatim copy: keep the origin's summary as is.
-                        cluster.members = list(rc.members)
-                        for m in cluster.members:
-                            self._keys[m.key] = rc.uid
-                        self._index.set(rc.uid, cluster.matching_embedding(self.mode))
+                        cluster = Cluster(
+                            uid=view.uid, members=fresh, summary_text=view.summary_text,
+                            summary_embedding=view.summary_embedding,
+                            track_ids=set(), embedding_sum=view.embedding_sum,
+                        )
+                        self.clusters[view.uid] = cluster
+                        for m in fresh:
+                            self._hold(cluster, m)
+                        self._index.set(view.uid, vec)
                     else:
-                        self._add_members(cluster, fresh)
+                        self._add_members(self._new_cluster(view.uid), fresh)
                     copied += 1
                     added_total += len(fresh)
                     continue
-            added = self._add_members(self.clusters[target], rc.members)
             merged += 1
-            added_total += added
+            if all(map(held, map(_record_key, members))):
+                # Recognised and nothing new: the common case on repeat meetings.
+                continue
+            added_total += self._add_members(
+                self.clusters[target], islice(view.members, view.n))
         return merged, copied, added_total
 
     # ---------- serialization ----------
@@ -374,32 +411,19 @@ class ClusterDatabase:
         for k, v in d.get("tombstones", []):
             db.tombstones[tuple(k)] = tuple(v)
         for cd in d["clusters"]:
-            uid = tuple(cd["uid"])
-            members = [
-                DescriptionRecord.create(
+            cluster = db._new_cluster(tuple(cd["uid"]))
+            for m in cd["members"]:
+                record = DescriptionRecord.create(
                     text=m["text"], robot_id=m["robot_id"], tick=m["tick"],
                     track_id=m["track_id"], person_id=m["person_id"],
                 )
-                for m in cd["members"]
-            ]
-            cluster = Cluster(
-                uid=uid, members=members, summary_text=cd["summary_text"],
-                summary_embedding=db.ops.embed(tokenize(cd["summary_text"])),
-                centroid_embedding=np.zeros(EMBEDDING_DIM),
-                track_ids={tuple(t) for t in cd["track_ids"]},
-            )
-            vecs = np.stack([db.ops.embed(m.tokens) for m in members])
-            centroid = vecs.mean(axis=0)
-            norm = float(np.linalg.norm(centroid))
-            cluster.centroid_embedding = (
-                centroid / norm if norm > 1e-12 else cluster.summary_embedding
-            )
-            db.clusters[uid] = cluster
-            for m in members:
-                if m.key in db._keys:
-                    raise ContractError(f"snapshot has duplicate record {m.key}")
-                db._keys[m.key] = uid
-            db._index.set(uid, cluster.matching_embedding(db.mode))
+                if record.key in db._keys:
+                    raise ContractError(f"snapshot has duplicate record {record.key}")
+                db._append(cluster, record)
+            if cluster.track_ids != {tuple(t) for t in cd["track_ids"]}:
+                raise ContractError(f"snapshot cluster {cluster.uid} lists tracks "
+                                    "other than its members'")
+            db._refresh(cluster, cd["summary_text"])
         return db
 
     @classmethod
@@ -411,6 +435,7 @@ class ClusterDatabase:
     def check_invariants(self) -> None:
         """Raise AssertionError if any structural invariant is violated."""
         seen_keys: dict = {}
+        tracks: dict = {}
         for uid, c in self.clusters.items():
             assert c.uid == uid
             assert c.members, f"cluster {uid} has no members"
@@ -425,19 +450,24 @@ class ClusterDatabase:
             )
             vec = self.ops.embed(tokenize(c.summary_text))
             assert float(np.abs(vec - c.summary_embedding).max()) < 1e-12
-            assert c.contributors == {m.robot_id for m in c.members}
-            for r, t in ((m.robot_id, m.track_id) for m in c.members):
-                assert (r, t) in c.track_ids
+            # Exchange views rebuild a copied cluster's tracks from its
+            # members, so the two must agree exactly.
+            assert c.track_ids == {(m.robot_id, m.track_id) for m in c.members}, (
+                f"track_ids of {uid} differ from its members' tracks"
+            )
+            for track in c.track_ids:
+                tracks[track] = min(tracks.get(track, uid), uid)
             if uid[0] == self.owner:
                 assert uid[1] < self.uid_counter, f"uid {uid} beyond counter"
         assert seen_keys == self._keys
+        assert tracks == self._tracks
 
 
 def exchange(a: ClusterDatabase, b: ClusterDatabase,
              theta_merge: float) -> ExchangeStats:
     """Symmetric pairwise database exchange; mutates both sides.
 
-    Both directions apply from pre-exchange snapshots, received clusters in
+    Both directions apply from pre-exchange views, received clusters in
     ascending uid order. A received cluster recognized by uid (directly or
     via a tombstone) merges into its local twin; otherwise it merges into the
     most similar local cluster when similarity reaches ``theta_merge``, else
@@ -448,10 +478,13 @@ def exchange(a: ClusterDatabase, b: ClusterDatabase,
         raise ContractError(f"theta_merge={theta_merge} outside [0, 1]")
     if a.owner == b.owner:
         raise ContractError(f"exchange requires distinct owners, got {a.owner}")
-    snap_a = a.snapshot()
-    snap_b = b.snapshot()
-    merged_a, copied_a, added_a = a._absorb(snap_b, theta_merge)
-    merged_b, copied_b, added_b = b._absorb(snap_a, theta_merge)
+    # Views instead of copies: while a absorbs, a's clusters can only gain
+    # records from b by appending, past the members a's views cover, and
+    # their summaries and sums are rebound, never mutated.
+    views_a = a.views()
+    views_b = b.views()
+    merged_a, copied_a, added_a = a._absorb(views_b, theta_merge)
+    merged_b, copied_b, added_b = b._absorb(views_a, theta_merge)
     return ExchangeStats(
         merged_into_a=merged_a, copied_to_a=copied_a, records_added_to_a=added_a,
         merged_into_b=merged_b, copied_to_b=copied_b, records_added_to_b=added_b,

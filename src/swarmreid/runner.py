@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -115,24 +115,16 @@ class RunArtifact:
                 if line:
                     events.append(json.loads(line))
         metrics_doc = json.loads((out / "metrics.json").read_text())
-        metrics = MetricsReport(
-            cmc=tuple(metrics_doc["cmc"]),
-            map_score=metrics_doc["map_score"],
-            avg_purity=metrics_doc["avg_purity"],
-            normalized_purity=metrics_doc["normalized_purity"],
-            clusters_per_robot=tuple(metrics_doc["clusters_per_robot"]),
-            detected_identity_count=metrics_doc["detected_identity_count"],
-            config_fingerprint=metrics_doc["config_fingerprint"],
-        )
+        metrics = MetricsReport(**{
+            k: tuple(v) if isinstance(v, list) else v for k, v in metrics_doc.items()
+        })
         return cls(config=configuration, fingerprint=config_doc["fingerprint"],
                    people=people, databases=databases, events=events, metrics=metrics)
 
 
 def run_experiment(configuration: SimConfig) -> RunArtifact:
     """Simulate one full run and evaluate it."""
-    problems = cfg.validate(configuration)
-    if problems:
-        raise ConfigError("invalid config: " + "; ".join(problems))
+    cfg.require_valid(configuration)
     c = configuration
     arena = build_arena(c)
     seed = c.seed
@@ -235,7 +227,7 @@ def run_experiment(configuration: SimConfig) -> RunArtifact:
                     pair_last_exchange[pair] = tick
                     events.append({
                         "type": "exchange", "tick": tick,
-                        "robots": list(pair), **stats.to_dict(),
+                        "robots": list(pair), **asdict(stats),
                     })
 
         fingerprint = cfg.fingerprint(c)

@@ -34,6 +34,17 @@ class TestRun:
         assert rc == 2
         assert "dt" in capsys.readouterr().err
 
+    def test_provider_failure_exits_two_with_one_line(self, tmp_path, capsys):
+        stub = tmp_path / "garbage_provider.py"
+        stub.write_text("import sys\nfor line in sys.stdin:\n    print('nope', flush=True)\n")
+        rc = main(["run", "--out", str(tmp_path / "r"), *_RUN_ARGS,
+                   "--set", "providers.describer.transport=subprocess",
+                   "--set", f"providers.describer.command={sys.executable} {stub}"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: provider sent a non-JSON line")
+        assert err.count("\n") == 1
+
     def test_config_file_plus_override(self, tmp_path, capsys):
         conf = tmp_path / "c.yaml"
         conf.write_text("duration_ticks: 200\npeople:\n  count: 3\n")

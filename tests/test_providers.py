@@ -1,6 +1,8 @@
 import json
+import socket
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -85,6 +87,61 @@ class TestSubprocessProvider:
         provider.close()
 
 
+def _stub(tmp_path, body):
+    """Command running a throwaway provider script with the given body."""
+    script = tmp_path / "stub.py"
+    script.write_text(body)
+    return (sys.executable, str(script))
+
+
+_REQUEST = {"v": 1, "op": "embed", "tokens": ["red"]}
+
+
+class TestMisbehavingSubprocess:
+    def test_stalled_reply_times_out(self, tmp_path):
+        provider = SubprocessProvider(
+            _stub(tmp_path, "import sys, time\nsys.stdin.readline()\ntime.sleep(60)\n"),
+            timeout=0.5)
+        started = time.monotonic()
+        try:
+            with pytest.raises(ProviderError, match="did not reply within"):
+                provider.request(_REQUEST)
+        finally:
+            provider.close()
+        assert time.monotonic() - started < 10
+        assert provider._proc.poll() is not None
+
+    def test_non_json_line_raises_provider_error(self, tmp_path):
+        provider = SubprocessProvider(_stub(
+            tmp_path, "import sys\nfor line in sys.stdin:\n    print('ok then', flush=True)\n"))
+        try:
+            with pytest.raises(ProviderError, match="non-JSON"):
+                provider.request(_REQUEST)
+        finally:
+            provider.close()
+
+    def test_child_dying_mid_request_raises(self, tmp_path):
+        provider = SubprocessProvider(
+            _stub(tmp_path, "import sys\nsys.stdin.readline()\n"), timeout=5.0)
+        try:
+            with pytest.raises(ProviderError):
+                provider.request(_REQUEST)
+        finally:
+            provider.close()
+
+    def test_close_kills_child_that_ignores_eof(self, tmp_path):
+        provider = SubprocessProvider(
+            _stub(tmp_path, "import time\nwhile True:\n    time.sleep(1)\n"), timeout=0.5)
+        started = time.monotonic()
+        provider.close()
+        assert time.monotonic() - started < 10
+        assert provider._proc.poll() is not None
+
+    def test_missing_command_raises_provider_error(self, tmp_path):
+        with pytest.raises(ProviderError, match="cannot start"):
+            SubprocessProvider((str(tmp_path / "no-such-provider"),))
+
+
 class _Handler(BaseHTTPRequestHandler):
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -107,6 +164,61 @@ def http_url():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/"
     server.shutdown()
+
+
+class _BadHandler(BaseHTTPRequestHandler):
+    """Answers by path: /500 fails, /garbage sends non-JSON, /slow stalls."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        if self.path == "/slow":
+            time.sleep(2.0)
+        if self.path == "/500":
+            self.send_error(500)
+            return
+        body = b"<html>not json</html>"
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture(scope="module")
+def bad_http_url():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _BadHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_port}"
+    server.shutdown()
+    server.server_close()
+
+
+def _closed_port():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+class TestMisbehavingHttp:
+    def test_http_error_status(self, bad_http_url):
+        with pytest.raises(ProviderError, match="500"):
+            HttpProvider(bad_http_url + "/500").request(_REQUEST)
+
+    def test_non_json_body(self, bad_http_url):
+        with pytest.raises(ProviderError, match="non-JSON"):
+            HttpProvider(bad_http_url + "/garbage").request(_REQUEST)
+
+    def test_timeout(self, bad_http_url):
+        with pytest.raises(ProviderError, match="timed out"):
+            HttpProvider(bad_http_url + "/slow", timeout=0.3).request(_REQUEST)
+
+    def test_connection_refused(self):
+        url = f"http://127.0.0.1:{_closed_port()}/"
+        with pytest.raises(ProviderError, match="failed"):
+            HttpProvider(url, timeout=2.0).request(_REQUEST)
 
 
 class TestHttpProvider:
@@ -145,6 +257,23 @@ class TestResolveProviders:
             assert abs(float(np.linalg.norm(first)) - 1.0) < 1e-12
             assert not first.flags.writeable
             assert resolved.ops.embed(tokens) is first
+
+    def test_failed_start_closes_started_transports(self, tmp_path, monkeypatch):
+        config = ProvidersConfig(
+            describer=ProviderEndpoint(transport="subprocess", command=_STUB),
+            embedder=ProviderEndpoint(transport="subprocess",
+                                      command=(str(tmp_path / "no-such-provider"),)))
+        started = []
+        real_init = SubprocessProvider.__init__
+
+        def recording_init(self, *args, **kwargs):
+            started.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SubprocessProvider, "__init__", recording_init)
+        with pytest.raises(ProviderError, match="cannot start"):
+            resolve_providers(config)
+        assert started[0]._proc.poll() is not None
 
     def test_describer_round_trip(self):
         with resolve_providers(_providers_config(describer=True)) as resolved:

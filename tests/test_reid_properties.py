@@ -1,10 +1,13 @@
 """Randomized invariant checks for the cluster database and exchange."""
 
+import copy
+
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from swarmreid.language import cosine, embed, tokenize
-from swarmreid.perception import (DescriptionRecord, canonical_description,
+from swarmreid.perception import (DescriptionNoise, DescriptionRecord,
+                                  canonical_description, describe,
                                   sample_attributes)
 from swarmreid.reid import ClusterDatabase, exchange
 
@@ -150,3 +153,81 @@ class TestSerializationProperties:
             assert clone.to_json() == db.to_json()
             assert clone.record_keys() == db.record_keys()
             clone.check_invariants()
+
+
+# Three renderings per person (canonical, then two noisy) so that clusters
+# hold differing texts and embeddings.
+_NOISE = DescriptionNoise(p_drop=0.3, p_synonym=0.3, p_color_confusion=0.2)
+_RENDERINGS = tuple(
+    (text, describe(p, _NOISE, np.random.default_rng(100 + i)),
+     describe(p, _NOISE, np.random.default_rng(200 + i)))
+    for i, (p, text) in enumerate(zip(_PEOPLE, _TEXTS))
+)
+_steps = st.lists(st.one_of(
+    # (robot, person, rendering): the robot describes the person
+    st.tuples(st.integers(0, 2), st.integers(0, 5), st.integers(0, 2)),
+    # (robot, robot): the two robots meet
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+), min_size=1, max_size=40)
+_mode = st.sampled_from(["text", "vector-baseline"])
+
+
+def _play(steps, mode, theta_local, theta_merge, check=None):
+    dbs = [ClusterDatabase(owner=r, mode=mode) for r in range(3)]
+    for tick, step in enumerate(steps):
+        if len(step) == 3:
+            robot, person, rendering = step
+            dbs[robot].assign_description(DescriptionRecord.create(
+                text=_RENDERINGS[person][rendering], robot_id=robot, tick=tick,
+                track_id=person + 6 * rendering, person_id=person), theta_local)
+        elif step[0] != step[1]:
+            if check is not None:
+                check(dbs[step[0]], dbs[step[1]], theta_merge)
+            exchange(dbs[step[0]], dbs[step[1]], theta_merge)
+    return dbs
+
+
+def _one_sided(receiver, sender, theta_merge):
+    """``receiver`` absorbing ``sender``'s clusters, on deep copies."""
+    receiver, sender = copy.deepcopy(receiver), copy.deepcopy(sender)
+    receiver._absorb(sender.views(), theta_merge)
+    return receiver.to_json()
+
+
+class TestIncrementalState:
+    @given(steps=_steps, mode=_mode, theta_local=_theta, theta_merge=_theta)
+    @settings(max_examples=60, deadline=None)
+    def test_exchange_equals_both_directions_from_copies(
+            self, steps, mode, theta_local, theta_merge):
+        def check(a, b, theta):
+            expected = (_one_sided(a, b, theta), _one_sided(b, a, theta))
+            a_copy, b_copy = copy.deepcopy(a), copy.deepcopy(b)
+            exchange(a_copy, b_copy, theta)
+            assert (a_copy.to_json(), b_copy.to_json()) == expected
+
+        _play(steps, mode, theta_local, theta_merge, check)
+
+    @given(steps=_steps, mode=_mode, theta_local=_theta, theta_merge=_theta)
+    # Robot 1's track 0 reaches robot 0 first inside a copy of robot 2's
+    # cluster (2, 0), later also inside robot 0's own cluster (0, 0): the
+    # track index must move to the lower uid.
+    @example(steps=[(2, 2, 2), (2, 4, 2), (2, 2, 0), (1, 0, 0), (2, 1), (1, 0, 0),
+                    (0, 2), (0, 0, 1), (1, 0)],
+             mode="text", theta_local=0.56, theta_merge=0.2)
+    @settings(max_examples=60, deadline=None)
+    def test_maintained_state_equals_recomputation(
+            self, steps, mode, theta_local, theta_merge):
+        for db in _play(steps, mode, theta_local, theta_merge):
+            db.check_invariants()
+            tracks = {}
+            for uid in sorted(db.clusters):
+                c = db.clusters[uid]
+                for track in c.track_ids:
+                    tracks.setdefault(track, uid)
+                mean = np.stack([embed(m.tokens) for m in c.members]).mean(axis=0)
+                norm = float(np.linalg.norm(mean))
+                centroid = mean / norm if norm > 1e-12 else c.summary_embedding
+                assert c.centroid_embedding.tobytes() == centroid.tobytes()
+                assert (db._index._mat[db._index._rows[uid]].tobytes()
+                        == c.matching_embedding(mode).tobytes())
+            assert db._tracks == tracks
