@@ -12,6 +12,7 @@ evaluation can score the run later; no algorithmic path reads it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import language, vocab
 from .errors import ContractError, EmptyDescriptionError
@@ -61,6 +62,12 @@ class DescriptionNoise:
 NO_NOISE = DescriptionNoise()
 
 
+@lru_cache(maxsize=None)
+def _tokens_cached(text: str) -> tuple[str, ...]:
+    # Texts repeat heavily across records, so equal texts share one tuple.
+    return tuple(language.tokenize(text))
+
+
 @dataclass(frozen=True)
 class DescriptionRecord:
     """One emitted description, stamped with who/when/which track."""
@@ -81,7 +88,7 @@ class DescriptionRecord:
     @classmethod
     def create(cls, text: str, robot_id: int, tick: int, track_id: int,
                person_id: int) -> "DescriptionRecord":
-        tokens = tuple(language.tokenize(text))
+        tokens = _tokens_cached(text)
         if not tokens:
             raise EmptyDescriptionError(f"description {text!r} has no usable tokens")
         return cls(text=text, tokens=tokens, robot_id=robot_id, tick=tick,

@@ -31,7 +31,18 @@ from .perception import (
 )
 from .providers import resolve_providers
 from .reid import ClusterDatabase, canonical_json, exchange
-from .world import Arena, PersonState, Rect, RobotState, TAU, ballistic_step, comm_pairs, visible_people
+from .world import (
+    TAU,
+    AgentArrays,
+    Arena,
+    PersonState,
+    Rect,
+    RobotState,
+    ballistic_step,
+    comm_pairs,
+    sensing_candidates,
+    visible_people,
+)
 
 # Seed-stream namespaces. Changing these invalidates recorded artifacts.
 _NS_ATTRIBUTES = 1
@@ -179,19 +190,22 @@ def run_experiment(configuration: SimConfig) -> RunArtifact:
         pair_last_exchange: dict[tuple[int, int], int] = {}
         events: list[dict] = []
 
+        # From here on the motion streams are read only by ``motion``.
+        n_people = len(people)
+        motion = AgentArrays(
+            people + robots,
+            [c.people.lambda_turn] * n_people + [c.robots.lambda_turn] * len(robots),
+            c.dt, arena, person_rngs + robot_motion_rngs,
+        )
+
         for tick in range(c.duration_ticks):
-            for i, person in enumerate(people):
-                person.position, person.heading = ballistic_step(
-                    person.position, person.heading, person.speed, c.dt,
-                    arena, c.people.lambda_turn, person_rngs[i],
-                )
+            # ballistic_step is looked up here at each tick, so a wrapper put
+            # on this module's name (as the benchmark tracer does) sees every
+            # surface hit.
+            motion.step(ballistic_step)
+            candidates = sensing_candidates(robots, motion.xy[:, :n_people])
             for i, robot in enumerate(robots):
-                robot.position, robot.heading = ballistic_step(
-                    robot.position, robot.heading, robot.speed, c.dt,
-                    arena, c.robots.lambda_turn, robot_motion_rngs[i],
-                )
-            for i, robot in enumerate(robots):
-                visible = visible_people(robot, people, arena)
+                visible = visible_people(robot, [people[j] for j in candidates[i]], arena)
                 assignments = tables[i].update_tracks(
                     visible, tick, c.perception.max_gap_ticks,
                     c.perception.p_track_break, robot_perception_rngs[i],

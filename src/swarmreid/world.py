@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .errors import ContractError
 from .vocab import PersonAttributes
@@ -20,6 +22,13 @@ Vec2 = tuple[float, float]
 TAU = 2.0 * math.pi
 _EPS = 1e-12
 _MAX_REFLECTIONS = 4
+# Doubles drawn at a time from each agent's motion stream for turn decisions.
+_TURN_BLOCK = 256
+# Widening, in arena units, of the boxes that decide whether a straight step
+# may reach an obstacle; it only has to exceed _EPS plus rounding.
+_NEAR_MARGIN = 1e-9
+# Relative widening of the squared sensing range in the visibility prefilter.
+_RANGE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -105,6 +114,33 @@ class RobotState:
             raise ContractError("sensing_range and comm_range must be positive")
 
 
+def _slabs(r: Rect, x: float, y: float, dx: float, dy: float):
+    """Where the line (x, y) + t*(dx, dy) lies between ``r``'s edges, per axis.
+
+    Returns (tx0, tx1, ty0, ty1) with tx0 <= tx1 and ty0 <= ty1; an axis the
+    line runs parallel to gives (-inf, inf) when the line is strictly inside
+    that slab. Returns None when it runs parallel outside or on an edge, so
+    the line never enters the interior.
+    """
+    if dx == 0.0:
+        if not (r.x0 < x < r.x1):
+            return None
+        tx0, tx1 = -math.inf, math.inf
+    else:
+        a = (r.x0 - x) / dx
+        b = (r.x1 - x) / dx
+        tx0, tx1 = (a, b) if a < b else (b, a)
+    if dy == 0.0:
+        if not (r.y0 < y < r.y1):
+            return None
+        ty0, ty1 = -math.inf, math.inf
+    else:
+        a = (r.y0 - y) / dy
+        b = (r.y1 - y) / dy
+        ty0, ty1 = (a, b) if a < b else (b, a)
+    return tx0, tx1, ty0, ty1
+
+
 def _first_hit(x: float, y: float, dx: float, dy: float, limit: float,
                arena: Arena):
     """Earliest surface contact along the ray within ``limit``.
@@ -125,22 +161,10 @@ def _first_hit(x: float, y: float, dx: float, dy: float, limit: float,
     hits = [(max(t, 0.0), axis, snap) for t, axis, snap in hits if -_EPS <= t <= limit]
 
     for r in arena.obstacles:
-        if dx == 0.0:
-            if not (r.x0 < x < r.x1):
-                continue
-            tx0, tx1 = -math.inf, math.inf
-        else:
-            a = (r.x0 - x) / dx
-            b = (r.x1 - x) / dx
-            tx0, tx1 = (a, b) if a < b else (b, a)
-        if dy == 0.0:
-            if not (r.y0 < y < r.y1):
-                continue
-            ty0, ty1 = -math.inf, math.inf
-        else:
-            a = (r.y0 - y) / dy
-            b = (r.y1 - y) / dy
-            ty0, ty1 = (a, b) if a < b else (b, a)
+        slabs = _slabs(r, x, y, dx, dy)
+        if slabs is None:
+            continue
+        tx0, tx1, ty0, ty1 = slabs
         enter = max(tx0, ty0)
         leave = min(tx1, ty1)
         # Strict inequality: touching an edge or sliding along it is not entry.
@@ -242,6 +266,136 @@ def ballistic_step(
     return (x, y), new_heading
 
 
+class AgentArrays:
+    """Motion state of many agents as arrays, advanced one tick at a time.
+
+    ``step`` equals calling ``ballistic_step`` on every agent with its own
+    generator, bit for bit. An agent whose straight step cannot touch a wall
+    or come near an obstacle moves in one vector operation; every other agent
+    goes through ``ballistic_step`` (with ``rng=None``, so motion only). The
+    agents' ``position`` and ``heading`` are written back after each step.
+
+    Each generator must be read by nothing but this object once it is built,
+    which holds for the runner's motion streams after spawning. Turn draws can
+    then come from a block of ``rng.random(_TURN_BLOCK)`` per agent, read with
+    a cursor: ``rng.random()`` and ``rng.uniform(0, TAU)`` each read one
+    double ``u``, the latter as ``TAU * u``, so every agent's draws keep their
+    order.
+    """
+
+    def __init__(self, agents: Sequence[PersonState | RobotState],
+                 lambda_turns: Sequence[float], dt: float, arena: Arena,
+                 rngs: Sequence) -> None:
+        self.agents = list(agents)
+        speeds = [a.speed for a in self.agents]
+        self.lambda_turn = list(lambda_turns)
+        if dt < 0 or min(speeds + self.lambda_turn, default=0.0) < 0:
+            raise ContractError("dt, speed and lambda_turn must be non-negative")
+        n = len(self.agents)
+        self.dt = dt
+        self.arena = arena
+        # Row 0 holds x and row 1 holds y, one column per agent.
+        self.xy = np.array([a.position for a in self.agents],
+                           dtype=np.float64).reshape(n, 2).T.copy()
+        self._step = np.array([s * dt for s in speeds], dtype=np.float64)
+        self._still = np.flatnonzero(self._step == 0.0)
+        self._p_turn = np.array([-math.expm1(-lam * dt) for lam in self.lambda_turn],
+                                dtype=np.float64)
+        self._lo = np.array([[arena.xmin], [arena.ymin]])
+        self._hi = np.array([[arena.xmax], [arena.ymax]])
+        # Obstacle corners as (2, 1, k), for (2, n, k) comparisons; the near
+        # test widens them.
+        boxes = np.array([(r.x0, r.y0, r.x1, r.y1) for r in arena.obstacles],
+                         dtype=np.float64).reshape(-1, 4).T[:, None, :]
+        self._obstacle_lo, self._obstacle_hi = boxes[:2], boxes[2:]
+        self._near_lo, self._near_hi = boxes[:2] - _NEAR_MARGIN, boxes[2:] + _NEAR_MARGIN
+        # Per agent: cos and sin of the heading, and on each axis the wall its
+        # step runs towards with the divisor of _first_hit's wall test. A zero
+        # component gets an infinitely far wall instead.
+        self._dir = np.empty((2, n))
+        self._wall = np.empty((2, n))
+        self._div = np.empty((2, n))
+        for i, agent in enumerate(self.agents):
+            self._set_heading(i, agent.heading)
+        self._rngs = list(rngs)
+        self._draws = np.array([rng.random(_TURN_BLOCK) for rng in self._rngs],
+                               dtype=np.float64).reshape(n, _TURN_BLOCK)
+        self._cursor = np.zeros(n, dtype=np.intp)
+        self._rows = np.arange(n)
+
+    def _set_heading(self, i: int, heading: float) -> None:
+        self.agents[i].heading = heading
+        for axis, d in enumerate((math.cos(heading), math.sin(heading))):
+            self._dir[axis, i] = d
+            self._wall[axis, i], self._div[axis, i] = (
+                (self._hi[axis, 0], d) if d > 0 else
+                (self._lo[axis, 0], d) if d < 0 else (math.inf, 1.0))
+
+    def _refill(self, i: int) -> None:
+        self._draws[i] = self._rngs[i].random(_TURN_BLOCK)
+        self._cursor[i] = 0
+
+    def _next_draw(self, i: int) -> float:
+        if self._cursor[i] == _TURN_BLOCK:
+            self._refill(i)
+        c = self._cursor[i]
+        self._cursor[i] = c + 1
+        return self._draws[i, c].item()
+
+    def step(self, solve: Callable = ballistic_step) -> None:
+        """Advance every agent by one tick, calling ``solve`` for surface hits.
+
+        ``solve`` is ``ballistic_step`` or a wrapper of it.
+        """
+        xy, step = self.xy, self._step
+        free = ((self._lo <= xy) & (xy <= self._hi)).all(axis=0)
+        if self._obstacle_lo.size:
+            p = xy[:, :, None]
+            free &= ~((self._obstacle_lo < p) & (p < self._obstacle_hi)).all(axis=0).any(axis=1)
+        if not free.all():
+            i = int(np.argmin(free))
+            raise ContractError(
+                f"position {(xy[0, i].item(), xy[1, i].item())!r} outside the free space")
+
+        # _first_hit's wall test, term for term. A direction component below
+        # about 1e-290 overflows the quotient to inf, as Python floats do.
+        with np.errstate(over="ignore"):
+            t = (self._wall - xy) / self._div
+        scalar = ((-_EPS <= t) & (t <= step)).any(axis=0)
+        new = xy + self._dir * step
+        if self._obstacle_lo.size:
+            # Conservative: the step's bounding box meets a widened obstacle.
+            lo = np.minimum(xy, new)[:, :, None]
+            hi = np.maximum(xy, new)[:, :, None]
+            scalar |= ((hi >= self._near_lo) & (lo <= self._near_hi)).all(axis=0).any(axis=1)
+        # _push_out's clamp; its obstacle nudge cannot apply on this path.
+        new = np.minimum(np.maximum(new, self._lo), self._hi)
+        if self._still.size:
+            # A zero-length step leaves the position as it is (adding 0.0
+            # would turn -0.0 into 0.0).
+            new[:, self._still] = xy[:, self._still]
+        for i in scalar.nonzero()[0].tolist():
+            agent = self.agents[i]
+            (new[0, i], new[1, i]), heading = solve(
+                (xy[0, i].item(), xy[1, i].item()), agent.heading, agent.speed,
+                self.dt, self.arena, self.lambda_turn[i], None)
+            if heading != agent.heading:
+                self._set_heading(i, heading)
+
+        # The draw order of ballistic_step: rng.random() for the turn test,
+        # then rng.uniform(0, TAU) only if the agent turns.
+        for i in (self._cursor == _TURN_BLOCK).nonzero()[0].tolist():
+            self._refill(i)
+        u = self._draws[self._rows, self._cursor]
+        self._cursor += 1
+        for i in (u < self._p_turn).nonzero()[0].tolist():
+            self._set_heading(i, TAU * self._next_draw(i))
+
+        self.xy = new
+        for agent, position in zip(self.agents, zip(*new.tolist())):
+            agent.position = position
+
+
 def segment_blocked(p: Vec2, q: Vec2, obstacles: Iterable[Rect]) -> bool:
     """True iff the open segment (p, q) crosses any obstacle interior.
 
@@ -250,22 +404,10 @@ def segment_blocked(p: Vec2, q: Vec2, obstacles: Iterable[Rect]) -> bool:
     px, py = p
     dx, dy = q[0] - px, q[1] - py
     for r in obstacles:
-        if dx == 0.0:
-            if not (r.x0 < px < r.x1):
-                continue
-            tx0, tx1 = -math.inf, math.inf
-        else:
-            a = (r.x0 - px) / dx
-            b = (r.x1 - px) / dx
-            tx0, tx1 = (a, b) if a < b else (b, a)
-        if dy == 0.0:
-            if not (r.y0 < py < r.y1):
-                continue
-            ty0, ty1 = -math.inf, math.inf
-        else:
-            a = (r.y0 - py) / dy
-            b = (r.y1 - py) / dy
-            ty0, ty1 = (a, b) if a < b else (b, a)
+        slabs = _slabs(r, px, py, dx, dy)
+        if slabs is None:
+            continue
+        tx0, tx1, ty0, ty1 = slabs
         enter = max(tx0, ty0, 0.0)
         leave = min(tx1, ty1, 1.0)
         if enter < leave:
@@ -301,6 +443,25 @@ def visible_people(
             continue
         out.append(person.person_id)
     return out
+
+
+def sensing_candidates(robots: Sequence[RobotState],
+                       people_xy: np.ndarray) -> list[list[int]]:
+    """Per robot, the indices of the people that may be in range.
+
+    ``people_xy`` holds the people's x in row 0 and y in row 1.
+    A superset, in people order, of those within ``sensing_range``: the
+    squared distance is compared with a slightly widened squared range.
+    ``visible_people`` over these candidates equals it over all people.
+    """
+    rx = np.array([r.position[0] for r in robots], dtype=np.float64)[:, None]
+    ry = np.array([r.position[1] for r in robots], dtype=np.float64)[:, None]
+    reach = np.array([r.sensing_range * r.sensing_range for r in robots],
+                     dtype=np.float64)[:, None] * (1.0 + _RANGE_MARGIN)
+    ddx = people_xy[0] - rx
+    ddy = people_xy[1] - ry
+    near = ddx * ddx + ddy * ddy <= reach
+    return [row.nonzero()[0].tolist() for row in near]
 
 
 def comm_pairs(robots: Sequence[RobotState]) -> list[tuple[int, int]]:

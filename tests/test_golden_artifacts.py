@@ -32,6 +32,8 @@ CASES = {
     "crowded_8_robots": ("crowded.yaml", ["robots.count=8", "duration_ticks=1000"]),
     "crowded_vector_baseline": ("crowded.yaml", ["mode=vector-baseline",
                                                  "duration_ticks=1500"]),
+    "crowded_obstacles": ("crowded.yaml", ["arena.obstacles=[[-6,-6,-2,-2],[2,3,7,8]]",
+                                           "duration_ticks=1500"]),
 }
 
 

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from swarmreid.errors import ContractError
 from swarmreid.vocab import PersonAttributes
 from swarmreid.world import (
+    _TURN_BLOCK,
     TAU,
+    AgentArrays,
     Arena,
     PersonState,
     Rect,
@@ -16,6 +18,7 @@ from swarmreid.world import (
     ballistic_step,
     comm_pairs,
     segment_blocked,
+    sensing_candidates,
     visible_people,
 )
 
@@ -214,3 +217,114 @@ class TestMotionProperties:
             return
         _, h = ballistic_step(pos, heading, 1.0, 0.1, ARENA, 0.0, None)
         assert h == heading
+
+
+# Points on the walls, corners and obstacle edges and corners of
+# _OBSTACLE_ARENA: none is inside an obstacle, every one is a surface.
+_SURFACE_POINTS = [
+    (15.0, 0.0), (-15.0, 3.0), (1.0, 15.0), (0.5, -15.0),
+    (15.0, 15.0), (-15.0, -15.0), (15.0, -15.0), (-15.0, 15.0),
+    (-6.0, -6.0), (-2.0, -2.0), (-6.0, -2.0), (-2.0, -4.0), (-4.0, -6.0),
+    (2.0, 3.0), (7.0, 8.0), (2.0, 5.0), (4.5, 8.0), (7.0, 3.0), (5.0, 3.0),
+]
+_AXIS_HEADINGS = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2, math.pi / 4]
+
+_agents = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from(_SURFACE_POINTS), _free_positions(_OBSTACLE_ARENA)),
+        st.one_of(st.sampled_from(_AXIS_HEADINGS),
+                  st.floats(0.0, TAU, exclude_max=True)),
+        st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.0]), st.floats(0.0, 3.0)),
+        st.sampled_from([0.0, 0.4, 5.0]),
+        st.integers(0, 2**32 - 1),
+    ),
+    min_size=1, max_size=8,
+)
+
+
+def _bits(position, heading):
+    return (position[0].hex(), position[1].hex(), heading.hex())
+
+
+def _assert_batched_equals_scalar(agents, ticks, dt, arena):
+    """Every tick, AgentArrays.step leaves each agent bitwise where
+    per-agent ballistic_step with an identically seeded generator does."""
+    people = [PersonState(person_id=i, position=pos, heading=h, speed=speed,
+                          attributes=ATTRS)
+              for i, (pos, h, speed, _, _) in enumerate(agents)]
+    batched = AgentArrays(people, [lam for _, _, _, lam, _ in agents], dt, arena,
+                          [np.random.default_rng(seed) for *_, seed in agents])
+    state = [(pos, h) for pos, h, _, _, _ in agents]
+    rngs = [np.random.default_rng(seed) for *_, seed in agents]
+    for _ in range(ticks):
+        batched.step()
+        state = [ballistic_step(pos, h, speed, dt, arena, lam, rng)
+                 for (pos, h), (_, _, speed, lam, _), rng in zip(state, agents, rngs)]
+        assert [_bits(p.position, p.heading) for p in people] == \
+            [_bits(pos, h) for pos, h in state]
+
+
+class TestAgentArrays:
+    @given(_agents, st.sampled_from([0.1, 0.5]))
+    @settings(max_examples=200, deadline=None)
+    # Head-on into an obstacle edge; into a wall from on it (t = 0); a still
+    # agent at x = -0.0, which x + 0.0 would turn into 0.0.
+    @example(agents=[((0.0, 4.0), 0.0, 0.5, 0.0, 0)], dt=0.5)
+    @example(agents=[((15.0, 0.0), 0.0, 0.5, 0.0, 0)], dt=0.1)
+    @example(agents=[((-0.0, 1.0), 0.0, 0.0, 0.0, 0)], dt=0.1)
+    def test_step_equals_per_agent_ballistic_step(self, agents, dt):
+        _assert_batched_equals_scalar(agents, 12, dt, _OBSTACLE_ARENA)
+
+    def test_turn_draws_cross_block_boundaries(self):
+        # lambda 20/s at dt 0.5 turns almost every tick, so each agent reads
+        # about two doubles per tick and refills its block several times,
+        # at different ticks for different agents.
+        agents = [((0.0, 0.0), 0.0, 1.0, 20.0, 1), ((15.0, 15.0), 1.0, 2.0, 20.0, 2),
+                  ((-2.0, -4.0), math.pi / 2, 0.0, 0.0, 3), ((2.0, 5.0), 2.5, 0.7, 0.4, 4)]
+        _assert_batched_equals_scalar(agents, 3 * _TURN_BLOCK, 0.5, _OBSTACLE_ARENA)
+
+    def test_outside_position_rejected(self):
+        agents = [_person(0, (0.0, 0.0)), _person(1, (-4.0, -4.0))]
+        batched = AgentArrays(agents, [0.0, 0.0], 0.1, _OBSTACLE_ARENA,
+                              [np.random.default_rng(0), np.random.default_rng(1)])
+        with pytest.raises(ContractError):
+            batched.step()
+
+    def test_negative_speed_rejected(self):
+        agent = PersonState(person_id=0, position=(0.0, 0.0), heading=0.0,
+                            speed=-1.0, attributes=ATTRS)
+        with pytest.raises(ContractError):
+            AgentArrays([agent], [0.0], 0.1, ARENA, [np.random.default_rng(0)])
+
+
+_coords = st.floats(-15.0, 15.0, allow_nan=False)
+
+
+class TestSensingCandidates:
+    @given(st.tuples(_coords, _coords).filter(lambda p: not _OBSTACLE_ARENA.in_obstacle(*p)),
+           st.one_of(st.sampled_from(_AXIS_HEADINGS), st.floats(0.0, TAU, exclude_max=True)),
+           st.floats(0.1, math.pi),
+           st.floats(0.5, 10.0),
+           st.lists(st.tuples(_coords, _coords), max_size=12))
+    @settings(max_examples=300, deadline=None)
+    # The people 1e-9 rad past the cone edges are at distance 1.5 by hypot,
+    # but their float sums of squares exceed 1.5 ** 2.
+    @example(pos=(0.0, 0.0), heading=0.0, fov=0.1015625, sensing=1.5, extra=[])
+    def test_prefiltered_visibility_equals_full(self, pos, heading, fov, sensing, extra):
+        robot = _robot(0, pos, heading=heading, sensing=sensing, fov=fov)
+        rx, ry = pos
+        # People exactly at the sensing range, on and just past both cone
+        # edges, and at the robot itself, plus arbitrary ones.
+        rim = [(rx + sensing * math.cos(a), ry + sensing * math.sin(a))
+               for a in (heading, heading + fov, heading - fov,
+                         heading + fov + 1e-9, heading - fov - 1e-9)]
+        ring = [(rx + sensing, ry), (rx, ry - sensing), (rx, ry)]
+        points = rim + ring + extra
+        people = [_person(i, p) for i, p in enumerate(points)]
+        xy = np.array(points, dtype=np.float64).T
+        (candidates,) = sensing_candidates([robot], xy)
+        assert candidates == sorted(candidates)
+        assert {i for i, (px, py) in enumerate(points)
+                if math.hypot(px - rx, py - ry) <= sensing} <= set(candidates)
+        assert (visible_people(robot, [people[j] for j in candidates], _OBSTACLE_ARENA)
+                == visible_people(robot, people, _OBSTACLE_ARENA))
