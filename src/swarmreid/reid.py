@@ -9,6 +9,10 @@ Cluster identity is the pair (origin robot id, origin-local counter). A
 received cluster keeps its uid, so later meetings recognize already-imported
 clusters by uid (directly or through the tombstone map of absorbed uids)
 instead of re-running similarity matching.
+
+Exchange is delta-state anti-entropy: each database remembers, per peer, how
+many members of each of its clusters that peer provably holds, and sends only
+what grew since.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import json
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, count, islice
 from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -31,6 +35,11 @@ ClusterUid = tuple[int, int]
 
 SCHEMA_VERSION = 1
 DEFAULT_TOMBSTONE_CAP = 1024
+
+# Drawn once per constructed database; deepcopy keeps an int, so a copy is the
+# same incarnation (and must not diverge from its original while both meet the
+# same peers), while a from_dict reload is a new one.
+_incarnations = count()
 
 
 @dataclass(frozen=True)
@@ -81,12 +90,14 @@ class ClusterView(NamedTuple):
 
     ``members`` is the cluster's live list; the view covers its first ``n``
     entries, which never change because members are only ever appended. The
-    summary and embedding fields are references to values that updates
-    replace rather than mutate.
+    receiver already holds the first ``start`` of them. The summary and
+    embedding fields are references to values that updates replace rather
+    than mutate.
     """
 
     uid: ClusterUid
     members: list[DescriptionRecord]
+    start: int
     n: int
     summary_text: str
     summary_embedding: np.ndarray
@@ -111,6 +122,7 @@ def _centroid(embedding_sum: np.ndarray, n: int, fallback: np.ndarray) -> np.nda
 
 
 _record_key = attrgetter("key")
+_view_uid = attrgetter("uid")
 
 
 @dataclass(frozen=True)
@@ -189,6 +201,11 @@ class ClusterDatabase:
         # (robot_id, track_id) -> lowest uid of a cluster holding that track
         self._tracks: dict[tuple[int, int], ClusterUid] = {}
         self._index = _SimilarityIndex()
+        self._incarnation = next(_incarnations)
+        self._evictions = 0
+        # peer owner -> (peer epoch when recorded, {uid: member count of this
+        # side's cluster that the peer holds and resolves}); never serialized
+        self._known: dict[int, tuple[tuple[int, int], dict[ClusterUid, int]]] = {}
 
     # ---------- internals ----------
 
@@ -228,6 +245,7 @@ class ClusterDatabase:
         self.tombstones.move_to_end(absorbed)
         while len(self.tombstones) > self.tombstone_cap:
             self.tombstones.popitem(last=False)
+            self._evictions += 1
 
     def _resolve_uid(self, uid: ClusterUid) -> ClusterUid | None:
         """Follow tombstone redirects to a live cluster, if any."""
@@ -317,20 +335,75 @@ class ClusterDatabase:
     def record_keys(self) -> set[tuple[int, int, int]]:
         return set(self._keys)
 
-    def views(self) -> list[ClusterView]:
-        """Views of all clusters as they stand now, ascending uid."""
+    def views(self, known: dict[ClusterUid, int] | None = None) -> list[ClusterView]:
+        """Views of clusters as they stand now, ascending uid.
+
+        Without ``known`` this is the full state. With it, a cluster whose
+        member count equals its ``known`` count is left out, and every other
+        view starts at that count (0 when absent).
+        """
+        get = (known or {}).get
         clusters = self.clusters
         return [
-            ClusterView(c.uid, c.members, len(c.members), c.summary_text,
+            ClusterView(uid, c.members, start, n, c.summary_text,
                         c.summary_embedding, c.embedding_sum)
-            for c in map(clusters.__getitem__, sorted(clusters))
+            for uid in sorted(clusters)
+            if (start := get(uid, 0)) != (n := len((c := clusters[uid]).members))
         ]
 
-    def _absorb(self, received: list[ClusterView], theta_merge: float) -> tuple[int, int, int]:
+    def _epoch(self) -> tuple[int, int]:
+        """Changes whenever a uid this database resolved may stop resolving."""
+        return self._incarnation, self._evictions
+
+    def _delta_for(self, peer: "ClusterDatabase"
+                   ) -> tuple[list[ClusterView], dict[ClusterUid, int]]:
+        """Views to send ``peer`` and the knowledge they were cut against.
+
+        Knowledge recorded under another epoch of the peer is dropped. When
+        the peer could evict a tombstone while absorbing, which could
+        un-resolve a later unsent view, every cluster is sent in full.
+        """
+        epoch, known = self._known.get(peer.owner, (None, None))
+        if epoch != peer._epoch():
+            known = {}
+        views = self.views(known)
+        cap = peer.tombstone_cap
+        if known and cap and len(peer.tombstones) + len(views) > cap:
+            known = {}
+            views = self.views(known)
+        return views, known
+
+    def _learn(self, peer: "ClusterDatabase", known: dict[ClusterUid, int],
+               uids: Iterable[ClusterUid]) -> None:
+        """Record what ``peer`` holds of ``uids`` after both sides absorbed.
+
+        Every member of every local cluster is then held by the peer: each
+        cluster was either sent or already known in full, and whatever was
+        appended during the exchange came from the peer. Only uids the peer
+        resolves are recorded, so a skipped view is always a recognised
+        cluster with nothing new.
+        """
+        resolve = peer._resolve_uid
+        clusters = self.clusters
+        for uid in uids:
+            if resolve(uid) is not None:
+                known[uid] = len(clusters[uid].members)
+        self._known[peer.owner] = (peer._epoch(), known)
+
+    def _absorb(self, received: list[ClusterView], theta_merge: float
+                ) -> tuple[int, int, int, list[ClusterUid]]:
+        """Fold received views in; returns (merged, copied, added, touched).
+
+        ``touched`` lists the local clusters that gained members or were
+        created. A view's first ``start`` members must already be held here
+        and, when ``start`` > 0, its uid must resolve: the skipped prefix is
+        then exactly what full-state absorption would find held.
+        """
         merged = copied = added_total = 0
+        touched = []
         held = self._keys.__contains__
         for view in received:
-            members = islice(view.members, view.n)
+            members = islice(view.members, view.start, view.n)
             target = self._resolve_uid(view.uid)
             if target is None:
                 vec = view.matching_embedding(self.mode)
@@ -358,14 +431,16 @@ class ClusterDatabase:
                         self._add_members(self._new_cluster(view.uid), fresh)
                     copied += 1
                     added_total += len(fresh)
+                    touched.append(view.uid)
                     continue
             merged += 1
             if all(map(held, map(_record_key, members))):
                 # Recognised and nothing new: the common case on repeat meetings.
                 continue
             added_total += self._add_members(
-                self.clusters[target], islice(view.members, view.n))
-        return merged, copied, added_total
+                self.clusters[target], islice(view.members, view.start, view.n))
+            touched.append(target)
+        return merged, copied, added_total, touched
 
     # ---------- serialization ----------
 
@@ -473,6 +548,13 @@ def exchange(a: ClusterDatabase, b: ClusterDatabase,
     most similar local cluster when similarity reaches ``theta_merge``, else
     it is copied in under its original uid. Member union deduplicates on
     (robot_id, track_id, tick) across the whole database.
+
+    Each side sends only deltas. Knowledge invariant: while the peer's epoch
+    is unchanged, a recorded count ``k`` for a local cluster means the peer
+    holds its first ``k`` members and resolves its uid. A cluster of exactly
+    ``k`` members is not sent (the full-state exchange would recognise it
+    and find nothing new, so it counts as merged), and a longer one is sent
+    from member ``k`` on. Results and stats equal the full-state exchange.
     """
     if not (0.0 <= theta_merge <= 1.0):
         raise ContractError(f"theta_merge={theta_merge} outside [0, 1]")
@@ -481,13 +563,19 @@ def exchange(a: ClusterDatabase, b: ClusterDatabase,
     # Views instead of copies: while a absorbs, a's clusters can only gain
     # records from b by appending, past the members a's views cover, and
     # their summaries and sums are rebound, never mutated.
-    views_a = a.views()
-    views_b = b.views()
-    merged_a, copied_a, added_a = a._absorb(views_b, theta_merge)
-    merged_b, copied_b, added_b = b._absorb(views_a, theta_merge)
+    views_a, known_a = a._delta_for(b)
+    views_b, known_b = b._delta_for(a)
+    unsent_a = len(a.clusters) - len(views_a)
+    unsent_b = len(b.clusters) - len(views_b)
+    merged_a, copied_a, added_a, touched_a = a._absorb(views_b, theta_merge)
+    merged_b, copied_b, added_b, touched_b = b._absorb(views_a, theta_merge)
+    a._learn(b, known_a, chain(map(_view_uid, views_a), touched_a))
+    b._learn(a, known_b, chain(map(_view_uid, views_b), touched_b))
     return ExchangeStats(
-        merged_into_a=merged_a, copied_to_a=copied_a, records_added_to_a=added_a,
-        merged_into_b=merged_b, copied_to_b=copied_b, records_added_to_b=added_b,
+        merged_into_a=merged_a + unsent_b, copied_to_a=copied_a,
+        records_added_to_a=added_a,
+        merged_into_b=merged_b + unsent_a, copied_to_b=copied_b,
+        records_added_to_b=added_b,
     )
 
 

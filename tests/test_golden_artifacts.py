@@ -3,8 +3,9 @@
 ``test_runs_are_byte_deterministic`` only compares a run with its own repeat,
 so a change that altered every result would still pass it. These short runs
 pin the content: text mode with and without crowding, gossip under scarce
-sightings, and the ``vector-baseline`` centroid path, which the benchmark's
-golden file does not cover.
+sightings, a tombstone cap small enough to evict during exchanges, and the
+``vector-baseline`` centroid path, which the benchmark's golden file does not
+cover.
 
 Re-record the digest file only in a change that declares new artifacts:
 
@@ -30,6 +31,9 @@ CASES = {
     "baseline": ("baseline.yaml", []),
     "comm_benefit": ("comm_benefit.yaml", []),
     "crowded_8_robots": ("crowded.yaml", ["robots.count=8", "duration_ticks=1000"]),
+    "crowded_8_robots_tombstone_cap": ("crowded.yaml", ["robots.count=8",
+                                                        "duration_ticks=1000",
+                                                        "tombstone_cap=64"]),
     "crowded_vector_baseline": ("crowded.yaml", ["mode=vector-baseline",
                                                  "duration_ticks=1500"]),
     "crowded_obstacles": ("crowded.yaml", ["arena.obstacles=[[-6,-6,-2,-2],[2,3,7,8]]",

@@ -9,7 +9,8 @@ from swarmreid.language import cosine, embed, tokenize
 from swarmreid.perception import (DescriptionNoise, DescriptionRecord,
                                   canonical_description, describe,
                                   sample_attributes)
-from swarmreid.reid import ClusterDatabase, exchange
+from swarmreid.reid import (DEFAULT_TOMBSTONE_CAP, ClusterDatabase,
+                            ExchangeStats, exchange)
 
 _PEOPLE = sample_attributes(6, np.random.default_rng(7), distinct=True)
 _TEXTS = tuple(canonical_description(p) for p in _PEOPLE)
@@ -170,10 +171,15 @@ _steps = st.lists(st.one_of(
     st.tuples(st.integers(0, 2), st.integers(0, 2)),
 ), min_size=1, max_size=40)
 _mode = st.sampled_from(["text", "vector-baseline"])
+# Small caps make absorbs evict tombstones, which un-resolves uids the peer
+# was known to hold.
+_cap = st.sampled_from([0, 1, 2, DEFAULT_TOMBSTONE_CAP])
 
 
-def _play(steps, mode, theta_local, theta_merge, check=None):
-    dbs = [ClusterDatabase(owner=r, mode=mode) for r in range(3)]
+def _play(steps, mode, theta_local, theta_merge, check=None,
+          cap=DEFAULT_TOMBSTONE_CAP):
+    dbs = [ClusterDatabase(owner=r, mode=mode, tombstone_cap=cap)
+           for r in range(3)]
     for tick, step in enumerate(steps):
         if len(step) == 3:
             robot, person, rendering = step
@@ -188,24 +194,63 @@ def _play(steps, mode, theta_local, theta_merge, check=None):
 
 
 def _one_sided(receiver, sender, theta_merge):
-    """``receiver`` absorbing ``sender``'s clusters, on deep copies."""
+    """``receiver`` absorbing all of ``sender``'s clusters, on deep copies.
+
+    Returns the receiver's snapshot and its (merged, copied, added) counts.
+    """
     receiver, sender = copy.deepcopy(receiver), copy.deepcopy(sender)
-    receiver._absorb(sender.views(), theta_merge)
-    return receiver.to_json()
+    merged, copied, added, _ = receiver._absorb(sender.views(), theta_merge)
+    return receiver.to_json(), (merged, copied, added)
+
+
+def _assert_full_state(a, b, theta_merge):
+    """``exchange`` on copies of ``a`` and ``b`` equals full-state absorption
+    in both directions, snapshots and stats alike."""
+    json_a, counts_a = _one_sided(a, b, theta_merge)
+    json_b, counts_b = _one_sided(b, a, theta_merge)
+    a_copy, b_copy = copy.deepcopy(a), copy.deepcopy(b)
+    stats = exchange(a_copy, b_copy, theta_merge)
+    assert (a_copy.to_json(), b_copy.to_json()) == (json_a, json_b)
+    assert stats == ExchangeStats(*counts_a, *counts_b)
 
 
 class TestIncrementalState:
-    @given(steps=_steps, mode=_mode, theta_local=_theta, theta_merge=_theta)
+    @given(steps=_steps, mode=_mode, theta_local=_theta, theta_merge=_theta,
+           cap=_cap)
+    # Robot 0's three clusters all fold into one at robot 1 under a cap of
+    # one tombstone, so later meetings need the full-view fallback.
+    @example(steps=[(0, 0, 0), (0, 1, 0), (0, 2, 0), (0, 1), (0, 1), (0, 1)],
+             mode="text", theta_local=1.0, theta_merge=0.0, cap=1)
+    # Robot 1 learns robot 0's cluster through a tombstone, then evicts that
+    # tombstone while meeting robot 2: robot 0 must send the cluster again.
+    @example(steps=[(0, 0, 0), (1, 0, 0), (0, 1), (2, 1, 0), (1, 2), (0, 1)],
+             mode="text", theta_local=1.0, theta_merge=0.0, cap=1)
     @settings(max_examples=60, deadline=None)
     def test_exchange_equals_both_directions_from_copies(
-            self, steps, mode, theta_local, theta_merge):
-        def check(a, b, theta):
-            expected = (_one_sided(a, b, theta), _one_sided(b, a, theta))
-            a_copy, b_copy = copy.deepcopy(a), copy.deepcopy(b)
-            exchange(a_copy, b_copy, theta)
-            assert (a_copy.to_json(), b_copy.to_json()) == expected
+            self, steps, mode, theta_local, theta_merge, cap):
+        _play(steps, mode, theta_local, theta_merge, _assert_full_state, cap)
 
-        _play(steps, mode, theta_local, theta_merge, check)
+    @given(script=_sightings, theta_local=_theta, theta_merge=_theta)
+    @settings(max_examples=40, deadline=None)
+    def test_knowledge_does_not_cross_incarnations(
+            self, script, theta_local, theta_merge):
+        """A reload of an earlier snapshot of the peer holds less than the
+        peer did, so what ``a`` learned about the peer must not apply."""
+        dbs = _build(script, theta_local)
+        earlier = dbs[1].to_json()
+        exchange(dbs[0], dbs[1], theta_merge)
+        _assert_full_state(dbs[0], ClusterDatabase.from_json(earlier),
+                           theta_merge)
+
+    def test_repeat_meeting_sends_nothing(self):
+        dbs = _build([(0, 0, 0), (0, 1, 1), (1, 2, 0), (1, 0, 3)], 1.0)
+        first = exchange(dbs[0], dbs[1], 1.0)
+        assert first.records_added_to_a == first.records_added_to_b == 2
+        assert dbs[0]._delta_for(dbs[1])[0] == []
+        assert dbs[1]._delta_for(dbs[0])[0] == []
+        # Unsent clusters still count as recognised, as full views would.
+        second = exchange(dbs[0], dbs[1], 1.0)
+        assert second == ExchangeStats(3, 0, 0, 3, 0, 0)
 
     @given(steps=_steps, mode=_mode, theta_local=_theta, theta_merge=_theta)
     # Robot 1's track 0 reaches robot 0 first inside a copy of robot 2's
