@@ -143,8 +143,16 @@ class ExchangeStats:
     records_added_to_b: int
 
 
+# Slack of the ranking filter; see _SimilarityIndex.top for why it is safe.
+_RANK_MARGIN = 1e-9
+
+
 class _SimilarityIndex:
-    """Growable row matrix of cluster embeddings for fast argmax queries."""
+    """Growable row matrix of cluster matching embeddings, one row per uid.
+
+    Serves the argmax that assignment and merging decide by (``best``) and
+    the candidate filter that ranked queries rescore exactly (``top``).
+    """
 
     def __init__(self, dim: int = EMBEDDING_DIM) -> None:
         self._mat = np.zeros((16, dim), dtype=np.float64)
@@ -178,6 +186,28 @@ class _SimilarityIndex:
         if np.array_equal(self._mat[self._rows[uid]], vec):
             return uid, 1.0
         return uid, min(1.0, max(-1.0, float(top)))
+
+    def top(self, vec: np.ndarray, k: int) -> list[ClusterUid]:
+        """Uids of every row whose product with ``vec`` comes within
+        ``_RANK_MARGIN`` of the k-th best: all rows when ``k`` >= rows.
+
+        For unit vectors the product and any other summation order of the
+        same dot product, such as ``cosine``, differ by at most 2*gamma_n,
+        about 5.7e-14 at n = 256 (Higham, "Accuracy and Stability of
+        Numerical Algorithms", section 3.1). A row left out scores more than the
+        margin below k rows by product, so more than the margin minus
+        2*gamma_n below each of them by ``cosine``: the kept rows hold the
+        exact top k under any tie rule, lower uids of tied scores included.
+        Clamping to [-1, 1] keeps that order, since a product of unit
+        vectors passes 1 by about gamma_n at most.
+        """
+        uids = self._uids
+        n = len(uids)
+        if k >= n:
+            return list(uids)
+        sims = self._mat[:n] @ vec
+        kth = np.partition(sims, n - k)[n - k]
+        return [uids[i] for i in np.flatnonzero(sims >= kth - _RANK_MARGIN)]
 
 
 class ClusterDatabase:
@@ -309,6 +339,13 @@ class ClusterDatabase:
     def query(self, text: str, k: int) -> list[QueryHit]:
         """Rank clusters against a free-text query.
 
+        Hits are ordered by ``cosine`` of the query embedding with each
+        cluster's matching embedding, ties to the lowest uid. The similarity
+        index only narrows which clusters get scored: one matrix-vector
+        product keeps the rows that can reach the top ``k`` (see
+        ``_SimilarityIndex.top``), and only those are scored exactly, so
+        every hit and score equals a ranking of all clusters.
+
         Raises EmptyDescriptionError when the query tokenizes to nothing.
         An empty database yields an empty list. Each hit carries up to three
         sample records, most recent first.
@@ -316,8 +353,9 @@ class ClusterDatabase:
         if k < 1:
             raise ContractError(f"k={k} must be at least 1")
         vec = self.ops.embed(tokenize(text))
+        candidates = [self.clusters[uid] for uid in self._index.top(vec, k)]
         scored = sorted(
-            ((c, cosine(vec, c.matching_embedding(self.mode))) for c in self.clusters.values()),
+            ((c, cosine(vec, c.matching_embedding(self.mode))) for c in candidates),
             key=lambda pair: (-pair[1], pair[0].uid),
         )
         hits = []
@@ -536,6 +574,14 @@ class ClusterDatabase:
                 assert uid[1] < self.uid_counter, f"uid {uid} beyond counter"
         assert seen_keys == self._keys
         assert tracks == self._tracks
+        index = self._index
+        assert index._rows == {uid: i for i, uid in enumerate(index._uids)}
+        assert index._rows.keys() == self.clusters.keys(), (
+            "similarity index rows differ from the clusters")
+        for uid, c in self.clusters.items():
+            assert (index._mat[index._rows[uid]].tobytes()
+                    == c.matching_embedding(self.mode).tobytes()), (
+                f"index row of {uid} is not its matching embedding")
 
 
 def exchange(a: ClusterDatabase, b: ClusterDatabase,

@@ -204,43 +204,49 @@ def test_crowding_overfragments_and_degrades_map():
             f"mAP did not decline: {results[6][1]:.4f} -> {results[50][1]:.4f}")
 
 
+def _random_exchange_sequence(mode):
+    rng = np.random.default_rng(123)
+    people = sample_attributes(8, np.random.default_rng(5), distinct=True)
+    noise = DescriptionNoise(p_drop=0.2, p_synonym=0.2,
+                             p_color_confusion=0.1)
+    noise_rng = np.random.default_rng(6)
+    dbs = {r: ClusterDatabase(owner=r, mode=mode) for r in range(4)}
+    assigned = {r: set() for r in range(4)}
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    tick = 0
+    for _ in range(1000):
+        for _ in range(int(rng.integers(0, 2))):
+            robot = int(rng.integers(0, 4))
+            person = int(rng.integers(0, 8))
+            text = describe(people[person], noise, noise_rng)
+            record = DescriptionRecord.create(
+                text=text, robot_id=robot, tick=tick, track_id=person,
+                person_id=person)
+            dbs[robot].assign_description(record, 0.9)
+            assigned[robot].add(record.key)
+            tick += 1
+        i, j = pairs[int(rng.integers(0, len(pairs)))]
+        union = dbs[i].record_keys() | dbs[j].record_keys()
+        exchange(dbs[i], dbs[j], 0.8)
+        assert dbs[i].record_keys() == union, "records lost in exchange"
+        assert dbs[j].record_keys() == union, "records lost in exchange"
+        snapshot = (dbs[i].to_json(), dbs[j].to_json())
+        exchange(dbs[i], dbs[j], 0.8)
+        assert (dbs[i].to_json(), dbs[j].to_json()) == snapshot, (
+            "second exchange was not a no-op")
+    every_assigned = set().union(*assigned.values())
+    final_union = set().union(*(db.record_keys() for db in dbs.values()))
+    assert final_union == every_assigned, "records lost over the run"
+    for db in dbs.values():
+        assert db.record_keys() >= assigned[db.owner]
+        db.check_invariants()
+
+
 def test_exchange_invariants_over_random_sequences():
-    with criterion("merge protocol invariants (1000 exchanges, 0 violations)"):
-        rng = np.random.default_rng(123)
-        people = sample_attributes(8, np.random.default_rng(5), distinct=True)
-        noise = DescriptionNoise(p_drop=0.2, p_synonym=0.2,
-                                 p_color_confusion=0.1)
-        noise_rng = np.random.default_rng(6)
-        dbs = {r: ClusterDatabase(owner=r) for r in range(4)}
-        assigned = {r: set() for r in range(4)}
-        pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-        tick = 0
-        for _ in range(1000):
-            for _ in range(int(rng.integers(0, 2))):
-                robot = int(rng.integers(0, 4))
-                person = int(rng.integers(0, 8))
-                text = describe(people[person], noise, noise_rng)
-                record = DescriptionRecord.create(
-                    text=text, robot_id=robot, tick=tick, track_id=person,
-                    person_id=person)
-                dbs[robot].assign_description(record, 0.9)
-                assigned[robot].add(record.key)
-                tick += 1
-            i, j = pairs[int(rng.integers(0, len(pairs)))]
-            union = dbs[i].record_keys() | dbs[j].record_keys()
-            exchange(dbs[i], dbs[j], 0.8)
-            assert dbs[i].record_keys() == union, "records lost in exchange"
-            assert dbs[j].record_keys() == union, "records lost in exchange"
-            snapshot = (dbs[i].to_json(), dbs[j].to_json())
-            exchange(dbs[i], dbs[j], 0.8)
-            assert (dbs[i].to_json(), dbs[j].to_json()) == snapshot, (
-                "second exchange was not a no-op")
-        every_assigned = set().union(*assigned.values())
-        final_union = set().union(*(db.record_keys() for db in dbs.values()))
-        assert final_union == every_assigned, "records lost over the run"
-        for db in dbs.values():
-            assert db.record_keys() >= assigned[db.owner]
-            db.check_invariants()
+    for mode in ("text", "vector-baseline"):
+        with criterion(f"merge protocol invariants, {mode} mode "
+                       "(1000 exchanges, 0 violations)"):
+            _random_exchange_sequence(mode)
 
 
 _DETERMINISM_CONFIGS = [

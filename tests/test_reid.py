@@ -6,7 +6,8 @@ import pytest
 from swarmreid.errors import ContractError, EmptyDescriptionError
 from swarmreid.language import cosine, embed, tokenize
 from swarmreid.perception import DescriptionRecord, canonical_description, sample_attributes
-from swarmreid.reid import ClusterDatabase, canonical_json, exchange
+from swarmreid.reid import (SCHEMA_VERSION, ClusterDatabase, canonical_json,
+                            exchange)
 
 WOMAN_TEXT = "a woman wearing a red shirt and black skirt"
 MAN_TEXT = "a man wearing a blue shirt and gray pants"
@@ -190,6 +191,28 @@ class TestQuery:
         hits = db.query(WOMAN_TEXT, k=1)
         assert [s.tick for s in hits[0].samples] == [9, 7, 3]
 
+    def test_k_cuts_tied_scores_toward_lowest_uids(self):
+        # Six one-member clusters of the same text, listed from the highest
+        # uid down so the index holds them in descending uid order, below a
+        # lower uid of another text.
+        clusters = [
+            {"uid": [0, i], "summary_text": WOMAN_TEXT, "track_ids": [[0, i]],
+             "members": [{"text": WOMAN_TEXT, "robot_id": 0, "tick": i,
+                          "track_id": i, "person_id": i}]}
+            for i in range(6, 0, -1)
+        ]
+        clusters.append(
+            {"uid": [0, 0], "summary_text": MAN_TEXT, "track_ids": [[0, 0]],
+             "members": [{"text": MAN_TEXT, "robot_id": 0, "tick": 0,
+                          "track_id": 0, "person_id": 0}]})
+        db = ClusterDatabase.from_dict({
+            "schema_version": SCHEMA_VERSION, "owner": 0, "mode": "text",
+            "uid_counter": 7, "tombstones": [], "clusters": clusters})
+        db.check_invariants()
+        hits = db.query(WOMAN_TEXT, k=3)
+        assert [h.uid for h in hits] == [(0, 1), (0, 2), (0, 3)]
+        assert len({h.score for h in hits}) == 1
+
     def test_green_t_shirt_ranks_first(self):
         db = ClusterDatabase(owner=0)
         db.assign_description(_record(WOMAN_TEXT, track_id=1), 0.8)
@@ -200,17 +223,18 @@ class TestQuery:
 
 
 class TestSerialization:
-    def _db(self):
-        db = ClusterDatabase(owner=2)
+    def _db(self, mode="text"):
+        db = ClusterDatabase(owner=2, mode=mode)
         db.assign_description(_record(WOMAN_TEXT, robot_id=2, track_id=1), 0.8)
         db.assign_description(_record(MAN_TEXT, robot_id=2, track_id=2, tick=3), 0.8)
         return db
 
     def test_round_trip_byte_stable(self):
-        db = self._db()
-        clone = ClusterDatabase.from_json(db.to_json())
-        assert clone.to_json() == db.to_json()
-        clone.check_invariants()
+        for mode in ("text", "vector-baseline"):
+            db = self._db(mode)
+            clone = ClusterDatabase.from_json(db.to_json())
+            assert clone.to_json() == db.to_json()
+            clone.check_invariants()
 
     def test_canonical_key_order(self):
         db = self._db()

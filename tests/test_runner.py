@@ -76,15 +76,17 @@ class TestConfig:
 
 class TestRunExperiment:
     def test_small_scenario_shape(self):
-        art = run_experiment(_small())
-        assert len(art.databases) == 4
-        assert [db.owner for db in art.databases] == [0, 1, 2, 3]
-        assert art.fingerprint == cfg.fingerprint(art.config)
-        assert art.metrics.config_fingerprint == art.fingerprint
-        assert len(art.people) == 6
-        assert art.metrics.detected_identity_count >= 1
-        for db in art.databases:
-            db.check_invariants()
+        for mode in ("text", "vector-baseline"):
+            art = run_experiment(_small(mode=mode))
+            assert len(art.databases) == 4
+            assert [db.owner for db in art.databases] == [0, 1, 2, 3]
+            assert art.fingerprint == cfg.fingerprint(art.config)
+            assert art.metrics.config_fingerprint == art.fingerprint
+            assert len(art.people) == 6
+            assert art.metrics.detected_identity_count >= 1
+            for db in art.databases:
+                assert db.mode == mode
+                db.check_invariants()
 
     def test_duration_zero_reports_cleanly(self):
         art = run_experiment(_small(duration_ticks=0))
