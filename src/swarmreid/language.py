@@ -10,10 +10,10 @@ without silently changing old results.
 from __future__ import annotations
 
 import hashlib
-import math
 import re
 from collections import Counter
 from functools import lru_cache
+from operator import attrgetter
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -32,6 +32,18 @@ _TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on non-alphanumerics, drop stopwords, keep order."""
     return [t for t in _TOKEN_SPLIT.split(text.lower()) if t and t not in STOPWORDS]
+
+
+@lru_cache(maxsize=None)
+def cached_tokens(text: str) -> tuple[str, ...]:
+    """``tokenize`` as a tuple, cached per text.
+
+    For program-made texts (descriptions and summaries), which repeat
+    heavily, so equal texts share one tuple. Free-form user text such as a
+    query goes through ``tokenize`` instead, or the cache would grow without
+    bound.
+    """
+    return tuple(tokenize(text))
 
 
 def _feature_hash(feature: str) -> tuple[int, float]:
@@ -81,12 +93,77 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return min(1.0, max(-1.0, float(np.dot(a, b))))
 
 
-def _winner(votes: dict[str, int], need: int) -> str | None:
-    """Plurality value with lexicographic tie-break, or None below quorum."""
-    if sum(votes.values()) < need:
-        return None
-    top = max(votes.values())
-    return min(v for v, c in votes.items() if c == top)
+_VOTED_SLOTS = ("noun", "upper_color", "upper_type", "lower_color",
+                "lower_type", "hair_color")
+_slot_values = attrgetter(*_VOTED_SLOTS)
+
+
+class SlotTally:
+    """Consensus votes of a growing multiset of member texts.
+
+    Holds the member count ``n``, the votes per (slot, value) and how many
+    members name each accessory. Votes only ever grow, so each slot's running
+    total and leader (most votes, ties to the smallest value) are updated as
+    votes arrive, and ``render`` costs one step per slot.
+    """
+
+    __slots__ = ("n", "votes", "accessories", "_totals", "_leaders")
+
+    def __init__(self, members: Iterable[Any] = ()) -> None:
+        """Tally ``members``: texts, or objects with ``.text``. Each distinct
+        text is parsed once and votes with its multiplicity."""
+        self.n = 0
+        # (slot index in _VOTED_SLOTS, value) -> votes
+        self.votes: dict[tuple[int, str], int] = {}
+        self.accessories: dict[str, int] = {}
+        self._totals = [0] * len(_VOTED_SLOTS)
+        # per slot, (votes, value) of the leader
+        self._leaders: list[tuple[int, str] | None] = [None] * len(_VOTED_SLOTS)
+        for text, k in Counter(m if isinstance(m, str) else m.text
+                               for m in members).items():
+            self.add(text, k)
+
+    def add(self, text: str, k: int = 1) -> None:
+        """Count ``k`` more members whose description is ``text``."""
+        parsed = vocab.parse_description(text)
+        self.n += k
+        votes, totals, leaders = self.votes, self._totals, self._leaders
+        for i, value in enumerate(_slot_values(parsed)):
+            if value is None:
+                continue
+            key = (i, value)
+            c = votes[key] = votes.get(key, 0) + k
+            totals[i] += k
+            lead = leaders[i]
+            # The leader's own new count always exceeds its recorded one.
+            if lead is None or c > lead[0] or (c == lead[0] and value < lead[1]):
+                leaders[i] = (c, value)
+        accessories = self.accessories
+        for a in parsed.accessories:
+            accessories[a] = accessories.get(a, 0) + k
+
+    def render(self) -> str:
+        """The consensus description; see ``summarize`` for the rule."""
+        if not self.n:
+            raise EmptyClusterError("cannot summarize an empty member list")
+        need = -(-self.n // 4)
+        noun, upper_color, upper_type, lower_color, lower_type, hair_color = (
+            lead[1] if total >= need else None
+            for lead, total in zip(self._leaders, self._totals))
+        return vocab.render_description(
+            noun=noun if noun is not None else "person",
+            upper=(upper_color, upper_type) if upper_type is not None else None,
+            lower=(lower_color, lower_type) if lower_type is not None else None,
+            accessories=tuple(a for a in vocab.ACCESSORIES
+                              if self.accessories.get(a, 0) >= need),
+            hair_color=hair_color,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SlotTally):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self.__slots__)
 
 
 def summarize(members: Iterable[Any]) -> str:
@@ -99,37 +176,10 @@ def summarize(members: Iterable[Any]) -> str:
     each distinct text is parsed once and votes with its multiplicity.
 
     Accepts DescriptionRecord-like objects (anything with ``.text``) or raw
-    strings.
+    strings. A ``SlotTally`` fed the same members in any batches renders the
+    same text.
     """
-    texts = Counter(m if isinstance(m, str) else m.text for m in members)
-    if not texts:
-        raise EmptyClusterError("cannot summarize an empty member list")
-    need = math.ceil(sum(texts.values()) / 4)
-    parsed = [(vocab.parse_description(t), n) for t, n in texts.items()]
-
-    def vote(slot: str) -> str | None:
-        votes: dict[str, int] = {}
-        for p, n in parsed:
-            value = getattr(p, slot)
-            if value is not None:
-                votes[value] = votes.get(value, 0) + n
-        return _winner(votes, need)
-
-    noun = vote("noun")
-    upper_type = vote("upper_type")
-    lower_type = vote("lower_type")
-    accessories = tuple(
-        a for a in vocab.ACCESSORIES
-        if sum(n for p, n in parsed if a in p.accessories) >= need
-    )
-
-    return vocab.render_description(
-        noun=noun if noun is not None else "person",
-        upper=(vote("upper_color"), upper_type) if upper_type is not None else None,
-        lower=(vote("lower_color"), lower_type) if lower_type is not None else None,
-        accessories=accessories,
-        hair_color=vote("hair_color"),
-    )
+    return SlotTally(members).render()
 
 
 def vocabulary_words() -> list[str]:

@@ -12,7 +12,6 @@ evaluation can score the run later; no algorithmic path reads it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from . import language, vocab
 from .errors import ContractError, EmptyDescriptionError
@@ -62,12 +61,6 @@ class DescriptionNoise:
 NO_NOISE = DescriptionNoise()
 
 
-@lru_cache(maxsize=None)
-def _tokens_cached(text: str) -> tuple[str, ...]:
-    # Texts repeat heavily across records, so equal texts share one tuple.
-    return tuple(language.tokenize(text))
-
-
 @dataclass(frozen=True)
 class DescriptionRecord:
     """One emitted description, stamped with who/when/which track."""
@@ -88,7 +81,7 @@ class DescriptionRecord:
     @classmethod
     def create(cls, text: str, robot_id: int, tick: int, track_id: int,
                person_id: int) -> "DescriptionRecord":
-        tokens = _tokens_cached(text)
+        tokens = language.cached_tokens(text)
         if not tokens:
             raise EmptyDescriptionError(f"description {text!r} has no usable tokens")
         return cls(text=text, tokens=tokens, robot_id=robot_id, tick=tick,

@@ -12,7 +12,8 @@ instead of re-running similarity matching.
 
 Exchange is delta-state anti-entropy: each database remembers, per peer, how
 many members of each of its clusters that peer provably holds, and sends only
-what grew since.
+what grew since. It also keeps, per peer, the set of clusters that may have
+grown since, so finding the delta visits only those.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import numpy as np
 
 from . import language
 from .errors import ContractError, EmptyDescriptionError
-from .language import EMBEDDING_DIM, cosine, embed, summarize, tokenize
+from .language import (EMBEDDING_DIM, SlotTally, cached_tokens, cosine, embed,
+                       summarize, tokenize)
 from .perception import DescriptionRecord
 
 ClusterUid = tuple[int, int]
@@ -69,6 +71,9 @@ class Cluster:
     embedding_sum: np.ndarray
     # centroid_embedding once derived; _refresh resets it
     _centroid_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # Slot votes of the members, built on the first append after the cluster
+    # was created, copied or loaded, so loading builds none.
+    tally: SlotTally | None = field(default=None, repr=False, compare=False)
 
     @property
     def centroid_embedding(self) -> np.ndarray:
@@ -234,8 +239,10 @@ class ClusterDatabase:
         self._incarnation = next(_incarnations)
         self._evictions = 0
         # peer owner -> (peer epoch when recorded, {uid: member count of this
-        # side's cluster that the peer holds and resolves}); never serialized
-        self._known: dict[int, tuple[tuple[int, int], dict[ClusterUid, int]]] = {}
+        # side's cluster that the peer holds and resolves}, uids whose member
+        # count may differ from that record); never serialized
+        self._known: dict[int, tuple[tuple[int, int], dict[ClusterUid, int],
+                                     set[ClusterUid]]] = {}
 
     # ---------- internals ----------
 
@@ -264,7 +271,7 @@ class ClusterDatabase:
     def _refresh(self, cluster: Cluster, summary_text: str) -> None:
         """Set the summary and re-index the cluster after appends."""
         cluster.summary_text = summary_text
-        cluster.summary_embedding = self.ops.embed(tokenize(summary_text))
+        cluster.summary_embedding = self.ops.embed(cached_tokens(summary_text))
         cluster._centroid_cache = None
         self._index.set(cluster.uid, cluster.matching_embedding(self.mode))
 
@@ -296,8 +303,27 @@ class ClusterDatabase:
                 self._append(cluster, m)
                 added += 1
         if added:
-            self._refresh(cluster, self.ops.summarize(cluster.members))
+            self._refresh(cluster, self._summary(cluster, added))
+            self._mark_dirty(cluster.uid)
         return added
+
+    def _summary(self, cluster: Cluster, added: int) -> str:
+        """Summary after the last ``added`` appends. The reference summarizer
+        folds only those into the cluster's tally; any other gets every
+        member."""
+        if self.ops.summarize is not summarize:
+            return self.ops.summarize(cluster.members)
+        if cluster.tally is None:
+            cluster.tally = SlotTally(cluster.members)
+        else:
+            for m in cluster.members[-added:]:
+                cluster.tally.add(m.text)
+        return cluster.tally.render()
+
+    def _mark_dirty(self, uid: ClusterUid) -> None:
+        """Mark a cluster whose member count grew as dirty for every peer."""
+        for _, _, dirty in self._known.values():
+            dirty.add(uid)
 
     # ---------- operations ----------
 
@@ -373,19 +399,22 @@ class ClusterDatabase:
     def record_keys(self) -> set[tuple[int, int, int]]:
         return set(self._keys)
 
-    def views(self, known: dict[ClusterUid, int] | None = None) -> list[ClusterView]:
+    def views(self, known: dict[ClusterUid, int] | None = None,
+              dirty: set[ClusterUid] | None = None) -> list[ClusterView]:
         """Views of clusters as they stand now, ascending uid.
 
         Without ``known`` this is the full state. With it, a cluster whose
         member count equals its ``known`` count is left out, and every other
-        view starts at that count (0 when absent).
+        view starts at that count (0 when absent). ``dirty``, when given,
+        holds every uid whose count differs from its ``known`` count, and
+        only those clusters are visited.
         """
         get = (known or {}).get
         clusters = self.clusters
         return [
             ClusterView(uid, c.members, start, n, c.summary_text,
                         c.summary_embedding, c.embedding_sum)
-            for uid in sorted(clusters)
+            for uid in sorted(clusters if dirty is None else dirty)
             if (start := get(uid, 0)) != (n := len((c := clusters[uid]).members))
         ]
 
@@ -397,14 +426,15 @@ class ClusterDatabase:
                    ) -> tuple[list[ClusterView], dict[ClusterUid, int]]:
         """Views to send ``peer`` and the knowledge they were cut against.
 
-        Knowledge recorded under another epoch of the peer is dropped. When
-        the peer could evict a tombstone while absorbing, which could
-        un-resolve a later unsent view, every cluster is sent in full.
+        Knowledge recorded under another epoch of the peer is dropped, and
+        then every cluster is visited. When the peer could evict a tombstone
+        while absorbing, which could un-resolve a later unsent view, every
+        cluster is sent in full.
         """
-        epoch, known = self._known.get(peer.owner, (None, None))
+        epoch, known, dirty = self._known.get(peer.owner, (None, None, None))
         if epoch != peer._epoch():
-            known = {}
-        views = self.views(known)
+            known, dirty = {}, None
+        views = self.views(known, dirty)
         cap = peer.tombstone_cap
         if known and cap and len(peer.tombstones) + len(views) > cap:
             known = {}
@@ -419,14 +449,18 @@ class ClusterDatabase:
         cluster was either sent or already known in full, and whatever was
         appended during the exchange came from the peer. Only uids the peer
         resolves are recorded, so a skipped view is always a recognised
-        cluster with nothing new.
+        cluster with nothing new. The others start the peer's dirty set:
+        full-state exchange sends them again, so the delta must too.
         """
         resolve = peer._resolve_uid
         clusters = self.clusters
+        dirty = set()
         for uid in uids:
             if resolve(uid) is not None:
                 known[uid] = len(clusters[uid].members)
-        self._known[peer.owner] = (peer._epoch(), known)
+            else:
+                dirty.add(uid)
+        self._known[peer.owner] = (peer._epoch(), known, dirty)
 
     def _absorb(self, received: list[ClusterView], theta_merge: float
                 ) -> tuple[int, int, int, list[ClusterUid]]:
@@ -465,6 +499,7 @@ class ClusterDatabase:
                         for m in fresh:
                             self._hold(cluster, m)
                         self._index.set(view.uid, vec)
+                        self._mark_dirty(view.uid)
                     else:
                         self._add_members(self._new_cluster(view.uid), fresh)
                     copied += 1
@@ -561,6 +596,8 @@ class ClusterDatabase:
             assert c.summary_text == expected, (
                 f"stale summary in {uid}: {c.summary_text!r} != {expected!r}"
             )
+            assert c.tally is None or c.tally == SlotTally(c.members), (
+                f"tally of {uid} differs from its members'")
             vec = self.ops.embed(tokenize(c.summary_text))
             assert float(np.abs(vec - c.summary_embedding).max()) < 1e-12
             # Exchange views rebuild a copied cluster's tracks from its
@@ -582,6 +619,11 @@ class ClusterDatabase:
             assert (index._mat[index._rows[uid]].tobytes()
                     == c.matching_embedding(self.mode).tobytes()), (
                 f"index row of {uid} is not its matching embedding")
+        for peer, (_, known, dirty) in self._known.items():
+            assert dirty <= self.clusters.keys()
+            for uid, c in self.clusters.items():
+                assert len(c.members) == known.get(uid, 0) or uid in dirty, (
+                    f"{uid} grew past what peer {peer} holds but is not dirty")
 
 
 def exchange(a: ClusterDatabase, b: ClusterDatabase,

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -14,6 +14,8 @@ from oracles import (
 from swarmreid.errors import EmptyClusterError, EmptyDescriptionError
 from swarmreid.language import (
     EMBEDDING_DIM,
+    SlotTally,
+    cached_tokens,
     cosine,
     embed,
     summarize,
@@ -29,6 +31,8 @@ from swarmreid.vocab import (
     parse_description,
     render_description,
 )
+from swarmreid.perception import (DescriptionNoise, DescriptionRecord,
+                                  describe, sample_attributes)
 
 
 class TestTokenize:
@@ -44,6 +48,13 @@ class TestTokenize:
     def test_matches_oracle_on_punctuation(self):
         text = "a man, with a blue-green jacket... and 2 bags!"
         assert tokenize(text) == oracle_tokenize(text)
+
+    def test_cached_tokens_shared_by_records(self):
+        text = "a lady wearing a green t-shirt"
+        assert cached_tokens(text) == tuple(tokenize(text))
+        record = DescriptionRecord.create(text=text, robot_id=0, tick=0,
+                                          track_id=0, person_id=0)
+        assert record.tokens is cached_tokens(text)
 
 
 class TestEmbed:
@@ -146,6 +157,8 @@ class TestSummarize:
     def test_empty_raises(self):
         with pytest.raises(EmptyClusterError):
             summarize([])
+        with pytest.raises(EmptyClusterError):
+            SlotTally().render()
 
     def test_quorum_drops_rare_slot(self):
         # hair mentioned once among 5 members: 1 < ceil(5/4) = 2
@@ -222,6 +235,54 @@ class TestSummarizeProperties:
             assert got.lower_color == expected["lower_color"]
         assert set(got.accessories) == set(expected["accessories"])
         assert got.hair_color == expected["hair"]
+
+
+# Captioner-noisy renderings (synonyms, dropped slots, confused colors) and
+# texts outside the template family, which parse to partial slots.
+_NOISY = tuple(
+    describe(p, DescriptionNoise(p_drop=0.4, p_synonym=0.4, p_color_confusion=0.4),
+             np.random.default_rng(i))
+    for i, p in enumerate(sample_attributes(8, np.random.default_rng(11))))
+_OFF_TEMPLATE = ("a lad", "someone", "a person with a black outfit",
+                 "a guy wearing a crimson top and blue trousers, with hat")
+_member_text = st.one_of(_template_strategy, st.sampled_from(_NOISY + _OFF_TEMPLATE))
+
+RED = "a man wearing a red shirt and gray pants"
+BLUE = "a man wearing a blue shirt and gray pants"
+
+
+@st.composite
+def _member_batches(draw):
+    """4k or 4k + 1 member texts, cut into consecutive batches: the two
+    member counts on either side of a ceil(n/4) quorum step."""
+    n = 4 * draw(st.integers(1, 4)) + draw(st.integers(0, 1))
+    texts = draw(st.lists(_member_text, min_size=n, max_size=n))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
+    bounds = [0, *cuts, n]
+    return [texts[i:j] for i, j in zip(bounds, bounds[1:])]
+
+
+class TestSlotTally:
+    @given(_member_batches())
+    # "blue" catches up with the leader "red" and wins the tie as the
+    # smaller value, then pulls ahead.
+    @example([[RED, RED], [BLUE], [BLUE], [BLUE]])
+    @example([[RED], [RED, BLUE, BLUE]])
+    # hair named once: kept at n = 4 (quorum 1), dropped at n = 5 (quorum 2)
+    @example([[RED + ", brown hair", BLUE, RED], [BLUE], [BLUE]])
+    @settings(max_examples=300, deadline=None)
+    def test_batched_tally_renders_summarize(self, batches):
+        tally = SlotTally()
+        members = []
+        for batch in batches:
+            for text in batch:
+                tally.add(text)
+            members += batch
+            # Sorting changes which text is tallied first, so a leader rule
+            # that depends on arrival order shows.
+            assert (tally.render() == summarize(members)
+                    == summarize(sorted(members)))
+        assert tally == SlotTally(members)
 
 
 class TestVocabularyHashing:

@@ -6,8 +6,8 @@ import pytest
 from swarmreid.errors import ContractError, EmptyDescriptionError
 from swarmreid.language import cosine, embed, tokenize
 from swarmreid.perception import DescriptionRecord, canonical_description, sample_attributes
-from swarmreid.reid import (SCHEMA_VERSION, ClusterDatabase, canonical_json,
-                            exchange)
+from swarmreid.reid import (SCHEMA_VERSION, ClusterDatabase, LanguageOps,
+                            canonical_json, exchange)
 
 WOMAN_TEXT = "a woman wearing a red shirt and black skirt"
 MAN_TEXT = "a man wearing a blue shirt and gray pants"
@@ -84,6 +84,36 @@ class TestAssign:
         assert uid_a == (3, 0)
         assert uid_b == (3, 1)
         assert db.uid_counter == 2
+
+
+class TestSummarizerOps:
+    def test_other_summarizer_sees_every_member_list(self):
+        """Only the reference summarizer is served from the cluster's slot
+        tally; any other gets the whole member list on every append, and its
+        text becomes the summary."""
+        calls = []
+
+        def count_members(members):
+            calls.append([m.key for m in members])
+            return f"cluster of {len(members)}"
+
+        ops = LanguageOps(summarize=count_members)
+        a = ClusterDatabase(owner=0, ops=ops)
+        b = ClusterDatabase(owner=1, ops=ops)
+        for tick in range(2):
+            a.assign_description(_record(WOMAN_TEXT, tick=tick, track_id=1), 0.8)
+        b.assign_description(_record(MAN_TEXT, robot_id=1, track_id=1), 0.8)
+        assert calls == [[(0, 1, 0)], [(0, 1, 0), (0, 1, 1)], [(1, 1, 0)]]
+        exchange(a, b, 1.0)  # verbatim copies: summaries travel as they are
+        assert len(calls) == 3
+        b.assign_description(_record(MAN_TEXT, robot_id=1, tick=1, track_id=1), 0.8)
+        exchange(a, b, 1.0)
+        assert calls[3:] == [[(1, 1, 0), (1, 1, 1)]] * 2
+        assert a.clusters[(1, 0)].summary_text == "cluster of 2"
+        assert a.clusters[(0, 0)].summary_text == "cluster of 2"
+        for db in (a, b):
+            db.check_invariants()
+            assert all(c.tally is None for c in db.clusters.values())
 
 
 class TestExchange:
@@ -235,6 +265,8 @@ class TestSerialization:
             clone = ClusterDatabase.from_json(db.to_json())
             assert clone.to_json() == db.to_json()
             clone.check_invariants()
+            # Loading builds no slot tallies; the first append does.
+            assert all(c.tally is None for c in clone.clusters.values())
 
     def test_canonical_key_order(self):
         db = self._db()

@@ -211,9 +211,19 @@ def _one_sided(receiver, sender, theta_merge):
     return receiver.to_json(), (merged, copied, added)
 
 
+def _cuts(views):
+    return [(v.uid, v.start, v.n) for v in views]
+
+
 def _assert_full_state(a, b, theta_merge):
     """``exchange`` on copies of ``a`` and ``b`` equals full-state absorption
-    in both directions, snapshots and stats alike."""
+    in both directions, snapshots and stats alike; and wherever a side still
+    holds knowledge of the other, its dirty set yields the views a scan of
+    every cluster does."""
+    for side, peer in ((a, b), (b, a)):
+        epoch, known, dirty = side._known.get(peer.owner, (None, None, None))
+        if epoch == peer._epoch():
+            assert _cuts(side.views(known, dirty)) == _cuts(side.views(known))
     json_a, counts_a = _one_sided(a, b, theta_merge)
     json_b, counts_b = _one_sided(b, a, theta_merge)
     a_copy, b_copy = copy.deepcopy(a), copy.deepcopy(b)
@@ -233,6 +243,12 @@ class TestIncrementalState:
     # tombstone while meeting robot 2: robot 0 must send the cluster again.
     @example(steps=[(0, 0, 0), (1, 0, 0), (0, 1), (2, 1, 0), (1, 2), (0, 1)],
              mode="text", theta_local=1.0, theta_merge=0.0, cap=1)
+    # With no tombstones, cluster (0, 0) merges into robot 1's twin but its
+    # uid does not resolve there; once robot 1's cluster drifts below
+    # theta_merge, the view sent again is neither merged nor copied. Robot 0
+    # must keep (0, 0) dirty, or it skips the view and counts it as merged.
+    @example(steps=[(0, 0, 0), (1, 0, 0), (0, 1), (1, 1, 0), (0, 1)],
+             mode="text", theta_local=0.0, theta_merge=0.99, cap=0)
     @settings(max_examples=60, deadline=None)
     def test_exchange_equals_both_directions_from_copies(
             self, steps, mode, theta_local, theta_merge, cap):
