@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
-import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -20,7 +19,7 @@ from typing import Any
 import yaml
 
 from .errors import ConfigError
-from .reid import canonical_json
+from .reid import DEFAULT_TOMBSTONE_CAP, canonical_json
 
 
 @dataclass(frozen=True)
@@ -97,7 +96,7 @@ class SimConfig:
     exchange_cooldown_ticks: int = 50
     communication_enabled: bool = True
     mode: str = "text"  # "text" | "vector-baseline"
-    tombstone_cap: int = 1024
+    tombstone_cap: int = DEFAULT_TOMBSTONE_CAP
     providers: ProvidersConfig = field(default_factory=ProvidersConfig)
 
 
@@ -165,7 +164,7 @@ def _set_on_dataclass(obj: Any, path: list[str], value: Any, key: str) -> Any:
             if value is not None:
                 if not isinstance(value, dict):
                     raise ConfigError(f"{key}: expected a mapping or null")
-                value = _from_dict_inner(ProviderEndpoint, value)
+                value = _fold(ProviderEndpoint(), value, key + ".")
         elif dataclasses.is_dataclass(current):
             raise ConfigError(f"{key!r} is a section, not a settable value")
         else:
@@ -222,6 +221,19 @@ def _flatten(mapping: dict, prefix: str = "") -> dict[str, Any]:
     return flat
 
 
+def _fold(obj: Any, mapping: dict, prefix: str = "") -> Any:
+    """Copy of a config dataclass with every flat key of ``mapping`` set."""
+    for key, value in sorted(_flatten(mapping).items()):
+        obj = _set_on_dataclass(obj, key.split("."), value, prefix + key)
+    return obj
+
+
+def from_dict(d: dict) -> SimConfig:
+    """Config from a (possibly nested) mapping over the defaults; unknown
+    keys and mistyped values raise ConfigError."""
+    return _fold(SimConfig(), d)
+
+
 def load_config(path: str | Path) -> SimConfig:
     """Load a YAML/JSON config file over the defaults."""
     raw = yaml.safe_load(Path(path).read_text())
@@ -229,10 +241,7 @@ def load_config(path: str | Path) -> SimConfig:
         return SimConfig()
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must contain a mapping")
-    config = SimConfig()
-    for key, value in sorted(_flatten(raw).items()):
-        config = set_value(config, key, value)
-    return config
+    return from_dict(raw)
 
 
 def validate(config: SimConfig) -> list[str]:
@@ -300,34 +309,3 @@ def require_valid(config: SimConfig) -> None:
     problems = validate(config)
     if problems:
         raise ConfigError("invalid config: " + "; ".join(problems))
-
-
-def _section_type(annotation: Any) -> type | None:
-    """The config dataclass a field holds (``X`` or ``X | None``), if any."""
-    for t in typing.get_args(annotation) or (annotation,):
-        if dataclasses.is_dataclass(t):
-            return t
-    return None
-
-
-def _from_dict_inner(cls: Any, d: dict) -> Any:
-    kwargs = {}
-    hints = typing.get_type_hints(cls)
-    for f in dataclasses.fields(cls):
-        if f.name not in d:
-            continue
-        v = d[f.name]
-        section = _section_type(hints[f.name])
-        if section is not None:
-            kwargs[f.name] = None if v is None else _from_dict_inner(section, v)
-        elif f.name == "obstacles":
-            kwargs[f.name] = tuple(tuple(float(x) for x in r) for r in v)
-        elif f.name == "command":
-            kwargs[f.name] = tuple(v)
-        else:
-            kwargs[f.name] = v
-    return cls(**kwargs)
-
-
-def from_dict(d: dict) -> SimConfig:
-    return _from_dict_inner(SimConfig, d)

@@ -10,20 +10,22 @@ received cluster keeps its uid, so later meetings recognize already-imported
 clusters by uid (directly or through the tombstone map of absorbed uids)
 instead of re-running similarity matching.
 
-Exchange is delta-state anti-entropy: each database remembers, per peer, how
-many members of each of its clusters that peer provably holds, and sends only
-what grew since. It also keeps, per peer, the set of clusters that may have
-grown since, so finding the delta visits only those.
+Exchange is delta-state anti-entropy. Each database logs the cluster uid of
+every record it comes to hold, and remembers per peer one position in that
+log: the peer provably holds every record logged before it. The delta for a
+peer is the clusters that grew in the log since, each sent from the members
+the peer holds on, plus the few sent clusters whose uid the peer could not
+resolve, sent in full as a full-state exchange would.
 """
 
 from __future__ import annotations
 
 import json
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from itertools import chain, count, islice
 from operator import attrgetter
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import AbstractSet, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -238,11 +240,11 @@ class ClusterDatabase:
         self._index = _SimilarityIndex()
         self._incarnation = next(_incarnations)
         self._evictions = 0
-        # peer owner -> (peer epoch when recorded, {uid: member count of this
-        # side's cluster that the peer holds and resolves}, uids whose member
-        # count may differ from that record); never serialized
-        self._known: dict[int, tuple[tuple[int, int], dict[ClusterUid, int],
-                                     set[ClusterUid]]] = {}
+        # The cluster uid of every record held, in the order it was held.
+        self._log: list[ClusterUid] = []
+        # peer owner -> (peer epoch when recorded, log length then, uids the
+        # peer did not resolve then); never serialized
+        self._known: dict[int, tuple[tuple[int, int], int, set[ClusterUid]]] = {}
 
     # ---------- internals ----------
 
@@ -256,7 +258,8 @@ class ClusterDatabase:
         return cluster
 
     def _hold(self, cluster: Cluster, record: DescriptionRecord) -> None:
-        """Index a member of ``cluster`` by record key and by track."""
+        """Log a member of ``cluster`` and index it by record key and track."""
+        self._log.append(cluster.uid)
         self._keys[record.key] = cluster.uid
         track = (record.robot_id, record.track_id)
         cluster.track_ids.add(track)
@@ -304,7 +307,6 @@ class ClusterDatabase:
                 added += 1
         if added:
             self._refresh(cluster, self._summary(cluster, added))
-            self._mark_dirty(cluster.uid)
         return added
 
     def _summary(self, cluster: Cluster, added: int) -> str:
@@ -319,11 +321,6 @@ class ClusterDatabase:
             for m in cluster.members[-added:]:
                 cluster.tally.add(m.text)
         return cluster.tally.render()
-
-    def _mark_dirty(self, uid: ClusterUid) -> None:
-        """Mark a cluster whose member count grew as dirty for every peer."""
-        for _, _, dirty in self._known.values():
-            dirty.add(uid)
 
     # ---------- operations ----------
 
@@ -399,75 +396,67 @@ class ClusterDatabase:
     def record_keys(self) -> set[tuple[int, int, int]]:
         return set(self._keys)
 
-    def views(self, known: dict[ClusterUid, int] | None = None,
-              dirty: set[ClusterUid] | None = None) -> list[ClusterView]:
-        """Views of clusters as they stand now, ascending uid.
+    def views(self, since: int = 0,
+              unresolved: AbstractSet[ClusterUid] = frozenset()) -> list[ClusterView]:
+        """Views of the clusters logged from position ``since`` on and of
+        the ``unresolved`` ones, as they stand now, ascending uid.
 
-        Without ``known`` this is the full state. With it, a cluster whose
-        member count equals its ``known`` count is left out, and every other
-        view starts at that count (0 when absent). ``dirty``, when given,
-        holds every uid whose count differs from its ``known`` count, and
-        only those clusters are visited.
+        A logged cluster's view starts at the members held before ``since``;
+        an unresolved one starts at 0. The defaults give the full state.
         """
-        get = (known or {}).get
-        clusters = self.clusters
-        return [
-            ClusterView(uid, c.members, start, n, c.summary_text,
-                        c.summary_embedding, c.embedding_sum)
-            for uid in sorted(clusters if dirty is None else dirty)
-            if (start := get(uid, 0)) != (n := len((c := clusters[uid]).members))
-        ]
+        grown = Counter(islice(self._log, since, None))
+        views = []
+        for uid in sorted(grown.keys() | unresolved):
+            c = self.clusters[uid]
+            n = len(c.members)
+            start = 0 if uid in unresolved else n - grown[uid]
+            views.append(ClusterView(uid, c.members, start, n, c.summary_text,
+                                     c.summary_embedding, c.embedding_sum))
+        return views
 
     def _epoch(self) -> tuple[int, int]:
         """Changes whenever a uid this database resolved may stop resolving."""
         return self._incarnation, self._evictions
 
-    def _delta_for(self, peer: "ClusterDatabase"
-                   ) -> tuple[list[ClusterView], dict[ClusterUid, int]]:
-        """Views to send ``peer`` and the knowledge they were cut against.
+    def _delta_for(self, peer: "ClusterDatabase") -> list[ClusterView]:
+        """Views to send ``peer``.
 
-        Knowledge recorded under another epoch of the peer is dropped, and
-        then every cluster is visited. When the peer could evict a tombstone
-        while absorbing, which could un-resolve a later unsent view, every
-        cluster is sent in full.
+        Knowledge recorded under another epoch of the peer is dropped, which
+        leaves the full state. When the peer could evict a tombstone while
+        absorbing, which could un-resolve a later unsent view, every cluster
+        is sent in full.
         """
-        epoch, known, dirty = self._known.get(peer.owner, (None, None, None))
+        epoch, since, unresolved = self._known.get(peer.owner, (None, 0, frozenset()))
         if epoch != peer._epoch():
-            known, dirty = {}, None
-        views = self.views(known, dirty)
+            since, unresolved = 0, frozenset()
+        views = self.views(since, unresolved)
         cap = peer.tombstone_cap
-        if known and cap and len(peer.tombstones) + len(views) > cap:
-            known = {}
-            views = self.views(known)
-        return views, known
+        if since and cap and len(peer.tombstones) + len(views) > cap:
+            views = self.views()
+        return views
 
-    def _learn(self, peer: "ClusterDatabase", known: dict[ClusterUid, int],
-               uids: Iterable[ClusterUid]) -> None:
-        """Record what ``peer`` holds of ``uids`` after both sides absorbed.
+    def _learn(self, peer: "ClusterDatabase", uids: Iterable[ClusterUid]) -> None:
+        """Record what ``peer`` holds after both sides absorbed ``uids``.
 
-        Every member of every local cluster is then held by the peer: each
-        cluster was either sent or already known in full, and whatever was
-        appended during the exchange came from the peer. Only uids the peer
-        resolves are recorded, so a skipped view is always a recognised
-        cluster with nothing new. The others start the peer's dirty set:
-        full-state exchange sends them again, so the delta must too.
+        Every record logged so far is then held by the peer: each cluster
+        was either sent or already known in full, and whatever was appended
+        during the exchange came from the peer. Of the sent or touched
+        ``uids``, those the peer does not resolve are kept apart: full-state
+        exchange sends them again, so the delta must too. A uid the peer
+        resolves stays resolved for as long as the peer's epoch holds, so a
+        skipped view is always a recognised cluster with nothing new.
         """
         resolve = peer._resolve_uid
-        clusters = self.clusters
-        dirty = set()
-        for uid in uids:
-            if resolve(uid) is not None:
-                known[uid] = len(clusters[uid].members)
-            else:
-                dirty.add(uid)
-        self._known[peer.owner] = (peer._epoch(), known, dirty)
+        unresolved = {uid for uid in uids if resolve(uid) is None}
+        self._known[peer.owner] = (peer._epoch(), len(self._log), unresolved)
 
     def _absorb(self, received: list[ClusterView], theta_merge: float
                 ) -> tuple[int, int, int, list[ClusterUid]]:
         """Fold received views in; returns (merged, copied, added, touched).
 
         ``touched`` lists the local clusters that gained members or were
-        created. A view's first ``start`` members must already be held here
+        created. A view's first ``start`` members must already be held here,
+        as the sender logged them before its position for this database,
         and, when ``start`` > 0, its uid must resolve: the skipped prefix is
         then exactly what full-state absorption would find held.
         """
@@ -499,7 +488,6 @@ class ClusterDatabase:
                         for m in fresh:
                             self._hold(cluster, m)
                         self._index.set(view.uid, vec)
-                        self._mark_dirty(view.uid)
                     else:
                         self._add_members(self._new_cluster(view.uid), fresh)
                     copied += 1
@@ -619,11 +607,12 @@ class ClusterDatabase:
             assert (index._mat[index._rows[uid]].tobytes()
                     == c.matching_embedding(self.mode).tobytes()), (
                 f"index row of {uid} is not its matching embedding")
-        for peer, (_, known, dirty) in self._known.items():
-            assert dirty <= self.clusters.keys()
-            for uid, c in self.clusters.items():
-                assert len(c.members) == known.get(uid, 0) or uid in dirty, (
-                    f"{uid} grew past what peer {peer} holds but is not dirty")
+        assert Counter(self._log) == {uid: len(c.members)
+                                      for uid, c in self.clusters.items()}, (
+            "log differs from the cluster member counts")
+        for peer, (_, since, unresolved) in self._known.items():
+            assert since <= len(self._log), f"position for peer {peer} beyond log"
+            assert unresolved <= self.clusters.keys()
 
 
 def exchange(a: ClusterDatabase, b: ClusterDatabase,
@@ -638,11 +627,13 @@ def exchange(a: ClusterDatabase, b: ClusterDatabase,
     (robot_id, track_id, tick) across the whole database.
 
     Each side sends only deltas. Knowledge invariant: while the peer's epoch
-    is unchanged, a recorded count ``k`` for a local cluster means the peer
-    holds its first ``k`` members and resolves its uid. A cluster of exactly
-    ``k`` members is not sent (the full-state exchange would recognise it
-    and find nothing new, so it counts as merged), and a longer one is sent
-    from member ``k`` on. Results and stats equal the full-state exchange.
+    is unchanged, a recorded log position means the peer holds every record
+    logged before it, and resolves the uid of every cluster logged before it
+    except the recorded unresolved ones. A cluster with no record logged
+    since and not unresolved is not sent (the full-state exchange would
+    recognise it and find nothing new, so it counts as merged); a grown one
+    is sent from its first record logged since, and an unresolved one in
+    full. Results and stats equal the full-state exchange.
     """
     if not (0.0 <= theta_merge <= 1.0):
         raise ContractError(f"theta_merge={theta_merge} outside [0, 1]")
@@ -651,14 +642,14 @@ def exchange(a: ClusterDatabase, b: ClusterDatabase,
     # Views instead of copies: while a absorbs, a's clusters can only gain
     # records from b by appending, past the members a's views cover, and
     # their summaries and sums are rebound, never mutated.
-    views_a, known_a = a._delta_for(b)
-    views_b, known_b = b._delta_for(a)
+    views_a = a._delta_for(b)
+    views_b = b._delta_for(a)
     unsent_a = len(a.clusters) - len(views_a)
     unsent_b = len(b.clusters) - len(views_b)
     merged_a, copied_a, added_a, touched_a = a._absorb(views_b, theta_merge)
     merged_b, copied_b, added_b, touched_b = b._absorb(views_a, theta_merge)
-    a._learn(b, known_a, chain(map(_view_uid, views_a), touched_a))
-    b._learn(a, known_b, chain(map(_view_uid, views_b), touched_b))
+    a._learn(b, chain(map(_view_uid, views_a), touched_a))
+    b._learn(a, chain(map(_view_uid, views_b), touched_b))
     return ExchangeStats(
         merged_into_a=merged_a + unsent_b, copied_to_a=copied_a,
         records_added_to_a=added_a,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import statistics
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -295,19 +296,13 @@ def sweep(base: SimConfig, axis: str, values: Sequence[object],
           seeds: Sequence[int], workers: int = 1,
           progress: Callable[[str], None] | None = None) -> list[SweepRow]:
     """Run ``axis=value`` for every value and seed; aggregate mean and stddev."""
+    from concurrent.futures import ProcessPoolExecutor
+
     cells = [(base, axis, value, seed) for value in values for seed in seeds]
     results: dict[object, list[dict[str, float]]] = {v: [] for v in values}
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for value, m in pool.map(_run_cell, cells):
-                results[value].append(m)
-                if progress:
-                    progress(f"{axis}={value} done ({len(results[value])}/{len(seeds)})")
-    else:
-        for cell in cells:
-            value, m = _run_cell(cell)
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext()) as pool:
+        for value, m in (map if pool is None else pool.map)(_run_cell, cells):
             results[value].append(m)
             if progress:
                 progress(f"{axis}={value} done ({len(results[value])}/{len(seeds)})")

@@ -107,6 +107,15 @@ class TestReport:
         assert {"cmc", "map_score", "avg_purity", "normalized_purity",
                 "clusters_per_robot"} <= set(doc)
 
+    def test_saved_config_with_unknown_key_exits_two(self, run_dir, tmp_path, capsys):
+        edited = tmp_path / "run"
+        shutil.copytree(run_dir, edited)
+        doc = json.loads((edited / "config.json").read_text())
+        doc["config"]["robots"]["wheels"] = 3
+        (edited / "config.json").write_text(json.dumps(doc))
+        assert main(["report", "--run", str(edited)]) == 2
+        assert "robots.wheels" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_stdout_csv(self, capsys):

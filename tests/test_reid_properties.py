@@ -1,6 +1,7 @@
 """Randomized invariant checks for the cluster database and exchange."""
 
 import copy
+from collections import Counter
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -215,15 +216,29 @@ def _cuts(views):
     return [(v.uid, v.start, v.n) for v in views]
 
 
+def _scanned_cuts(db, since, unresolved):
+    """Every cluster cut at its records logged before ``since`` (unresolved
+    ones at 0), leaving out those with nothing past the cut."""
+    held = Counter(db._log[:since])
+    cuts = []
+    for uid in sorted(db.clusters):
+        n = len(db.clusters[uid].members)
+        start = 0 if uid in unresolved else held[uid]
+        if start != n:
+            cuts.append((uid, start, n))
+    return cuts
+
+
 def _assert_full_state(a, b, theta_merge):
     """``exchange`` on copies of ``a`` and ``b`` equals full-state absorption
     in both directions, snapshots and stats alike; and wherever a side still
-    holds knowledge of the other, its dirty set yields the views a scan of
-    every cluster does."""
+    holds knowledge of the other, the log suffix and unresolved uids yield
+    the views a scan of every cluster does."""
     for side, peer in ((a, b), (b, a)):
-        epoch, known, dirty = side._known.get(peer.owner, (None, None, None))
+        epoch, since, unresolved = side._known.get(peer.owner, (None, 0, set()))
         if epoch == peer._epoch():
-            assert _cuts(side.views(known, dirty)) == _cuts(side.views(known))
+            assert (_cuts(side.views(since, unresolved))
+                    == _scanned_cuts(side, since, unresolved))
     json_a, counts_a = _one_sided(a, b, theta_merge)
     json_b, counts_b = _one_sided(b, a, theta_merge)
     a_copy, b_copy = copy.deepcopy(a), copy.deepcopy(b)
@@ -246,7 +261,8 @@ class TestIncrementalState:
     # With no tombstones, cluster (0, 0) merges into robot 1's twin but its
     # uid does not resolve there; once robot 1's cluster drifts below
     # theta_merge, the view sent again is neither merged nor copied. Robot 0
-    # must keep (0, 0) dirty, or it skips the view and counts it as merged.
+    # must keep (0, 0) unresolved, or it skips the view and counts it as
+    # merged.
     @example(steps=[(0, 0, 0), (1, 0, 0), (0, 1), (1, 1, 0), (0, 1)],
              mode="text", theta_local=0.0, theta_merge=0.99, cap=0)
     @settings(max_examples=60, deadline=None)
@@ -270,8 +286,8 @@ class TestIncrementalState:
         dbs = _build([(0, 0, 0), (0, 1, 1), (1, 2, 0), (1, 0, 3)], 1.0)
         first = exchange(dbs[0], dbs[1], 1.0)
         assert first.records_added_to_a == first.records_added_to_b == 2
-        assert dbs[0]._delta_for(dbs[1])[0] == []
-        assert dbs[1]._delta_for(dbs[0])[0] == []
+        assert dbs[0]._delta_for(dbs[1]) == []
+        assert dbs[1]._delta_for(dbs[0]) == []
         # Unsent clusters still count as recognised, as full views would.
         second = exchange(dbs[0], dbs[1], 1.0)
         assert second == ExchangeStats(3, 0, 0, 3, 0, 0)

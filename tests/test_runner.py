@@ -64,6 +64,27 @@ class TestConfig:
         assert c.arena.obstacles == ((-4.0, -4.0, -1.0, -1.0),)
         assert c.robots.count == SimConfig().robots.count
 
+    def test_from_dict_inverts_to_dict(self):
+        c = _tweak(SimConfig(), [
+            ("arena.obstacles", [[-4, -4, -1, -1], [1, 1, 3, 2]]),
+            ("providers.describer", {"command": "python3 -m stub describe"}),
+            ("providers.embedder.transport", "http"),
+            ("providers.embedder.url", "http://localhost:1/embed"),
+            ("providers.summarizer", {"transport": "subprocess",
+                                      "command": ["stub", "summarize"]}),
+        ])
+        assert c.providers.describer.command == ("python3", "-m", "stub", "describe")
+        assert cfg.from_dict(cfg.to_dict(c)) == c
+        assert cfg.from_dict(cfg.to_dict(SimConfig())) == SimConfig()
+
+    def test_from_dict_rejects_unknown_and_mistyped_keys(self):
+        with pytest.raises(ConfigError, match="robots.wheels"):
+            cfg.from_dict({"robots": {"count": 4, "wheels": 3}})
+        with pytest.raises(ConfigError, match="providers.embedder.port"):
+            set_value(SimConfig(), "providers.embedder", {"port": 80})
+        with pytest.raises(ConfigError, match="seed"):
+            cfg.from_dict({"seed": "zero"})
+
     def test_fingerprint_tracks_config_content(self):
         base = SimConfig()
         assert cfg.fingerprint(base) == cfg.fingerprint(SimConfig())
