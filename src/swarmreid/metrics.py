@@ -140,8 +140,7 @@ def build_probe_gallery(
         for pid in detected
     ]
     gallery = [
-        GalleryItem(c.uid, db.owner, majority_person(c),
-                    c.matching_embedding(db.mode))
+        GalleryItem(c.uid, db.owner, majority_person(c), c.embedding)
         for db in dbs for c in db.clusters.values()
     ]
     gallery.sort(key=lambda g: (g.uid, g.owner))

@@ -102,16 +102,15 @@ class SubprocessProvider:
         return line
 
     def close(self) -> None:
-        if self._proc.poll() is None:
-            try:
-                self._proc.stdin.close()
-            except OSError:
-                pass  # the child stopped reading; it is killed below if need be
-            try:
-                self._proc.wait(timeout=self._timeout)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
+        try:
+            self._proc.stdin.close()
+        except OSError:
+            pass  # the child stopped reading; it is killed below if need be
+        try:
+            self._proc.wait(timeout=self._timeout)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
         self._proc.stdout.close()
 
 

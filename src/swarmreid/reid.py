@@ -2,8 +2,10 @@
 
 Each robot keeps an online clustering of the descriptions it has produced or
 received. Assignment prefers track continuity, then falls back to cosine
-similarity against cluster summary embeddings. When two robots meet they
-swap views of their clusters and each side folds the other's into its own.
+similarity against each cluster's one vector: its summary's embedding in text
+mode, its unit mean member embedding in vector-baseline mode. When two robots
+meet they swap views of their clusters and each side folds the other's into
+its own.
 
 Cluster identity is the pair (origin robot id, origin-local counter). A
 received cluster keeps its uid, so later meetings recognize already-imported
@@ -65,28 +67,17 @@ class Cluster:
     uid: ClusterUid
     members: list[DescriptionRecord]
     summary_text: str
-    summary_embedding: np.ndarray
+    # The matching vector; only ClusterDatabase._refresh sets it, and it
+    # binds a new array rather than writing into the old one, so a
+    # ClusterView taken earlier keeps the vector it saw.
+    embedding: np.ndarray
     track_ids: set[tuple[int, int]]
-    # Member embeddings summed in member order. Every update binds a new
-    # array and never adds in place, so a ClusterView taken earlier keeps
-    # the sum it saw.
-    embedding_sum: np.ndarray
-    # centroid_embedding once derived; _refresh resets it
-    _centroid_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # Vector-baseline mode only, else None: member embeddings summed in
+    # member order. Every append binds a new array.
+    embedding_sum: np.ndarray | None
     # Slot votes of the members, built on the first append after the cluster
     # was created, copied or loaded, so loading builds none.
     tally: SlotTally | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def centroid_embedding(self) -> np.ndarray:
-        """Unit mean member embedding, derived from the sum on first use."""
-        if self._centroid_cache is None:
-            self._centroid_cache = _centroid(
-                self.embedding_sum, len(self.members), self.summary_embedding)
-        return self._centroid_cache
-
-    def matching_embedding(self, mode: str) -> np.ndarray:
-        return self.summary_embedding if mode == "text" else self.centroid_embedding
 
     def last_member_tick(self) -> int:
         return max(m.tick for m in self.members)
@@ -107,25 +98,7 @@ class ClusterView(NamedTuple):
     start: int
     n: int
     summary_text: str
-    summary_embedding: np.ndarray
-    embedding_sum: np.ndarray
-
-    def matching_embedding(self, mode: str) -> np.ndarray:
-        if mode == "text":
-            return self.summary_embedding
-        return _centroid(self.embedding_sum, self.n, self.summary_embedding)
-
-
-def _centroid(embedding_sum: np.ndarray, n: int, fallback: np.ndarray) -> np.ndarray:
-    """Unit mean of ``n`` member embeddings from their running sum.
-
-    Summing from zero in member order and dividing by ``n`` reproduces
-    ``np.stack(vectors).mean(axis=0)`` bit for bit. A mean too short to
-    normalise yields ``fallback``.
-    """
-    centroid = embedding_sum / n
-    norm = float(np.linalg.norm(centroid))
-    return centroid / norm if norm > 1e-12 else fallback
+    embedding: np.ndarray
 
 
 _record_key = attrgetter("key")
@@ -155,7 +128,7 @@ _RANK_MARGIN = 1e-9
 
 
 class _SimilarityIndex:
-    """Growable row matrix of cluster matching embeddings, one row per uid.
+    """Growable row matrix of cluster embeddings, one row per uid.
 
     Serves the argmax that assignment and merging decide by (``best``) and
     the candidate filter that ranked queries rescore exactly (``top``).
@@ -251,9 +224,9 @@ class ClusterDatabase:
     def _new_cluster(self, uid: ClusterUid) -> Cluster:
         """Register an empty cluster; callers add members and refresh it."""
         zeros = np.zeros(EMBEDDING_DIM)
-        cluster = Cluster(uid=uid, members=[], summary_text="",
-                          summary_embedding=zeros, track_ids=set(),
-                          embedding_sum=zeros)
+        cluster = Cluster(uid=uid, members=[], summary_text="", embedding=zeros,
+                          track_ids=set(),
+                          embedding_sum=None if self.mode == "text" else zeros)
         self.clusters[uid] = cluster
         return cluster
 
@@ -267,16 +240,28 @@ class ClusterDatabase:
             self._tracks[track] = cluster.uid
 
     def _append(self, cluster: Cluster, record: DescriptionRecord) -> None:
-        cluster.embedding_sum = cluster.embedding_sum + self.ops.embed(record.tokens)
+        if cluster.embedding_sum is not None:
+            cluster.embedding_sum = cluster.embedding_sum + self.ops.embed(record.tokens)
         cluster.members.append(record)
         self._hold(cluster, record)
 
     def _refresh(self, cluster: Cluster, summary_text: str) -> None:
-        """Set the summary and re-index the cluster after appends."""
+        """Set the summary, the embedding and its index row after appends.
+
+        With a running sum, the embedding is the unit mean: dividing a sum
+        taken from zero in member order reproduces
+        ``np.stack(vectors).mean(axis=0)`` bit for bit. A mean too short to
+        normalise, like text mode, takes the summary's embedding.
+        """
         cluster.summary_text = summary_text
-        cluster.summary_embedding = self.ops.embed(cached_tokens(summary_text))
-        cluster._centroid_cache = None
-        self._index.set(cluster.uid, cluster.matching_embedding(self.mode))
+        vec = self.ops.embed(cached_tokens(summary_text))
+        if cluster.embedding_sum is not None:
+            mean = cluster.embedding_sum / len(cluster.members)
+            norm = float(np.linalg.norm(mean))
+            if norm > 1e-12:
+                vec = mean / norm
+        cluster.embedding = vec
+        self._index.set(cluster.uid, vec)
 
     def _remember_tombstone(self, absorbed: ClusterUid, survivor: ClusterUid) -> None:
         if self.tombstone_cap == 0:
@@ -295,8 +280,10 @@ class ClusterDatabase:
             uid = self.tombstones[uid]
         return uid if uid in self.clusters else None
 
-    def _add_members(self, cluster: Cluster,
-                     records: Iterable[DescriptionRecord]) -> int:
+    def _add_members(self, cluster: Cluster, records: Iterable[DescriptionRecord],
+                     summary_text: str | None = None) -> int:
+        """Append the records not held yet and refresh; returns how many.
+        A given ``summary_text`` is the resulting summary: no summarizer runs."""
         # Track pairs follow only the members actually appended; records that
         # deduplicate away live in some other cluster and their tracks belong
         # there, else a repeated exchange could keep mutating track_ids.
@@ -306,7 +293,9 @@ class ClusterDatabase:
                 self._append(cluster, m)
                 added += 1
         if added:
-            self._refresh(cluster, self._summary(cluster, added))
+            if summary_text is None:
+                summary_text = self._summary(cluster, added)
+            self._refresh(cluster, summary_text)
         return added
 
     def _summary(self, cluster: Cluster, added: int) -> str:
@@ -363,7 +352,7 @@ class ClusterDatabase:
         """Rank clusters against a free-text query.
 
         Hits are ordered by ``cosine`` of the query embedding with each
-        cluster's matching embedding, ties to the lowest uid. The similarity
+        cluster's embedding, ties to the lowest uid. The similarity
         index only narrows which clusters get scored: one matrix-vector
         product keeps the rows that can reach the top ``k`` (see
         ``_SimilarityIndex.top``), and only those are scored exactly, so
@@ -378,7 +367,7 @@ class ClusterDatabase:
         vec = self.ops.embed(tokenize(text))
         candidates = [self.clusters[uid] for uid in self._index.top(vec, k)]
         scored = sorted(
-            ((c, cosine(vec, c.matching_embedding(self.mode))) for c in candidates),
+            ((c, cosine(vec, c.embedding)) for c in candidates),
             key=lambda pair: (-pair[1], pair[0].uid),
         )
         hits = []
@@ -411,7 +400,7 @@ class ClusterDatabase:
             n = len(c.members)
             start = 0 if uid in unresolved else n - grown[uid]
             views.append(ClusterView(uid, c.members, start, n, c.summary_text,
-                                     c.summary_embedding, c.embedding_sum))
+                                     c.embedding))
         return views
 
     def _epoch(self) -> tuple[int, int]:
@@ -467,8 +456,7 @@ class ClusterDatabase:
             members = islice(view.members, view.start, view.n)
             target = self._resolve_uid(view.uid)
             if target is None:
-                vec = view.matching_embedding(self.mode)
-                best = self._index.best(vec)
+                best = self._index.best(view.embedding)
                 if best is not None and best[1] >= theta_merge:
                     target = best[0]
                     self._remember_tombstone(view.uid, target)
@@ -477,19 +465,11 @@ class ClusterDatabase:
                     if not fresh:
                         # Every record already lives in some local cluster.
                         continue
-                    if len(fresh) == view.n:
-                        # Verbatim copy: keep the origin's summary as is.
-                        cluster = Cluster(
-                            uid=view.uid, members=fresh, summary_text=view.summary_text,
-                            summary_embedding=view.summary_embedding,
-                            track_ids=set(), embedding_sum=view.embedding_sum,
-                        )
-                        self.clusters[view.uid] = cluster
-                        for m in fresh:
-                            self._hold(cluster, m)
-                        self._index.set(view.uid, vec)
-                    else:
-                        self._add_members(self._new_cluster(view.uid), fresh)
+                    # A verbatim copy keeps the origin's summary, so no
+                    # summarizer runs; re-summing its members in member
+                    # order reproduces the origin's sum bit for bit.
+                    summary = view.summary_text if len(fresh) == view.n else None
+                    self._add_members(self._new_cluster(view.uid), fresh, summary)
                     copied += 1
                     added_total += len(fresh)
                     touched.append(view.uid)
@@ -586,8 +566,16 @@ class ClusterDatabase:
             )
             assert c.tally is None or c.tally == SlotTally(c.members), (
                 f"tally of {uid} differs from its members'")
+            assert (c.embedding_sum is None) == (self.mode == "text")
             vec = self.ops.embed(tokenize(c.summary_text))
-            assert float(np.abs(vec - c.summary_embedding).max()) < 1e-12
+            if c.embedding_sum is not None:
+                stacked = np.stack([self.ops.embed(m.tokens) for m in c.members])
+                assert c.embedding_sum.tobytes() == stacked.sum(axis=0).tobytes()
+                mean = stacked.mean(axis=0)
+                norm = float(np.linalg.norm(mean))
+                vec = mean / norm if norm > 1e-12 else vec
+            assert c.embedding.tobytes() == vec.tobytes(), (
+                f"embedding of {uid} differs from its recomputation")
             # Exchange views rebuild a copied cluster's tracks from its
             # members, so the two must agree exactly.
             assert c.track_ids == {(m.robot_id, m.track_id) for m in c.members}, (
@@ -604,9 +592,8 @@ class ClusterDatabase:
         assert index._rows.keys() == self.clusters.keys(), (
             "similarity index rows differ from the clusters")
         for uid, c in self.clusters.items():
-            assert (index._mat[index._rows[uid]].tobytes()
-                    == c.matching_embedding(self.mode).tobytes()), (
-                f"index row of {uid} is not its matching embedding")
+            assert index._mat[index._rows[uid]].tobytes() == c.embedding.tobytes(), (
+                f"index row of {uid} is not its embedding")
         assert Counter(self._log) == {uid: len(c.members)
                                       for uid, c in self.clusters.items()}, (
             "log differs from the cluster member counts")
@@ -639,9 +626,13 @@ def exchange(a: ClusterDatabase, b: ClusterDatabase,
         raise ContractError(f"theta_merge={theta_merge} outside [0, 1]")
     if a.owner == b.owner:
         raise ContractError(f"exchange requires distinct owners, got {a.owner}")
+    if a.mode != b.mode:
+        # Views carry the sender's embeddings, which only match in one mode.
+        raise ContractError(f"exchange requires one matching mode, got "
+                            f"{a.mode!r} and {b.mode!r}")
     # Views instead of copies: while a absorbs, a's clusters can only gain
     # records from b by appending, past the members a's views cover, and
-    # their summaries and sums are rebound, never mutated.
+    # their summaries and embeddings are rebound, never mutated.
     views_a = a._delta_for(b)
     views_b = b._delta_for(a)
     unsent_a = len(a.clusters) - len(views_a)

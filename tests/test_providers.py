@@ -85,6 +85,7 @@ class TestSubprocessProvider:
         with pytest.raises(ProviderError):
             provider.request({"v": 1, "op": "embed", "tokens": ["red"]})
         provider.close()
+        assert provider._proc.stdin.closed and provider._proc.stdout.closed
 
 
 def _stub(tmp_path, body):
@@ -128,6 +129,7 @@ class TestMisbehavingSubprocess:
                 provider.request(_REQUEST)
         finally:
             provider.close()
+        assert provider._proc.stdin.closed and provider._proc.stdout.closed
 
     def test_close_kills_child_that_ignores_eof(self, tmp_path):
         provider = SubprocessProvider(
@@ -164,6 +166,7 @@ def http_url():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/"
     server.shutdown()
+    server.server_close()
 
 
 class _BadHandler(BaseHTTPRequestHandler):

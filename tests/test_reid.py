@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from swarmreid.errors import ContractError, EmptyDescriptionError
-from swarmreid.language import cosine, embed, tokenize
+from swarmreid.language import cached_tokens, cosine, embed, tokenize
 from swarmreid.perception import DescriptionRecord, canonical_description, sample_attributes
 from swarmreid.reid import (SCHEMA_VERSION, ClusterDatabase, LanguageOps,
                             canonical_json, exchange)
@@ -42,7 +42,7 @@ class TestAssign:
         db.assign_description(_record(WOMAN_TEXT, track_id=1), 0.8)
         probe = _record(MAN_TEXT, track_id=2, tick=1)
         sim = cosine(embed(list(probe.tokens)),
-                     db.clusters[(0, 0)].summary_embedding)
+                     db.clusters[(0, 0)].embedding)
         uid, created = db.assign_description(probe, sim)
         assert created is False
         assert uid == (0, 0)
@@ -116,6 +116,38 @@ class TestSummarizerOps:
             assert all(c.tally is None for c in db.clusters.values())
 
 
+class TestTextModeEmbeds:
+    def test_members_embedded_only_without_track_match(self):
+        """Text mode matches on summaries, so it embeds a record only to
+        place it by similarity: never on a track-continuity append, a
+        copy or a load."""
+        embedded = []
+
+        def counting_embed(tokens):
+            embedded.append(tuple(tokens))
+            return embed(tokens)
+
+        def summary_tokens(db):
+            return sorted(cached_tokens(c.summary_text) for c in db.clusters.values())
+
+        ops = LanguageOps(embed=counting_embed)
+        a = ClusterDatabase(owner=0, ops=ops)
+        first = _record(WOMAN_TEXT, track_id=1)
+        a.assign_description(first, 0.8)
+        assert embedded == [first.tokens, cached_tokens(a.clusters[(0, 0)].summary_text)]
+        embedded.clear()
+        a.assign_description(_record(GREEN_TEXT, tick=1, track_id=1), 0.8)
+        assert embedded == [cached_tokens(a.clusters[(0, 0)].summary_text)]
+
+        b = ClusterDatabase(owner=1, ops=ops)
+        embedded.clear()
+        exchange(a, b, 0.8)
+        assert embedded == summary_tokens(b)
+        embedded.clear()
+        loaded = ClusterDatabase.from_json(a.to_json(), ops=ops)
+        assert sorted(embedded) == summary_tokens(loaded)
+
+
 class TestExchange:
     def _seeded_db(self, owner, texts_with_tracks):
         db = ClusterDatabase(owner=owner)
@@ -149,8 +181,8 @@ class TestExchange:
     def test_same_outfit_clusters_merge_with_union(self):
         a = self._seeded_db(0, [(WOMAN_TEXT, 1)])
         b = self._seeded_db(1, [(WOMAN_TEXT, 1)])
-        sim = cosine(a.clusters[(0, 0)].summary_embedding,
-                     b.clusters[(1, 0)].summary_embedding)
+        sim = cosine(a.clusters[(0, 0)].embedding,
+                     b.clusters[(1, 0)].embedding)
         assert sim == 1.0
         exchange(a, b, 0.8)
         assert len(a.clusters) == 1
@@ -177,6 +209,29 @@ class TestExchange:
         b = ClusterDatabase(owner=0)
         with pytest.raises(ContractError):
             exchange(a, b, 0.8)
+
+    def test_mixed_modes_rejected(self):
+        a = ClusterDatabase(owner=0)
+        b = ClusterDatabase(owner=1, mode="vector-baseline")
+        with pytest.raises(ContractError, match="mode"):
+            exchange(a, b, 0.8)
+
+    @pytest.mark.parametrize("mode", ["text", "vector-baseline"])
+    def test_copy_keeps_origin_vectors_bitwise(self, mode):
+        b = ClusterDatabase(owner=1, mode=mode)
+        for tick, text in enumerate([WOMAN_TEXT, GREEN_TEXT, MAN_TEXT]):
+            b.assign_description(
+                _record(text, robot_id=1, tick=tick, track_id=1), 0.8)
+        a = ClusterDatabase(owner=0, mode=mode)
+        assert exchange(a, b, 0.8).copied_to_a == 1
+        origin, copy = b.clusters[(1, 0)], a.clusters[(1, 0)]
+        assert copy.summary_text == origin.summary_text
+        assert copy.embedding.tobytes() == origin.embedding.tobytes()
+        if mode == "text":
+            assert copy.embedding_sum is None and origin.embedding_sum is None
+        else:
+            assert copy.embedding_sum.tobytes() == origin.embedding_sum.tobytes()
+        a.check_invariants()
 
     def test_distinct_outfits_copy_not_merge(self):
         a = self._seeded_db(0, [(WOMAN_TEXT, 1)])
@@ -290,8 +345,8 @@ class TestSerialization:
         db = self._db()
         clone = ClusterDatabase.from_json(db.to_json())
         for uid, cluster in db.clusters.items():
-            assert np.array_equal(cluster.summary_embedding,
-                                  clone.clusters[uid].summary_embedding)
+            assert np.array_equal(cluster.embedding,
+                                  clone.clusters[uid].embedding)
 
 
 class TestVectorBaselineMode:
@@ -300,8 +355,7 @@ class TestVectorBaselineMode:
         db.assign_description(_record(WOMAN_TEXT, track_id=1), 0.8)
         cluster = db.clusters[(0, 0)]
         member_vec = embed(list(cluster.members[0].tokens))
-        assert np.allclose(cluster.matching_embedding("vector-baseline"),
-                           member_vec)
+        assert np.allclose(cluster.embedding, member_vec)
         db.check_invariants()
 
     def test_tombstone_cap_bounds_memory(self):
