@@ -18,16 +18,23 @@ log: the peer provably holds every record logged before it. The delta for a
 peer is the clusters that grew in the log since, each sent from the members
 the peer holds on, plus the few sent clusters whose uid the peer could not
 resolve, sent in full as a full-state exchange would.
+
+Exchange passes records by reference, so a run's databases share one record
+object per record; databases loaded inside one ``shared_records`` scope share
+them the same way.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter, OrderedDict
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from itertools import chain, count, islice
 from operator import attrgetter
-from typing import AbstractSet, Callable, Iterable, NamedTuple, Sequence
+from typing import (AbstractSet, Callable, Iterable, Iterator, NamedTuple,
+                    Sequence)
 
 import numpy as np
 
@@ -46,6 +53,25 @@ DEFAULT_TOMBSTONE_CAP = 1024
 # same incarnation (and must not diverge from its original while both meet the
 # same peers), while a from_dict reload is a new one.
 _incarnations = count()
+
+# Record key -> record loaded in the current shared_records() scope, if any.
+_loaded_records: ContextVar[dict | None] = ContextVar("_loaded_records",
+                                                      default=None)
+
+
+@contextmanager
+def shared_records() -> Iterator[None]:
+    """Let every ``from_dict`` in this scope share one record object per key.
+
+    A member is looked up by its record key; the stored record is reused only
+    when its text and person id match too, else the member gets a record of
+    its own. Outside a scope each ``from_dict`` uses a private table.
+    """
+    token = _loaded_records.set({})
+    try:
+        yield
+    finally:
+        _loaded_records.reset(token)
 
 
 @dataclass(frozen=True)
@@ -78,9 +104,19 @@ class Cluster:
     # Slot votes of the members, built on the first append after the cluster
     # was created, copied or loaded, so loading builds none.
     tally: SlotTally | None = field(default=None, repr=False, compare=False)
+    # The first three members in _sample_order, which query returns as a
+    # hit's samples; only ClusterDatabase._append sets it.
+    samples: tuple[DescriptionRecord, ...] = field(default=(), repr=False,
+                                                   compare=False)
 
     def last_member_tick(self) -> int:
-        return max(m.tick for m in self.members)
+        return self.samples[0].tick
+
+
+def _sample_order(record: DescriptionRecord) -> tuple[int, int, int]:
+    """Most recent first, then robot id, then track id: a total order, as
+    the key (robot_id, track_id, tick) is unique within a database."""
+    return -record.tick, record.robot_id, record.track_id
 
 
 class ClusterView(NamedTuple):
@@ -243,6 +279,11 @@ class ClusterDatabase:
         if cluster.embedding_sum is not None:
             cluster.embedding_sum = cluster.embedding_sum + self.ops.embed(record.tokens)
         cluster.members.append(record)
+        samples = cluster.samples
+        if not samples or record.tick > samples[0].tick:
+            cluster.samples = (record, *samples[:2])
+        elif len(samples) < 3 or _sample_order(record) < _sample_order(samples[2]):
+            cluster.samples = tuple(sorted((*samples, record), key=_sample_order)[:3])
         self._hold(cluster, record)
 
     def _refresh(self, cluster: Cluster, summary_text: str) -> None:
@@ -359,8 +400,8 @@ class ClusterDatabase:
         every hit and score equals a ranking of all clusters.
 
         Raises EmptyDescriptionError when the query tokenizes to nothing.
-        An empty database yields an empty list. Each hit carries up to three
-        sample records, most recent first.
+        An empty database yields an empty list. Each hit carries the
+        cluster's ``samples``: up to three members, most recent first.
         """
         if k < 1:
             raise ContractError(f"k={k} must be at least 1")
@@ -370,14 +411,9 @@ class ClusterDatabase:
             ((c, cosine(vec, c.embedding)) for c in candidates),
             key=lambda pair: (-pair[1], pair[0].uid),
         )
-        hits = []
-        for cluster, score in scored[:k]:
-            samples = tuple(sorted(
-                cluster.members, key=lambda m: (-m.tick, m.robot_id, m.track_id)
-            )[:3])
-            hits.append(QueryHit(uid=cluster.uid, score=score,
-                                 summary_text=cluster.summary_text, samples=samples))
-        return hits
+        return [QueryHit(uid=cluster.uid, score=score,
+                         summary_text=cluster.summary_text, samples=cluster.samples)
+                for cluster, score in scored[:k]]
 
     def record_count(self) -> int:
         return len(self._keys)
@@ -526,13 +562,23 @@ class ClusterDatabase:
         db.uid_counter = d["uid_counter"]
         for k, v in d.get("tombstones", []):
             db.tombstones[tuple(k)] = tuple(v)
+        records = _loaded_records.get()
+        if records is None:
+            records = {}
         for cd in d["clusters"]:
             cluster = db._new_cluster(tuple(cd["uid"]))
             for m in cd["members"]:
-                record = DescriptionRecord.create(
-                    text=m["text"], robot_id=m["robot_id"], tick=m["tick"],
-                    track_id=m["track_id"], person_id=m["person_id"],
-                )
+                text, person_id = m["text"], m["person_id"]
+                record = records.get((m["robot_id"], m["track_id"], m["tick"]))
+                if (record is None or record.text != text
+                        or record.person_id != person_id):
+                    record = DescriptionRecord.create(
+                        text=text, robot_id=m["robot_id"], tick=m["tick"],
+                        track_id=m["track_id"], person_id=person_id,
+                    )
+                    # Keyed by the record's own key tuple, so the table
+                    # holds no tuple the records do not already hold.
+                    records.setdefault(record.key, record)
                 if record.key in db._keys:
                     raise ContractError(f"snapshot has duplicate record {record.key}")
                 db._append(cluster, record)
@@ -566,6 +612,8 @@ class ClusterDatabase:
             )
             assert c.tally is None or c.tally == SlotTally(c.members), (
                 f"tally of {uid} differs from its members'")
+            assert c.samples == tuple(sorted(c.members, key=_sample_order)[:3]), (
+                f"samples of {uid} are not its first members in query order")
             assert (c.embedding_sum is None) == (self.mode == "text")
             vec = self.ops.embed(tokenize(c.summary_text))
             if c.embedding_sum is not None:

@@ -10,17 +10,18 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import statistics
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
 from . import config as cfg
 from .config import SimConfig
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .metrics import MetricsReport, compute_report
 from .perception import (
     DescriptionNoise,
@@ -31,7 +32,7 @@ from .perception import (
     sample_attributes,
 )
 from .providers import resolve_providers
-from .reid import ClusterDatabase, canonical_json, exchange
+from .reid import ClusterDatabase, canonical_json, exchange, shared_records
 from .world import (
     TAU,
     AgentArrays,
@@ -63,6 +64,28 @@ def _spawn_position(arena: Arena, rng: np.random.Generator) -> tuple[float, floa
         if not arena.in_obstacle(x, y):
             return (x, y)
     raise ConfigError("arena.obstacles: no free space left to spawn agents")
+
+
+T = TypeVar("T")
+
+
+def _parse(path: Path, parse: Callable[[str], T]) -> T:
+    """``parse`` of the file's text; content it rejects raises ContractError
+    naming the file."""
+    text = path.read_text()
+    try:
+        return parse(text)
+    except ValueError as exc:  # JSONDecodeError and ContractError among them
+        raise ContractError(f"{path}: {exc}") from exc
+
+
+def _parse_events(text: str) -> list[dict]:
+    """One JSON value per non-blank line, decoded in one call."""
+    lines = [line for line in text.split("\n") if line.strip()]
+    events = json.loads("[" + ",".join(lines) + "]")
+    if len(events) != len(lines):
+        raise ContractError(f"{len(lines)} lines hold {len(events)} JSON values")
+    return events
 
 
 def build_arena(c: SimConfig) -> Arena:
@@ -106,27 +129,30 @@ class RunArtifact:
 
     @classmethod
     def load(cls, outdir: str | Path) -> "RunArtifact":
-        import json
+        """Reload a saved run; a malformed file raises ContractError naming it.
 
+        The databases load in one ``shared_records`` scope, so they share
+        one record object per record as the saved run's databases did.
+        """
         out = Path(outdir)
-        config_doc = json.loads((out / "config.json").read_text())
+        config_doc = _parse(out / "config.json", json.loads)
         configuration = cfg.from_dict(config_doc["config"])
         people = [
             (p["person_id"], PersonAttributes.from_dict(p["attributes"]))
-            for p in json.loads((out / "people.json").read_text())
+            for p in _parse(out / "people.json", json.loads)
         ]
         databases = []
-        for i in range(configuration.robots.count):
-            databases.append(ClusterDatabase.from_json(
-                (out / f"db_robot_{i}.json").read_text()
-            ))
-        events = []
-        with (out / "events.ndjson").open() as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    events.append(json.loads(line))
-        metrics_doc = json.loads((out / "metrics.json").read_text())
+        with shared_records():
+            for i in range(configuration.robots.count):
+                path = out / f"db_robot_{i}.json"
+                # One positional argument: the benchmark tracer replaces
+                # from_json with a (cls, text, ops=...) wrapper.
+                db = _parse(path, ClusterDatabase.from_json)
+                if db.owner != i:
+                    raise ContractError(f"{path}: owner is {db.owner}, not {i}")
+                databases.append(db)
+        events = _parse(out / "events.ndjson", _parse_events)
+        metrics_doc = _parse(out / "metrics.json", json.loads)
         metrics = MetricsReport(**{
             k: tuple(v) if isinstance(v, list) else v for k, v in metrics_doc.items()
         })

@@ -91,6 +91,16 @@ class TestQuery:
         assert rc == 0
         assert "2. uid=" not in out
 
+    def test_database_of_another_robot_exits_two(self, run_dir, tmp_path, capsys):
+        edited = tmp_path / "run"
+        shutil.copytree(run_dir, edited)
+        path = edited / "db_robot_1.json"
+        path.write_text(path.read_text().replace('"owner":1,', '"owner":0,'))
+        assert main(["query", "a man", "--run", str(edited), "--robot", "all"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "db_robot_1.json" in err
+        assert err.count("\n") == 1
+
     def test_missing_run_dir(self, tmp_path, capsys):
         rc = main(["query", "a man", "--run", str(tmp_path / "nope")])
         assert rc == 2
@@ -115,6 +125,18 @@ class TestReport:
         (edited / "config.json").write_text(json.dumps(doc))
         assert main(["report", "--run", str(edited)]) == 2
         assert "robots.wheels" in capsys.readouterr().err
+
+
+    def test_truncated_events_exits_two(self, run_dir, tmp_path, capsys):
+        edited = tmp_path / "run"
+        shutil.copytree(run_dir, edited)
+        path = edited / "events.ndjson"
+        text = path.read_text()
+        path.write_text(text[:len(text) - 10])
+        assert main(["report", "--run", str(edited)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "events.ndjson" in err
+        assert err.count("\n") == 1
 
 
 class TestSweep:

@@ -276,6 +276,31 @@ class TestQuery:
         hits = db.query(WOMAN_TEXT, k=1)
         assert [s.tick for s in hits[0].samples] == [9, 7, 3]
 
+    def test_samples_order_shared_ticks_after_exchange_copy_and_reload(self):
+        # Records share tick 5 across robots and tracks and reach each side
+        # out of tick order through a merge; robot 2 then takes a verbatim
+        # copy. Samples order by (-tick, robot_id, track_id).
+        a = ClusterDatabase(owner=0)
+        b = ClusterDatabase(owner=1)
+        c = ClusterDatabase(owner=2)
+        for track_id in (2, 1, 3):
+            a.assign_description(_record(WOMAN_TEXT, tick=5, track_id=track_id), 0.8)
+        for track_id, tick in ((0, 9), (3, 2), (1, 5)):
+            b.assign_description(
+                _record(WOMAN_TEXT, robot_id=1, tick=tick, track_id=track_id), 0.8)
+        assert exchange(a, b, 0.8).merged_into_a == 1
+        assert exchange(c, a, 0.8).copied_to_a == 1
+        expected = [(1, 0, 9), (0, 1, 5), (0, 2, 5)]
+        for db in (a, b, c):
+            for loaded in (db, ClusterDatabase.from_json(db.to_json())):
+                loaded.check_invariants()
+                (cluster,) = loaded.clusters.values()
+                assert [m.key for m in cluster.members] != sorted(
+                    (m.key for m in cluster.members), key=lambda k: (-k[2], k[0], k[1]))
+                assert cluster.last_member_tick() == 9
+                hits = loaded.query(WOMAN_TEXT, k=1)
+                assert [s.key for s in hits[0].samples] == expected
+
     def test_k_cuts_tied_scores_toward_lowest_uids(self):
         # Six one-member clusters of the same text, listed from the highest
         # uid down so the index holds them in descending uid order, below a

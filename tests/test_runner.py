@@ -1,10 +1,12 @@
 import json
+import shutil
 
 import pytest
 
 from swarmreid import config as cfg
 from swarmreid.config import SimConfig, load_config, set_value, validate
-from swarmreid.errors import ConfigError
+from swarmreid.errors import ConfigError, ContractError
+from swarmreid.reid import REFERENCE_OPS, ClusterDatabase, canonical_json
 from swarmreid.runner import RunArtifact, run_experiment, sweep, sweep_csv
 
 
@@ -235,3 +237,106 @@ class TestSweep:
     def test_unknown_axis_rejected(self):
         with pytest.raises(ConfigError):
             sweep(_small(), "robots.wings", [1], seeds=[0])
+
+
+@pytest.fixture(scope="module")
+def saved_run(tmp_path_factory):
+    """A small four-robot run with exchange, saved."""
+    art = run_experiment(_small(seed=4))
+    assert any(e["type"] == "exchange" for e in art.events)
+    return art.save(tmp_path_factory.mktemp("runner") / "run")
+
+
+def _records(databases):
+    return [m for db in databases for c in db.clusters.values() for m in c.members]
+
+
+def _exchanged_pair(run):
+    """Robot ids of the first exchange that moved records."""
+    for line in (run / "events.ndjson").read_text().splitlines():
+        event = json.loads(line)
+        if event["type"] == "exchange" and event["records_added_to_a"]:
+            return event["robots"]
+    raise AssertionError("no exchange moved records")
+
+
+def _edited_copy(run, tmp_path, name, edit):
+    out = tmp_path / "edited"
+    shutil.copytree(run, out)
+    (out / name).write_text(edit((out / name).read_text()))
+    return out
+
+
+class TestLoadSharesRecords:
+    def test_one_object_per_record_key(self, saved_run):
+        records = _records(RunArtifact.load(saved_run).databases)
+        by_key = {}
+        for m in records:
+            assert by_key.setdefault(m.key, m) is m
+        # The exchange left records held by more than one robot.
+        assert len(records) > len(by_key)
+        assert len({id(m) for m in records}) == len(by_key)
+
+    def test_disagreeing_text_loads_as_two_records(self, saved_run, tmp_path):
+        i, j = _exchanged_pair(saved_run)
+        doc_i, doc_j = (json.loads((saved_run / f"db_robot_{r}.json").read_text())
+                        for r in (i, j))
+        held_i = {(m["robot_id"], m["track_id"], m["tick"])
+                  for c in doc_i["clusters"] for m in c["members"]}
+        member = next(m for c in doc_j["clusters"] for m in c["members"]
+                      if (m["robot_id"], m["track_id"], m["tick"]) in held_i)
+        member["text"] = "a person wearing a yellow hat"
+        key = (member["robot_id"], member["track_id"], member["tick"])
+        out = _edited_copy(saved_run, tmp_path, f"db_robot_{j}.json",
+                           lambda _: json.dumps(doc_j))
+        dbs = RunArtifact.load(out).databases
+        (first,) = [m for m in _records([dbs[i]]) if m.key == key]
+        (second,) = [m for m in _records([dbs[j]]) if m.key == key]
+        assert first is not second
+        assert second.text == "a person wearing a yellow hat" != first.text
+        assert dbs[j].to_json() == canonical_json(doc_j)
+
+    def test_from_json_outside_load_shares_nothing(self, saved_run):
+        a, b = (ClusterDatabase.from_json((saved_run / f"db_robot_{r}.json").read_text())
+                for r in _exchanged_pair(saved_run))
+        assert a.record_keys() & b.record_keys()
+        assert not {id(m) for m in _records([a])} & {id(m) for m in _records([b])}
+
+    def test_loads_through_a_wrapped_from_json(self, saved_run, monkeypatch):
+        # The benchmark tracer swaps in a (cls, text, ops=...) classmethod.
+        original = ClusterDatabase.__dict__["from_json"].__func__
+        calls = []
+
+        def wrapped(cls, text, ops=REFERENCE_OPS):
+            calls.append(len(text))
+            return original(cls, text, ops=ops)
+
+        monkeypatch.setattr(ClusterDatabase, "from_json", classmethod(wrapped))
+        records = _records(RunArtifact.load(saved_run).databases)
+        assert len(calls) == 4
+        assert len({id(m) for m in records}) == len({m.key for m in records})
+
+
+class TestLoadRejectsBadFiles:
+    def test_database_owner_must_match_file_name(self, saved_run, tmp_path):
+        out = _edited_copy(saved_run, tmp_path, "db_robot_1.json",
+                           lambda text: text.replace('"owner":1,', '"owner":0,'))
+        with pytest.raises(ContractError, match=r"db_robot_1\.json: owner is 0, not 1"):
+            RunArtifact.load(out)
+
+    def test_truncated_events_named(self, saved_run, tmp_path):
+        out = _edited_copy(saved_run, tmp_path, "events.ndjson",
+                           lambda text: text[:len(text) // 2])
+        with pytest.raises(ContractError, match=r"events\.ndjson"):
+            RunArtifact.load(out)
+
+    def test_two_values_on_one_event_line_rejected(self, saved_run, tmp_path):
+        out = _edited_copy(saved_run, tmp_path, "events.ndjson",
+                           lambda text: text.replace("}\n{", "},{", 1))
+        with pytest.raises(ContractError, match=r"events\.ndjson"):
+            RunArtifact.load(out)
+
+    def test_blank_event_lines_skipped(self, saved_run, tmp_path):
+        out = _edited_copy(saved_run, tmp_path, "events.ndjson",
+                           lambda text: "\n  \n" + text.replace("\n", "\n\n"))
+        assert RunArtifact.load(out).events == RunArtifact.load(saved_run).events
