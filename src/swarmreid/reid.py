@@ -12,12 +12,12 @@ received cluster keeps its uid, so later meetings recognize already-imported
 clusters by uid (directly or through the tombstone map of absorbed uids)
 instead of re-running similarity matching.
 
-Exchange is delta-state anti-entropy. Each database logs the cluster uid of
-every record it comes to hold, and remembers per peer one position in that
-log: the peer provably holds every record logged before it. The delta for a
-peer is the clusters that grew in the log since, each sent from the members
-the peer holds on, plus the few sent clusters whose uid the peer could not
-resolve, sent in full as a full-state exchange would.
+Exchange is delta-state anti-entropy. Each database indexes every record it
+holds by key, in the order it came to hold them, and remembers per peer one
+position in that order: the peer provably holds every record held before it.
+The delta for a peer is the clusters that grew since, each sent from the
+members the peer holds on, plus the few sent clusters whose uid the peer
+could not resolve, sent in full as a full-state exchange would.
 
 Exchange passes records by reference, so a run's databases share one record
 object per record; databases loaded inside one ``shared_records`` scope share
@@ -49,10 +49,10 @@ ClusterUid = tuple[int, int]
 SCHEMA_VERSION = 1
 DEFAULT_TOMBSTONE_CAP = 1024
 
-# Drawn once per constructed database; deepcopy keeps an int, so a copy is the
-# same incarnation (and must not diverge from its original while both meet the
-# same peers), while a from_dict reload is a new one.
-_incarnations = count()
+# Peer epochs: a database draws one when constructed and another whenever it
+# evicts a tombstone. Deepcopy keeps the int, so a copy shares its original's
+# epoch until either evicts, while a from_dict reload draws a new one.
+_epochs = count()
 
 # Record key -> record loaded in the current shared_records() scope, if any.
 _loaded_records: ContextVar[dict | None] = ContextVar("_loaded_records",
@@ -97,7 +97,6 @@ class Cluster:
     # binds a new array rather than writing into the old one, so a
     # ClusterView taken earlier keeps the vector it saw.
     embedding: np.ndarray
-    track_ids: set[tuple[int, int]]
     # Vector-baseline mode only, else None: member embeddings summed in
     # member order. Every append binds a new array.
     embedding_sum: np.ndarray | None
@@ -138,6 +137,7 @@ class ClusterView(NamedTuple):
 
 
 _record_key = attrgetter("key")
+_record_track = attrgetter("robot_id", "track_id")
 _view_uid = attrgetter("uid")
 
 
@@ -243,17 +243,16 @@ class ClusterDatabase:
         self.tombstones: OrderedDict[ClusterUid, ClusterUid] = OrderedDict()
         self.tombstone_cap = tombstone_cap
         self.ops = ops
+        # record key -> cluster uid of every record held, in the order held;
+        # exchange knowledge is a position in this order
         self._keys: dict[tuple[int, int, int], ClusterUid] = {}
         # (robot_id, track_id) -> lowest uid of a cluster holding that track
         self._tracks: dict[tuple[int, int], ClusterUid] = {}
         self._index = _SimilarityIndex()
-        self._incarnation = next(_incarnations)
-        self._evictions = 0
-        # The cluster uid of every record held, in the order it was held.
-        self._log: list[ClusterUid] = []
-        # peer owner -> (peer epoch when recorded, log length then, uids the
+        self._epoch = next(_epochs)
+        # peer owner -> (peer epoch when recorded, records held then, uids the
         # peer did not resolve then); never serialized
-        self._known: dict[int, tuple[tuple[int, int], int, set[ClusterUid]]] = {}
+        self._known: dict[int, tuple[int, int, set[ClusterUid]]] = {}
 
     # ---------- internals ----------
 
@@ -261,21 +260,17 @@ class ClusterDatabase:
         """Register an empty cluster; callers add members and refresh it."""
         zeros = np.zeros(EMBEDDING_DIM)
         cluster = Cluster(uid=uid, members=[], summary_text="", embedding=zeros,
-                          track_ids=set(),
                           embedding_sum=None if self.mode == "text" else zeros)
         self.clusters[uid] = cluster
         return cluster
 
-    def _hold(self, cluster: Cluster, record: DescriptionRecord) -> None:
-        """Log a member of ``cluster`` and index it by record key and track."""
-        self._log.append(cluster.uid)
-        self._keys[record.key] = cluster.uid
-        track = (record.robot_id, record.track_id)
-        cluster.track_ids.add(track)
-        if self._tracks.setdefault(track, cluster.uid) > cluster.uid:
-            self._tracks[track] = cluster.uid
-
     def _append(self, cluster: Cluster, record: DescriptionRecord) -> None:
+        """Add a record not held yet to ``cluster``, indexed by key and track."""
+        uid = cluster.uid
+        self._keys[record.key] = uid
+        track = _record_track(record)
+        if self._tracks.setdefault(track, uid) > uid:
+            self._tracks[track] = uid
         if cluster.embedding_sum is not None:
             cluster.embedding_sum = cluster.embedding_sum + self.ops.embed(record.tokens)
         cluster.members.append(record)
@@ -284,7 +279,6 @@ class ClusterDatabase:
             cluster.samples = (record, *samples[:2])
         elif len(samples) < 3 or _sample_order(record) < _sample_order(samples[2]):
             cluster.samples = tuple(sorted((*samples, record), key=_sample_order)[:3])
-        self._hold(cluster, record)
 
     def _refresh(self, cluster: Cluster, summary_text: str) -> None:
         """Set the summary, the embedding and its index row after appends.
@@ -311,7 +305,8 @@ class ClusterDatabase:
         self.tombstones.move_to_end(absorbed)
         while len(self.tombstones) > self.tombstone_cap:
             self.tombstones.popitem(last=False)
-            self._evictions += 1
+            # A uid this database resolved may stop resolving.
+            self._epoch = next(_epochs)
 
     def _resolve_uid(self, uid: ClusterUid) -> ClusterUid | None:
         """Follow tombstone redirects to a live cluster, if any."""
@@ -325,9 +320,6 @@ class ClusterDatabase:
                      summary_text: str | None = None) -> int:
         """Append the records not held yet and refresh; returns how many.
         A given ``summary_text`` is the resulting summary: no summarizer runs."""
-        # Track pairs follow only the members actually appended; records that
-        # deduplicate away live in some other cluster and their tracks belong
-        # there, else a repeated exchange could keep mutating track_ids.
         added = 0
         for m in records:
             if m.key not in self._keys:
@@ -423,13 +415,13 @@ class ClusterDatabase:
 
     def views(self, since: int = 0,
               unresolved: AbstractSet[ClusterUid] = frozenset()) -> list[ClusterView]:
-        """Views of the clusters logged from position ``since`` on and of
-        the ``unresolved`` ones, as they stand now, ascending uid.
+        """Views of the clusters holding a record from position ``since`` on
+        and of the ``unresolved`` ones, as they stand now, ascending uid.
 
-        A logged cluster's view starts at the members held before ``since``;
+        A grown cluster's view starts at the members held before ``since``;
         an unresolved one starts at 0. The defaults give the full state.
         """
-        grown = Counter(islice(self._log, since, None))
+        grown = Counter(islice(self._keys.values(), since, None))
         views = []
         for uid in sorted(grown.keys() | unresolved):
             c = self.clusters[uid]
@@ -438,10 +430,6 @@ class ClusterDatabase:
             views.append(ClusterView(uid, c.members, start, n, c.summary_text,
                                      c.embedding))
         return views
-
-    def _epoch(self) -> tuple[int, int]:
-        """Changes whenever a uid this database resolved may stop resolving."""
-        return self._incarnation, self._evictions
 
     def _delta_for(self, peer: "ClusterDatabase") -> list[ClusterView]:
         """Views to send ``peer``.
@@ -452,7 +440,7 @@ class ClusterDatabase:
         is sent in full.
         """
         epoch, since, unresolved = self._known.get(peer.owner, (None, 0, frozenset()))
-        if epoch != peer._epoch():
+        if epoch != peer._epoch:
             since, unresolved = 0, frozenset()
         views = self.views(since, unresolved)
         cap = peer.tombstone_cap
@@ -463,7 +451,7 @@ class ClusterDatabase:
     def _learn(self, peer: "ClusterDatabase", uids: Iterable[ClusterUid]) -> None:
         """Record what ``peer`` holds after both sides absorbed ``uids``.
 
-        Every record logged so far is then held by the peer: each cluster
+        Every record held so far is then held by the peer too: each cluster
         was either sent or already known in full, and whatever was appended
         during the exchange came from the peer. Of the sent or touched
         ``uids``, those the peer does not resolve are kept apart: full-state
@@ -473,7 +461,7 @@ class ClusterDatabase:
         """
         resolve = peer._resolve_uid
         unresolved = {uid for uid in uids if resolve(uid) is None}
-        self._known[peer.owner] = (peer._epoch(), len(self._log), unresolved)
+        self._known[peer.owner] = (peer._epoch, len(self._keys), unresolved)
 
     def _absorb(self, received: list[ClusterView], theta_merge: float
                 ) -> tuple[int, int, int, list[ClusterUid]]:
@@ -481,7 +469,7 @@ class ClusterDatabase:
 
         ``touched`` lists the local clusters that gained members or were
         created. A view's first ``start`` members must already be held here,
-        as the sender logged them before its position for this database,
+        as the sender held them before its position for this database,
         and, when ``start`` > 0, its uid must resolve: the skipped prefix is
         then exactly what full-state absorption would find held.
         """
@@ -528,7 +516,8 @@ class ClusterDatabase:
             clusters.append({
                 "uid": list(uid),
                 "summary_text": c.summary_text,
-                "track_ids": [list(t) for t in sorted(c.track_ids)],
+                "track_ids": [list(t) for t in
+                              sorted(set(map(_record_track, c.members)))],
                 "members": [
                     {
                         "text": m.text,
@@ -582,7 +571,8 @@ class ClusterDatabase:
                 if record.key in db._keys:
                     raise ContractError(f"snapshot has duplicate record {record.key}")
                 db._append(cluster, record)
-            if cluster.track_ids != {tuple(t) for t in cd["track_ids"]}:
+            listed = {tuple(t) for t in cd["track_ids"]}
+            if set(map(_record_track, cluster.members)) != listed:
                 raise ContractError(f"snapshot cluster {cluster.uid} lists tracks "
                                     "other than its members'")
             db._refresh(cluster, cd["summary_text"])
@@ -596,16 +586,17 @@ class ClusterDatabase:
 
     def check_invariants(self) -> None:
         """Raise AssertionError if any structural invariant is violated."""
-        seen_keys: dict = {}
+        held: dict = {}
+        for key, uid in self._keys.items():
+            held.setdefault(uid, []).append(key)
         tracks: dict = {}
         for uid, c in self.clusters.items():
             assert c.uid == uid
             assert c.members, f"cluster {uid} has no members"
-            for m in c.members:
-                assert m.key not in seen_keys, (
-                    f"record {m.key} in both {seen_keys[m.key]} and {uid}"
-                )
-                seen_keys[m.key] = uid
+            # views counts a cluster's records from a position in the key
+            # index, so they must stand there in member order.
+            assert held.pop(uid, None) == [m.key for m in c.members], (
+                f"key index of {uid} differs from its members in order")
             expected = self.ops.summarize(c.members)
             assert c.summary_text == expected, (
                 f"stale summary in {uid}: {c.summary_text!r} != {expected!r}"
@@ -624,16 +615,11 @@ class ClusterDatabase:
                 vec = mean / norm if norm > 1e-12 else vec
             assert c.embedding.tobytes() == vec.tobytes(), (
                 f"embedding of {uid} differs from its recomputation")
-            # Exchange views rebuild a copied cluster's tracks from its
-            # members, so the two must agree exactly.
-            assert c.track_ids == {(m.robot_id, m.track_id) for m in c.members}, (
-                f"track_ids of {uid} differ from its members' tracks"
-            )
-            for track in c.track_ids:
+            for track in map(_record_track, c.members):
                 tracks[track] = min(tracks.get(track, uid), uid)
             if uid[0] == self.owner:
                 assert uid[1] < self.uid_counter, f"uid {uid} beyond counter"
-        assert seen_keys == self._keys
+        assert not held, f"key index lists records of no cluster: {sorted(held)}"
         assert tracks == self._tracks
         index = self._index
         assert index._rows == {uid: i for i, uid in enumerate(index._uids)}
@@ -642,11 +628,8 @@ class ClusterDatabase:
         for uid, c in self.clusters.items():
             assert index._mat[index._rows[uid]].tobytes() == c.embedding.tobytes(), (
                 f"index row of {uid} is not its embedding")
-        assert Counter(self._log) == {uid: len(c.members)
-                                      for uid, c in self.clusters.items()}, (
-            "log differs from the cluster member counts")
         for peer, (_, since, unresolved) in self._known.items():
-            assert since <= len(self._log), f"position for peer {peer} beyond log"
+            assert since <= len(self._keys), f"position for peer {peer} beyond keys"
             assert unresolved <= self.clusters.keys()
 
 
@@ -662,13 +645,13 @@ def exchange(a: ClusterDatabase, b: ClusterDatabase,
     (robot_id, track_id, tick) across the whole database.
 
     Each side sends only deltas. Knowledge invariant: while the peer's epoch
-    is unchanged, a recorded log position means the peer holds every record
-    logged before it, and resolves the uid of every cluster logged before it
-    except the recorded unresolved ones. A cluster with no record logged
-    since and not unresolved is not sent (the full-state exchange would
-    recognise it and find nothing new, so it counts as merged); a grown one
-    is sent from its first record logged since, and an unresolved one in
-    full. Results and stats equal the full-state exchange.
+    is unchanged, a recorded position in the key index means the peer holds
+    every record held before it, and resolves the uid of every cluster
+    holding one of them except the recorded unresolved ones. A cluster with
+    no record held since and not unresolved is not sent (the full-state
+    exchange would recognise it and find nothing new, so it counts as
+    merged); a grown one is sent from its first record held since, and an
+    unresolved one in full. Results and stats equal the full-state exchange.
     """
     if not (0.0 <= theta_merge <= 1.0):
         raise ContractError(f"theta_merge={theta_merge} outside [0, 1]")

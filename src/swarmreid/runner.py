@@ -70,13 +70,34 @@ T = TypeVar("T")
 
 
 def _parse(path: Path, parse: Callable[[str], T]) -> T:
-    """``parse`` of the file's text; content it rejects raises ContractError
-    naming the file."""
+    """``parse`` of the file's text; content it rejects, or whose shape it
+    cannot decode, raises ContractError naming the file."""
     text = path.read_text()
     try:
         return parse(text)
-    except ValueError as exc:  # JSONDecodeError and ContractError among them
+    except KeyError as exc:
+        raise ContractError(f"{path}: missing key {exc}") from exc
+    # JSONDecodeError, ConfigError and ContractError are ValueErrors; the
+    # others come from values of the wrong JSON type.
+    except (ValueError, TypeError, AttributeError) as exc:
         raise ContractError(f"{path}: {exc}") from exc
+
+
+def _parse_config(text: str) -> tuple[SimConfig, str]:
+    doc = json.loads(text)
+    return cfg.from_dict(doc["config"]), doc["fingerprint"]
+
+
+def _parse_people(text: str) -> list[tuple[int, PersonAttributes]]:
+    return [(p["person_id"], PersonAttributes.from_dict(p["attributes"]))
+            for p in json.loads(text)]
+
+
+def _parse_metrics(text: str) -> MetricsReport:
+    return MetricsReport(**{
+        k: tuple(v) if isinstance(v, list) else v
+        for k, v in json.loads(text).items()
+    })
 
 
 def _parse_events(text: str) -> list[dict]:
@@ -135,12 +156,8 @@ class RunArtifact:
         one record object per record as the saved run's databases did.
         """
         out = Path(outdir)
-        config_doc = _parse(out / "config.json", json.loads)
-        configuration = cfg.from_dict(config_doc["config"])
-        people = [
-            (p["person_id"], PersonAttributes.from_dict(p["attributes"]))
-            for p in _parse(out / "people.json", json.loads)
-        ]
+        configuration, fingerprint = _parse(out / "config.json", _parse_config)
+        people = _parse(out / "people.json", _parse_people)
         databases = []
         with shared_records():
             for i in range(configuration.robots.count):
@@ -152,11 +169,8 @@ class RunArtifact:
                     raise ContractError(f"{path}: owner is {db.owner}, not {i}")
                 databases.append(db)
         events = _parse(out / "events.ndjson", _parse_events)
-        metrics_doc = _parse(out / "metrics.json", json.loads)
-        metrics = MetricsReport(**{
-            k: tuple(v) if isinstance(v, list) else v for k, v in metrics_doc.items()
-        })
-        return cls(config=configuration, fingerprint=config_doc["fingerprint"],
+        metrics = _parse(out / "metrics.json", _parse_metrics)
+        return cls(config=configuration, fingerprint=fingerprint,
                    people=people, databases=databases, events=events, metrics=metrics)
 
 

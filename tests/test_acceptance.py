@@ -24,7 +24,7 @@ from swarmreid.perception import (DescriptionNoise, DescriptionRecord,
                                   canonical_description, describe,
                                   sample_attributes)
 from swarmreid.reid import ClusterDatabase, exchange
-from swarmreid.runner import run_experiment
+from swarmreid.runner import run_experiment, sweep
 from swarmreid.vocab import PersonAttributes
 
 from oracles import oracle_cmc, oracle_map
@@ -186,22 +186,15 @@ def test_communication_improves_all_reid_metrics():
 
 def test_crowding_overfragments_and_degrades_map():
     with criterion("over-fragmentation trend (6 -> 50 people, 10 seeds)"):
-        results = {}
-        for count in (6, 50):
-            base = _configure([*_NOISE_TRIPLE, ("people.count", count)])
-            clusters, maps = [], []
-            for seed in range(10):
-                m = run_experiment(set_value(base, "seed", seed)).metrics
-                clusters.append(sum(m.clusters_per_robot))
-                maps.append(m.map_score)
-            results[count] = (statistics.fmean(clusters),
-                              statistics.fmean(maps))
-        growth = results[50][0] / results[6][0]
+        few, many = (row.means for row in sweep(
+            _configure(_NOISE_TRIPLE), "people.count", [6, 50],
+            seeds=range(10), workers=2))
+        growth = many["total_clusters"] / few["total_clusters"]
         assert growth > 50 / 6, (
             f"cluster growth {growth:.2f}x is not super-linear "
             f"(person growth {50 / 6:.2f}x)")
-        assert results[50][1] < results[6][1], (
-            f"mAP did not decline: {results[6][1]:.4f} -> {results[50][1]:.4f}")
+        assert many["map"] < few["map"], (
+            f"mAP did not decline: {few['map']:.4f} -> {many['map']:.4f}")
 
 
 def _random_exchange_sequence(mode):

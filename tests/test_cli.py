@@ -12,6 +12,14 @@ from swarmreid.cli import main
 
 _RUN_ARGS = ["--set", "duration_ticks=300", "--set", "seed=1"]
 
+# Saved file -> an edit of its decoded JSON that removes a key loading needs
+_DROP_A_KEY = {
+    "db_robot_0.json": lambda doc: doc["clusters"][0]["members"][0].pop("person_id"),
+    "config.json": lambda doc: doc.pop("config"),
+    "people.json": lambda doc: doc[0].pop("attributes"),
+    "metrics.json": lambda doc: doc.pop("map_score"),
+}
+
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
@@ -126,6 +134,20 @@ class TestReport:
         assert main(["report", "--run", str(edited)]) == 2
         assert "robots.wheels" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("name", sorted(_DROP_A_KEY))
+    def test_saved_file_missing_a_key_exits_two(self, run_dir, tmp_path, capsys,
+                                                name):
+        edited = tmp_path / "run"
+        shutil.copytree(run_dir, edited)
+        path = edited / name
+        doc = json.loads(path.read_text())
+        _DROP_A_KEY[name](doc)
+        path.write_text(json.dumps(doc))
+        assert main(["report", "--run", str(edited)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+        assert err.count("\n") == 1
 
     def test_truncated_events_exits_two(self, run_dir, tmp_path, capsys):
         edited = tmp_path / "run"

@@ -167,6 +167,18 @@ class TestExchange:
         assert stats.merged_into_b == 0 and stats.copied_to_b == 0
         a.check_invariants()
 
+    def test_invariants_check_key_index_order(self):
+        # Records of different clusters interleave in the key index, but
+        # views counts from a position in it, so each cluster's records must
+        # stand there in member order.
+        db = self._seeded_db(0, [(WOMAN_TEXT, 1), (MAN_TEXT, 2)] * 2)
+        db.check_invariants()
+        items = list(db._keys.items())
+        items[0], items[2] = items[2], items[0]
+        db._keys = dict(items)
+        with pytest.raises(AssertionError, match="key index of"):
+            db.check_invariants()
+
     def test_identical_databases_fixed_point(self):
         a = self._seeded_db(0, [(WOMAN_TEXT, 1), (MAN_TEXT, 2)])
         b = ClusterDatabase.from_json(a.to_json())
@@ -365,6 +377,23 @@ class TestSerialization:
         doc["clusters"][1]["members"] = list(doc["clusters"][0]["members"])
         with pytest.raises(ContractError):
             ClusterDatabase.from_dict(doc)
+
+    def test_listed_tracks_must_be_the_members_tracks(self):
+        db = ClusterDatabase(owner=2)
+        for tick, track_id in enumerate((3, 1, 2)):
+            db.assign_description(
+                _record(WOMAN_TEXT, robot_id=2, tick=tick, track_id=track_id), 0.8)
+        saved = db.to_json()
+        doc = json.loads(saved)
+        (cluster,) = doc["clusters"]
+        assert cluster["track_ids"] == [[2, 1], [2, 2], [2, 3]]
+        cluster["track_ids"] = [[2, 2], [2, 3], [2, 1]]
+        assert ClusterDatabase.from_dict(doc).to_json() == saved
+        for tracks in ([[2, 1], [2, 2]], [[2, 1], [2, 2], [2, 3], [2, 4]],
+                       [[2, 1], [2, 2], [1, 3]]):
+            cluster["track_ids"] = tracks
+            with pytest.raises(ContractError, match="lists tracks other than"):
+                ClusterDatabase.from_dict(doc)
 
     def test_embeddings_recomputed_not_trusted(self):
         db = self._db()

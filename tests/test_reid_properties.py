@@ -217,9 +217,10 @@ def _cuts(views):
 
 
 def _scanned_cuts(db, since, unresolved):
-    """Every cluster cut at its records logged before ``since`` (unresolved
-    ones at 0), leaving out those with nothing past the cut."""
-    held = Counter(db._log[:since])
+    """Every cluster cut at its records held before position ``since`` of the
+    key index (unresolved ones at 0), leaving out those with nothing past the
+    cut."""
+    held = Counter(list(db._keys.values())[:since])
     cuts = []
     for uid in sorted(db.clusters):
         n = len(db.clusters[uid].members)
@@ -232,11 +233,11 @@ def _scanned_cuts(db, since, unresolved):
 def _assert_full_state(a, b, theta_merge):
     """``exchange`` on copies of ``a`` and ``b`` equals full-state absorption
     in both directions, snapshots and stats alike; and wherever a side still
-    holds knowledge of the other, the log suffix and unresolved uids yield
-    the views a scan of every cluster does."""
+    holds knowledge of the other, the key index suffix and unresolved uids
+    yield the views a scan of every cluster does."""
     for side, peer in ((a, b), (b, a)):
         epoch, since, unresolved = side._known.get(peer.owner, (None, 0, set()))
-        if epoch == peer._epoch():
+        if epoch == peer._epoch:
             assert (_cuts(side.views(since, unresolved))
                     == _scanned_cuts(side, since, unresolved))
     json_a, counts_a = _one_sided(a, b, theta_merge)
@@ -307,8 +308,8 @@ class TestIncrementalState:
             tracks = {}
             for uid in sorted(db.clusters):
                 c = db.clusters[uid]
-                for track in c.track_ids:
-                    tracks.setdefault(track, uid)
+                for m in c.members:
+                    tracks.setdefault((m.robot_id, m.track_id), uid)
                 expected = embed(tokenize(c.summary_text))
                 if mode == "vector-baseline":
                     mean = np.stack([embed(m.tokens) for m in c.members]).mean(axis=0)

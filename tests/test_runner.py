@@ -324,6 +324,15 @@ class TestLoadRejectsBadFiles:
         with pytest.raises(ContractError, match=r"db_robot_1\.json: owner is 0, not 1"):
             RunArtifact.load(out)
 
+    @pytest.mark.parametrize("name, text", [
+        ("config.json", "[]"), ("people.json", '{"person_id": 0}'),
+        ("db_robot_2.json", "[]"), ("metrics.json", "[]"),
+    ])
+    def test_wrong_json_type_named(self, saved_run, tmp_path, name, text):
+        out = _edited_copy(saved_run, tmp_path, name, lambda _: text)
+        with pytest.raises(ContractError, match=name.replace(".", r"\.")):
+            RunArtifact.load(out)
+
     def test_truncated_events_named(self, saved_run, tmp_path):
         out = _edited_copy(saved_run, tmp_path, "events.ndjson",
                            lambda text: text[:len(text) // 2])
