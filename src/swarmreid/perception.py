@@ -31,7 +31,6 @@ __all__ = [
     "DescriptionNoise",
     "NO_NOISE",
     "DescriptionRecord",
-    "Track",
     "TrackTable",
     "describe",
     "canonical_description",
@@ -88,64 +87,42 @@ class DescriptionRecord:
                    track_id=track_id, person_id=person_id)
 
 
-@dataclass
-class Track:
-    track_id: int
-    person_id: int
-    first_tick: int
-    last_seen_tick: int
-    active: bool = True
-
-
 class TrackTable:
-    """Per-robot track bookkeeping. Track ids are never reused; an inactive
-    track never becomes active again."""
+    """Per-robot track bookkeeping. Track ids are never reused; a retired
+    track never becomes live again."""
 
     def __init__(self) -> None:
-        self.tracks: dict[int, Track] = {}
-        self._active_by_person: dict[int, int] = {}
+        # person id -> [track id, last seen tick] of each live track
+        self._live: dict[int, list[int]] = {}
         self._next_track_id = 0
         self._last_tick: int | None = None
-
-    def _retire(self, track_id: int) -> None:
-        tr = self.tracks[track_id]
-        tr.active = False
-        if self._active_by_person.get(tr.person_id) == track_id:
-            del self._active_by_person[tr.person_id]
-
-    def _open(self, person_id: int, tick: int) -> int:
-        tid = self._next_track_id
-        self._next_track_id += 1
-        self.tracks[tid] = Track(track_id=tid, person_id=person_id,
-                                 first_tick=tick, last_seen_tick=tick)
-        self._active_by_person[person_id] = tid
-        return tid
 
     def update_tracks(self, visible: list[int], tick: int, max_gap_ticks: int,
                       p_track_break: float, rng) -> list[tuple[int, int]]:
         """Advance one tick; returns (track_id, person_id) per visible person.
 
-        A track unseen for more than ``max_gap_ticks`` goes inactive. A track
+        A track unseen for more than ``max_gap_ticks`` is retired. A track
         seen again breaks with probability ``p_track_break``, in which case
         the person gets a fresh track id this very tick.
         """
         if self._last_tick is not None and tick <= self._last_tick:
             raise ContractError(f"tick {tick} not after previous {self._last_tick}")
         self._last_tick = tick
-        for tid in list(self._active_by_person.values()):
-            if tick - self.tracks[tid].last_seen_tick > max_gap_ticks:
-                self._retire(tid)
+        live = self._live
+        for person_id, (_, last_seen) in list(live.items()):
+            if tick - last_seen > max_gap_ticks:
+                del live[person_id]
         out = []
         for person_id in visible:
-            tid = self._active_by_person.get(person_id)
-            if tid is not None and p_track_break > 0 and rng.random() < p_track_break:
-                self._retire(tid)
-                tid = None
-            if tid is None:
-                tid = self._open(person_id, tick)
+            track = live.get(person_id)
+            if track is not None and p_track_break > 0 and rng.random() < p_track_break:
+                track = None
+            if track is None:
+                track = live[person_id] = [self._next_track_id, tick]
+                self._next_track_id += 1
             else:
-                self.tracks[tid].last_seen_tick = tick
-            out.append((tid, person_id))
+                track[1] = tick
+            out.append((track[0], person_id))
         return out
 
 

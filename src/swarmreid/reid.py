@@ -10,14 +10,16 @@ its own.
 Cluster identity is the pair (origin robot id, origin-local counter). A
 received cluster keeps its uid, so later meetings recognize already-imported
 clusters by uid (directly or through the tombstone map of absorbed uids)
-instead of re-running similarity matching.
+instead of re-running similarity matching. A tombstone names a live cluster,
+so every redirect is one hop; beyond the cap the oldest is evicted.
 
 Exchange is delta-state anti-entropy. Each database indexes every record it
 holds by key, in the order it came to hold them, and remembers per peer one
 position in that order: the peer provably holds every record held before it.
 The delta for a peer is the clusters that grew since, each sent from the
 members the peer holds on, plus the few sent clusters whose uid the peer
-could not resolve, sent in full as a full-state exchange would.
+could not resolve, sent in full as a full-state exchange would; a peer at or
+near its tombstone cap gets the full state.
 
 Exchange passes records by reference, so a run's databases share one record
 object per record; databases loaded inside one ``shared_records`` scope share
@@ -49,9 +51,8 @@ ClusterUid = tuple[int, int]
 SCHEMA_VERSION = 1
 DEFAULT_TOMBSTONE_CAP = 1024
 
-# Peer epochs: a database draws one when constructed and another whenever it
-# evicts a tombstone. Deepcopy keeps the int, so a copy shares its original's
-# epoch until either evicts, while a from_dict reload draws a new one.
+# Peer epochs: a database draws one when constructed, so a from_dict reload
+# gets a new one, while a deepcopy keeps its original's int.
 _epochs = count()
 
 # Record key -> record loaded in the current shared_records() scope, if any.
@@ -136,7 +137,6 @@ class ClusterView(NamedTuple):
     embedding: np.ndarray
 
 
-_record_key = attrgetter("key")
 _record_track = attrgetter("robot_id", "track_id")
 _view_uid = attrgetter("uid")
 
@@ -299,37 +299,25 @@ class ClusterDatabase:
         self._index.set(cluster.uid, vec)
 
     def _remember_tombstone(self, absorbed: ClusterUid, survivor: ClusterUid) -> None:
-        if self.tombstone_cap == 0:
-            return
+        """Redirect ``absorbed``, which does not resolve, to live ``survivor``."""
         self.tombstones[absorbed] = survivor
-        self.tombstones.move_to_end(absorbed)
         while len(self.tombstones) > self.tombstone_cap:
             self.tombstones.popitem(last=False)
-            # A uid this database resolved may stop resolving.
-            self._epoch = next(_epochs)
 
     def _resolve_uid(self, uid: ClusterUid) -> ClusterUid | None:
-        """Follow tombstone redirects to a live cluster, if any."""
-        seen = set()
-        while uid in self.tombstones and uid not in seen:
-            seen.add(uid)
-            uid = self.tombstones[uid]
+        """The live cluster ``uid`` names, directly or by its tombstone."""
+        uid = self.tombstones.get(uid, uid)
         return uid if uid in self.clusters else None
 
-    def _add_members(self, cluster: Cluster, records: Iterable[DescriptionRecord],
-                     summary_text: str | None = None) -> int:
-        """Append the records not held yet and refresh; returns how many.
-        A given ``summary_text`` is the resulting summary: no summarizer runs."""
-        added = 0
+    def _add_members(self, cluster: Cluster, records: Sequence[DescriptionRecord],
+                     summary_text: str | None = None) -> None:
+        """Append records not held yet and refresh. A given ``summary_text``
+        is the resulting summary: no summarizer runs."""
         for m in records:
-            if m.key not in self._keys:
-                self._append(cluster, m)
-                added += 1
-        if added:
-            if summary_text is None:
-                summary_text = self._summary(cluster, added)
-            self._refresh(cluster, summary_text)
-        return added
+            self._append(cluster, m)
+        if summary_text is None:
+            summary_text = self._summary(cluster, len(records))
+        self._refresh(cluster, summary_text)
 
     def _summary(self, cluster: Cluster, added: int) -> str:
         """Summary after the last ``added`` appends. The reference summarizer
@@ -435,16 +423,16 @@ class ClusterDatabase:
         """Views to send ``peer``.
 
         Knowledge recorded under another epoch of the peer is dropped, which
-        leaves the full state. When the peer could evict a tombstone while
-        absorbing, which could un-resolve a later unsent view, every cluster
-        is sent in full.
+        leaves the full state. Only eviction removes tombstones, and it leaves
+        the peer at its cap: a peer at its cap may have un-resolved a uid
+        since the last meeting, and one that can reach it while absorbing
+        may un-resolve an unsent view. Either gets every cluster in full.
         """
         epoch, since, unresolved = self._known.get(peer.owner, (None, 0, frozenset()))
         if epoch != peer._epoch:
             since, unresolved = 0, frozenset()
         views = self.views(since, unresolved)
-        cap = peer.tombstone_cap
-        if since and cap and len(peer.tombstones) + len(views) > cap:
+        if since and 0 < peer.tombstone_cap <= len(peer.tombstones) + len(views):
             views = self.views()
         return views
 
@@ -456,8 +444,9 @@ class ClusterDatabase:
         during the exchange came from the peer. Of the sent or touched
         ``uids``, those the peer does not resolve are kept apart: full-state
         exchange sends them again, so the delta must too. A uid the peer
-        resolves stays resolved for as long as the peer's epoch holds, so a
-        skipped view is always a recognised cluster with nothing new.
+        resolves stays resolved until the peer evicts a tombstone, after
+        which ``_delta_for`` sends the peer full views; so a skipped view is
+        always a recognised cluster with nothing new.
         """
         resolve = peer._resolve_uid
         unresolved = {uid for uid in uids if resolve(uid) is None}
@@ -475,36 +464,33 @@ class ClusterDatabase:
         """
         merged = copied = added_total = 0
         touched = []
-        held = self._keys.__contains__
+        keys = self._keys
         for view in received:
-            members = islice(view.members, view.start, view.n)
+            fresh = [m for m in islice(view.members, view.start, view.n)
+                     if m.key not in keys]
             target = self._resolve_uid(view.uid)
             if target is None:
                 best = self._index.best(view.embedding)
-                if best is not None and best[1] >= theta_merge:
-                    target = best[0]
-                    self._remember_tombstone(view.uid, target)
-                else:
-                    fresh = [m for m in members if not held(m.key)]
-                    if not fresh:
-                        # Every record already lives in some local cluster.
-                        continue
+                if best is None or best[1] < theta_merge:
                     # A verbatim copy keeps the origin's summary, so no
-                    # summarizer runs; re-summing its members in member
-                    # order reproduces the origin's sum bit for bit.
-                    summary = view.summary_text if len(fresh) == view.n else None
-                    self._add_members(self._new_cluster(view.uid), fresh, summary)
-                    copied += 1
-                    added_total += len(fresh)
-                    touched.append(view.uid)
+                    # summarizer runs; re-summing its members in member order
+                    # reproduces the origin's sum bit for bit. With no fresh
+                    # record, every one already lives in some local cluster.
+                    if fresh:
+                        summary = view.summary_text if len(fresh) == view.n else None
+                        self._add_members(self._new_cluster(view.uid), fresh, summary)
+                        copied += 1
+                        added_total += len(fresh)
+                        touched.append(view.uid)
                     continue
+                target = best[0]
+                self._remember_tombstone(view.uid, target)
             merged += 1
-            if all(map(held, map(_record_key, members))):
-                # Recognised and nothing new: the common case on repeat meetings.
-                continue
-            added_total += self._add_members(
-                self.clusters[target], islice(view.members, view.start, view.n))
-            touched.append(target)
+            # No fresh record is the common case on repeat meetings.
+            if fresh:
+                self._add_members(self.clusters[target], fresh)
+                added_total += len(fresh)
+                touched.append(target)
         return merged, copied, added_total, touched
 
     # ---------- serialization ----------
@@ -549,8 +535,6 @@ class ClusterDatabase:
         db = cls(owner=d["owner"], mode=d["mode"],
                  tombstone_cap=d.get("tombstone_cap", DEFAULT_TOMBSTONE_CAP), ops=ops)
         db.uid_counter = d["uid_counter"]
-        for k, v in d.get("tombstones", []):
-            db.tombstones[tuple(k)] = tuple(v)
         records = _loaded_records.get()
         if records is None:
             records = {}
@@ -576,6 +560,13 @@ class ClusterDatabase:
                 raise ContractError(f"snapshot cluster {cluster.uid} lists tracks "
                                     "other than its members'")
             db._refresh(cluster, cd["summary_text"])
+        for k, v in d.get("tombstones", []):
+            k, v = tuple(k), tuple(v)
+            if k in db.clusters or k in db.tombstones or v not in db.clusters:
+                raise ContractError(f"snapshot tombstone {k} -> {v} is not one hop")
+            db.tombstones[k] = v
+        if len(db.tombstones) > db.tombstone_cap:
+            raise ContractError("snapshot has more tombstones than its cap")
         return db
 
     @classmethod
@@ -628,6 +619,10 @@ class ClusterDatabase:
         for uid, c in self.clusters.items():
             assert index._mat[index._rows[uid]].tobytes() == c.embedding.tobytes(), (
                 f"index row of {uid} is not its embedding")
+        assert len(self.tombstones) <= self.tombstone_cap, "tombstones beyond the cap"
+        for absorbed, survivor in self.tombstones.items():
+            assert absorbed not in self.clusters and survivor in self.clusters, (
+                f"tombstone {absorbed} -> {survivor} is not one hop to a live cluster")
         for peer, (_, since, unresolved) in self._known.items():
             assert since <= len(self._keys), f"position for peer {peer} beyond keys"
             assert unresolved <= self.clusters.keys()
@@ -646,12 +641,14 @@ def exchange(a: ClusterDatabase, b: ClusterDatabase,
 
     Each side sends only deltas. Knowledge invariant: while the peer's epoch
     is unchanged, a recorded position in the key index means the peer holds
-    every record held before it, and resolves the uid of every cluster
-    holding one of them except the recorded unresolved ones. A cluster with
-    no record held since and not unresolved is not sent (the full-state
-    exchange would recognise it and find nothing new, so it counts as
-    merged); a grown one is sent from its first record held since, and an
-    unresolved one in full. Results and stats equal the full-state exchange.
+    every record held before it and, until it evicts a tombstone, resolves
+    the uid of every cluster holding one of them except the recorded
+    unresolved ones. A cluster with no record held since and not unresolved
+    is not sent (the full-state exchange would recognise it and find nothing
+    new, so it counts as merged); a grown one is sent from its first record
+    held since, and an unresolved one in full. A peer that evicted stands at
+    its tombstone cap, and one at or near its cap gets the full state.
+    Results and stats equal the full-state exchange.
     """
     if not (0.0 <= theta_merge <= 1.0):
         raise ContractError(f"theta_merge={theta_merge} outside [0, 1]")

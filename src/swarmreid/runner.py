@@ -338,6 +338,9 @@ def sweep(base: SimConfig, axis: str, values: Sequence[object],
     """Run ``axis=value`` for every value and seed; aggregate mean and stddev."""
     from concurrent.futures import ProcessPoolExecutor
 
+    if axis == "seed":
+        raise ConfigError("sweep cannot vary 'seed' as its axis: seeds sets "
+                          "each run's seed")
     cells = [(base, axis, value, seed) for value in values for seed in seeds]
     results: dict[object, list[dict[str, float]]] = {v: [] for v in values}
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1

@@ -182,6 +182,14 @@ class TestSweep:
         assert out.read_text().startswith("axis,value,n_runs,")
         assert "sweep written" in capsys.readouterr().out
 
+    def test_seed_axis_exits_two(self, capsys):
+        rc = main(["sweep", "--axis", "seed", "--values", "0", "1",
+                   "--seeds", "0", "--set", "duration_ticks=150"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seeds" in err
+        assert err.count("\n") == 1
+
 
 class TestEntryPoints:
     def test_console_script_and_module_run(self, tmp_path):

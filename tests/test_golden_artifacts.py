@@ -49,6 +49,12 @@ def artifact_digests(case: str, outdir: Path) -> dict[str, str]:
             for p in sorted(outdir.iterdir())}
 
 
+def test_every_golden_case_runs():
+    """A case dropped from ``CASES`` would otherwise stop being checked
+    while its digests stay in the file."""
+    assert set(CASES) == set(json.loads(DIGESTS.read_text()))
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_artifacts_match_golden_digests(case, tmp_path):
     golden = json.loads(DIGESTS.read_text())

@@ -179,6 +179,39 @@ class TestExchange:
         with pytest.raises(AssertionError, match="key index of"):
             db.check_invariants()
 
+    def test_invariants_check_tombstones(self):
+        db = self._seeded_db(0, [(WOMAN_TEXT, 1), (MAN_TEXT, 2)])
+        db.tombstones[(1, 0)] = (0, 0)
+        db.check_invariants()
+        for absorbed, survivor in (((0, 1), (0, 0)), ((1, 1), (1, 0))):
+            db.tombstones[absorbed] = survivor
+            with pytest.raises(AssertionError, match="not one hop"):
+                db.check_invariants()
+            del db.tombstones[absorbed]
+        db.tombstone_cap = 0
+        with pytest.raises(AssertionError, match="beyond the cap"):
+            db.check_invariants()
+
+    def test_eviction_keeps_epoch_and_sends_full_views(self):
+        """Robot 1 evicts the tombstone of robot 0's cluster. Robot 0 has
+        nothing new for it, but must send that cluster again, as a
+        full-state exchange would: robot 1 no longer resolves its uid."""
+        a, c = (self._seeded_db(owner, [(WOMAN_TEXT, 1)]) for owner in (0, 2))
+        b = ClusterDatabase(owner=1, tombstone_cap=1)
+        b.assign_description(_record(WOMAN_TEXT, robot_id=1, track_id=1), 0.8)
+        exchange(a, b, 0.8)
+        assert list(b.tombstones) == [(0, 0)]
+        epoch = b._epoch
+        exchange(b, c, 0.8)
+        assert list(b.tombstones) == [(2, 0)]
+        assert b._epoch == epoch
+        assert a.views(a._known[1][1]) == []
+        assert a._delta_for(b) == a.views()
+        stats = exchange(a, b, 0.8)
+        assert (stats.merged_into_b, stats.copied_to_b) == (1, 0)
+        assert list(b.tombstones) == [(0, 0)]
+        b.check_invariants()
+
     def test_identical_databases_fixed_point(self):
         a = self._seeded_db(0, [(WOMAN_TEXT, 1), (MAN_TEXT, 2)])
         b = ClusterDatabase.from_json(a.to_json())
@@ -393,6 +426,25 @@ class TestSerialization:
                        [[2, 1], [2, 2], [1, 3]]):
             cluster["track_ids"] = tracks
             with pytest.raises(ContractError, match="lists tracks other than"):
+                ClusterDatabase.from_dict(doc)
+
+    def test_tombstones_one_hop_to_live_clusters_within_cap(self):
+        doc = json.loads(self._db().to_json())
+        doc["tombstones"] = [[[1, 0], [2, 0]], [[1, 1], [2, 1]]]
+        saved = canonical_json(doc)
+        assert ClusterDatabase.from_json(saved).to_json() == saved
+        doc["tombstone_cap"] = 1
+        with pytest.raises(ContractError, match="more tombstones than its cap"):
+            ClusterDatabase.from_dict(doc)
+        doc["tombstone_cap"] = 2
+        for tombstones in (
+                [[[2, 1], [2, 0]]],                    # keyed by a live uid
+                [[[1, 0], [1, 1]], [[1, 1], [2, 0]]],  # two hops
+                [[[1, 1], [2, 0]], [[1, 0], [1, 1]]],  # two hops, listed backwards
+                [[[1, 0], [3, 0]]],                    # no live target
+                [[[1, 0], [2, 0]], [[1, 0], [2, 1]]]):  # one key listed twice
+            doc["tombstones"] = tombstones
+            with pytest.raises(ContractError, match="not one hop"):
                 ClusterDatabase.from_dict(doc)
 
     def test_embeddings_recomputed_not_trusted(self):

@@ -259,6 +259,11 @@ class TestIncrementalState:
     # tombstone while meeting robot 2: robot 0 must send the cluster again.
     @example(steps=[(0, 0, 0), (1, 0, 0), (0, 1), (2, 1, 0), (1, 2), (0, 1)],
              mode="text", theta_local=1.0, theta_merge=0.0, cap=1)
+    # Robots 0 and 2 see the person robot 1 sees. Robot 1, at its cap of
+    # one, evicts the tombstone of (0, 0) for that of (2, 0) without
+    # changing its epoch: robot 0 has nothing new but must send (0, 0) again.
+    @example(steps=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1), (1, 2), (0, 1)],
+             mode="text", theta_local=1.0, theta_merge=0.8, cap=1)
     # With no tombstones, cluster (0, 0) merges into robot 1's twin but its
     # uid does not resolve there; once robot 1's cluster drifts below
     # theta_merge, the view sent again is neither merged nor copied. Robot 0

@@ -238,6 +238,12 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(_small(), "robots.wings", [1], seeds=[0])
 
+    def test_seed_axis_rejected(self):
+        # Each cell's seed comes from ``seeds``, so a seed axis would yield
+        # identical rows.
+        with pytest.raises(ConfigError, match="seeds"):
+            sweep(_small(), "seed", [0, 1, 2], seeds=[0])
+
 
 @pytest.fixture(scope="module")
 def saved_run(tmp_path_factory):
