@@ -98,6 +98,30 @@ _VOTED_SLOTS = ("noun", "upper_color", "upper_type", "lower_color",
 _slot_values = attrgetter(*_VOTED_SLOTS)
 
 
+@lru_cache(maxsize=None)
+def _votes_of(text: str) -> tuple[tuple[tuple[int, str], ...], tuple[str, ...]]:
+    """The (slot index, value) votes and the accessories ``text`` names;
+    cached per text, as ``vocab.parse_description`` is."""
+    parsed = vocab.parse_description(text)
+    votes = tuple((i, value) for i, value in enumerate(_slot_values(parsed))
+                  if value is not None)
+    return votes, parsed.accessories
+
+
+@lru_cache(maxsize=None)
+def _render(noun: str | None, upper_color: str | None, upper_type: str | None,
+            lower_color: str | None, lower_type: str | None,
+            hair_color: str | None, accessories: tuple[str, ...]) -> str:
+    """The description of one slot outcome; cached, as clusters share few."""
+    return vocab.render_description(
+        noun=noun if noun is not None else "person",
+        upper=(upper_color, upper_type) if upper_type is not None else None,
+        lower=(lower_color, lower_type) if lower_type is not None else None,
+        accessories=accessories,
+        hair_color=hair_color,
+    )
+
+
 class SlotTally:
     """Consensus votes of a growing multiset of member texts.
 
@@ -125,13 +149,11 @@ class SlotTally:
 
     def add(self, text: str, k: int = 1) -> None:
         """Count ``k`` more members whose description is ``text``."""
-        parsed = vocab.parse_description(text)
+        keys, named = _votes_of(text)
         self.n += k
         votes, totals, leaders = self.votes, self._totals, self._leaders
-        for i, value in enumerate(_slot_values(parsed)):
-            if value is None:
-                continue
-            key = (i, value)
+        for key in keys:
+            i, value = key
             c = votes[key] = votes.get(key, 0) + k
             totals[i] += k
             lead = leaders[i]
@@ -139,7 +161,7 @@ class SlotTally:
             if lead is None or c > lead[0] or (c == lead[0] and value < lead[1]):
                 leaders[i] = (c, value)
         accessories = self.accessories
-        for a in parsed.accessories:
+        for a in named:
             accessories[a] = accessories.get(a, 0) + k
 
     def render(self) -> str:
@@ -147,17 +169,11 @@ class SlotTally:
         if not self.n:
             raise EmptyClusterError("cannot summarize an empty member list")
         need = -(-self.n // 4)
-        noun, upper_color, upper_type, lower_color, lower_type, hair_color = (
-            lead[1] if total >= need else None
-            for lead, total in zip(self._leaders, self._totals))
-        return vocab.render_description(
-            noun=noun if noun is not None else "person",
-            upper=(upper_color, upper_type) if upper_type is not None else None,
-            lower=(lower_color, lower_type) if lower_type is not None else None,
-            accessories=tuple(a for a in vocab.ACCESSORIES
-                              if self.accessories.get(a, 0) >= need),
-            hair_color=hair_color,
-        )
+        return _render(
+            *(lead[1] if total >= need else None
+              for lead, total in zip(self._leaders, self._totals)),
+            tuple(a for a in vocab.ACCESSORIES
+                  if self.accessories.get(a, 0) >= need))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SlotTally):

@@ -13,13 +13,19 @@ clusters by uid (directly or through the tombstone map of absorbed uids)
 instead of re-running similarity matching. A tombstone names a live cluster,
 so every redirect is one hop; beyond the cap the oldest is evicted.
 
-Exchange is delta-state anti-entropy. Each database indexes every record it
-holds by key, in the order it came to hold them, and remembers per peer one
-position in that order: the peer provably holds every record held before it.
-The delta for a peer is the clusters that grew since, each sent from the
-members the peer holds on, plus the few sent clusters whose uid the peer
-could not resolve, sent in full as a full-state exchange would; a peer at or
-near its tombstone cap gets the full state.
+Exchange is delta-state anti-entropy over per-origin tick watermarks. Owners
+are unique within a swarm, each robot assigns its own records in tick order,
+and exchange leaves both sides with the union of what they held; so the
+records a database holds from one origin robot are a prefix of that origin's
+assignment order, and it holds every record of the origin below the highest
+tick it holds from it. While a database knows this holds, it keeps each
+origin's records sorted by tick, and the delta for a peer reads only those
+at or past the peer's highest tick from the origin, keeps the ones the peer
+lacks, and sends them as views of their own clusters in member order. Each
+cluster whose uid the peer does not resolve goes in full, as a full-state
+exchange would send it; a peer at or near its tombstone cap, or a database
+that cannot trust its watermarks, gets the full state. Nothing is remembered
+per peer.
 
 Exchange passes records by reference, so a run's databases share one record
 object per record; databases loaded inside one ``shared_records`` scope share
@@ -29,14 +35,14 @@ them the same way.
 from __future__ import annotations
 
 import json
-from collections import Counter, OrderedDict
+from bisect import bisect_left, insort
+from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from itertools import chain, count, islice
-from operator import attrgetter
-from typing import (AbstractSet, Callable, Iterable, Iterator, NamedTuple,
-                    Sequence)
+from itertools import islice
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,10 +56,6 @@ ClusterUid = tuple[int, int]
 
 SCHEMA_VERSION = 1
 DEFAULT_TOMBSTONE_CAP = 1024
-
-# Peer epochs: a database draws one when constructed, so a from_dict reload
-# gets a new one, while a deepcopy keeps its original's int.
-_epochs = count()
 
 # Record key -> record loaded in the current shared_records() scope, if any.
 _loaded_records: ContextVar[dict | None] = ContextVar("_loaded_records",
@@ -122,23 +124,22 @@ def _sample_order(record: DescriptionRecord) -> tuple[int, int, int]:
 class ClusterView(NamedTuple):
     """A cluster as it stood when the view was taken, without copying it.
 
-    ``members`` is the cluster's live list; the view covers its first ``n``
-    entries, which never change because members are only ever appended. The
-    receiver already holds the first ``start`` of them. The summary and
-    embedding fields are references to values that updates replace rather
-    than mutate.
+    The cluster then had ``n`` members. ``members`` is either its live list,
+    of which the view covers the first ``n`` entries (they never change, as
+    members are only ever appended), or a list of just the members the
+    receiver lacked, in member order. The summary and embedding fields are
+    references to values that updates replace rather than mutate.
     """
 
     uid: ClusterUid
     members: list[DescriptionRecord]
-    start: int
     n: int
     summary_text: str
     embedding: np.ndarray
 
 
 _record_track = attrgetter("robot_id", "track_id")
-_view_uid = attrgetter("uid")
+_first = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -196,12 +197,15 @@ class _SimilarityIndex:
         if n == 0:
             return None
         sims = self._mat[:n] @ vec
-        top = sims.max()
-        tied = np.flatnonzero(sims == top)
-        uid = min(self._uids[i] for i in tied)
-        if np.array_equal(self._mat[self._rows[uid]], vec):
-            return uid, 1.0
-        return uid, min(1.0, max(-1.0, float(top)))
+        row = int(sims.argmax())
+        top = sims[row]
+        tied = sims == top
+        if np.count_nonzero(tied) > 1:
+            row = self._rows[min(self._uids[i] for i in np.flatnonzero(tied))]
+        # A row bitwise equal to the unit vector ``vec`` scores about 1.
+        if top >= 0.5 and np.array_equal(self._mat[row], vec):
+            return self._uids[row], 1.0
+        return self._uids[row], min(1.0, max(-1.0, float(top)))
 
     def top(self, vec: np.ndarray, k: int) -> list[ClusterUid]:
         """Uids of every row whose product with ``vec`` comes within
@@ -227,7 +231,11 @@ class _SimilarityIndex:
 
 
 class ClusterDatabase:
-    """One robot's evolving clustering of description records."""
+    """One robot's evolving clustering of description records.
+
+    ``owner`` must be unique among the databases that exchange, directly or
+    through others: the delta exchange relies on it (see ``exchange``).
+    """
 
     def __init__(self, owner: int, mode: str = "text",
                  tombstone_cap: int = DEFAULT_TOMBSTONE_CAP,
@@ -243,16 +251,16 @@ class ClusterDatabase:
         self.tombstones: OrderedDict[ClusterUid, ClusterUid] = OrderedDict()
         self.tombstone_cap = tombstone_cap
         self.ops = ops
-        # record key -> cluster uid of every record held, in the order held;
-        # exchange knowledge is a position in this order
+        # record key -> cluster uid, of every record held
         self._keys: dict[tuple[int, int, int], ClusterUid] = {}
         # (robot_id, track_id) -> lowest uid of a cluster holding that track
         self._tracks: dict[tuple[int, int], ClusterUid] = {}
         self._index = _SimilarityIndex()
-        self._epoch = next(_epochs)
-        # peer owner -> (peer epoch when recorded, records held then, uids the
-        # peer did not resolve then); never serialized
-        self._known: dict[int, tuple[int, int, set[ClusterUid]]] = {}
+        # origin robot id -> (tick, index in its cluster's member list,
+        # record) of each record held from it, sorted by tick; None once the
+        # watermark invariant is not known to hold (see exchange), so a
+        # loaded database builds none
+        self._by_origin: dict[int, list[tuple[int, int, DescriptionRecord]]] | None = {}
 
     # ---------- internals ----------
 
@@ -265,15 +273,27 @@ class ClusterDatabase:
         return cluster
 
     def _append(self, cluster: Cluster, record: DescriptionRecord) -> None:
-        """Add a record not held yet to ``cluster``, indexed by key and track."""
+        """Add a record not held yet to ``cluster``, indexed by key, track
+        and, while the watermarks are trusted, origin."""
         uid = cluster.uid
+        members = cluster.members
         self._keys[record.key] = uid
         track = _record_track(record)
         if self._tracks.setdefault(track, uid) > uid:
             self._tracks[track] = uid
         if cluster.embedding_sum is not None:
             cluster.embedding_sum = cluster.embedding_sum + self.ops.embed(record.tokens)
-        cluster.members.append(record)
+        by_origin = self._by_origin
+        if by_origin is not None:
+            entry = (record.tick, len(members), record)
+            held = by_origin.get(record.robot_id)
+            if held is None:
+                by_origin[record.robot_id] = [entry]
+            elif held[-1][0] <= record.tick:
+                held.append(entry)
+            else:
+                insort(held, entry, key=_first)
+        members.append(record)
         samples = cluster.samples
         if not samples or record.tick > samples[0].tick:
             cluster.samples = (record, *samples[:2])
@@ -288,6 +308,11 @@ class ClusterDatabase:
         ``np.stack(vectors).mean(axis=0)`` bit for bit. A mean too short to
         normalise, like text mode, takes the summary's embedding.
         """
+        if (cluster.embedding_sum is None and summary_text
+                and summary_text == cluster.summary_text):
+            # Text mode: the vector is the summary's, and a cluster is
+            # created with an empty summary before its first refresh.
+            return
         cluster.summary_text = summary_text
         vec = self.ops.embed(cached_tokens(summary_text))
         if cluster.embedding_sum is not None:
@@ -353,6 +378,10 @@ class ClusterDatabase:
             raise EmptyDescriptionError("record has no tokens")
         if record.key in self._keys:
             raise ContractError(f"record {record.key} already assigned")
+        if self._by_origin is not None:
+            own = self._by_origin.get(self.owner)
+            if record.robot_id != self.owner or (own and record.tick < own[-1][0]):
+                self._by_origin = None
 
         target = self._tracks.get((record.robot_id, record.track_id))
         if target is None:
@@ -401,73 +430,71 @@ class ClusterDatabase:
     def record_keys(self) -> set[tuple[int, int, int]]:
         return set(self._keys)
 
-    def views(self, since: int = 0,
-              unresolved: AbstractSet[ClusterUid] = frozenset()) -> list[ClusterView]:
-        """Views of the clusters holding a record from position ``since`` on
-        and of the ``unresolved`` ones, as they stand now, ascending uid.
+    def views(self) -> list[ClusterView]:
+        """The full state: a view of every cluster as it stands now,
+        ascending uid."""
+        return [ClusterView(uid, c.members, len(c.members), c.summary_text,
+                            c.embedding)
+                for uid, c in sorted(self.clusters.items())]
 
-        A grown cluster's view starts at the members held before ``since``;
-        an unresolved one starts at 0. The defaults give the full state.
+    def _delta_for(self, peer: "ClusterDatabase") -> list[ClusterView]:
+        """Views to send ``peer``, ascending uid: those a full-state exchange
+        would act on.
+
+        A full-state view of a cluster whose uid the peer resolves only adds
+        the records the peer lacks there; one whose uid it does not resolve
+        runs a similarity match whatever the peer holds. So, when both sides
+        trust their watermarks, a cluster the peer does not resolve is sent
+        in full, and one it resolves with just the records the peer lacks,
+        or not at all. Of each origin, only the records from the peer's
+        highest tick from it on are looked up, as the peer holds every
+        earlier one. Only eviction un-resolves a uid, so a peer whose
+        tombstones could reach its cap while absorbing gets the full state.
         """
-        grown = Counter(islice(self._keys.values(), since, None))
+        by_origin, peer_origins = self._by_origin, peer._by_origin
+        if by_origin is None or peer_origins is None:
+            return self.views()
+        clusters = self.clusters
+        # Tombstones name live clusters, so every tombstoned uid resolves.
+        unresolved = clusters.keys() - peer.clusters.keys() - peer.tombstones.keys()
+        keys, peer_keys = self._keys, peer._keys
+        lacking: dict[ClusterUid, list[tuple[int, DescriptionRecord]]] = {}
+        for origin, held in by_origin.items():
+            peer_held = peer_origins.get(origin)
+            # Inclusive: the peer may hold only some records of that tick.
+            start = bisect_left(held, peer_held[-1][0], key=_first) if peer_held else 0
+            for _, i, record in held[start:]:
+                if record.key not in peer_keys:
+                    uid = keys[record.key]
+                    if uid not in unresolved:
+                        lacking.setdefault(uid, []).append((i, record))
+        if 0 < peer.tombstone_cap <= len(peer.tombstones) + len(lacking) + len(unresolved):
+            return self.views()
         views = []
-        for uid in sorted(grown.keys() | unresolved):
-            c = self.clusters[uid]
-            n = len(c.members)
-            start = 0 if uid in unresolved else n - grown[uid]
-            views.append(ClusterView(uid, c.members, start, n, c.summary_text,
+        for uid in sorted(lacking.keys() | unresolved):
+            c = clusters[uid]
+            if uid in unresolved:
+                members = c.members
+            else:
+                listed = lacking[uid]
+                listed.sort(key=_first)
+                members = [record for _, record in listed]
+            views.append(ClusterView(uid, members, len(c.members), c.summary_text,
                                      c.embedding))
         return views
 
-    def _delta_for(self, peer: "ClusterDatabase") -> list[ClusterView]:
-        """Views to send ``peer``.
-
-        Knowledge recorded under another epoch of the peer is dropped, which
-        leaves the full state. Only eviction removes tombstones, and it leaves
-        the peer at its cap: a peer at its cap may have un-resolved a uid
-        since the last meeting, and one that can reach it while absorbing
-        may un-resolve an unsent view. Either gets every cluster in full.
-        """
-        epoch, since, unresolved = self._known.get(peer.owner, (None, 0, frozenset()))
-        if epoch != peer._epoch:
-            since, unresolved = 0, frozenset()
-        views = self.views(since, unresolved)
-        if since and 0 < peer.tombstone_cap <= len(peer.tombstones) + len(views):
-            views = self.views()
-        return views
-
-    def _learn(self, peer: "ClusterDatabase", uids: Iterable[ClusterUid]) -> None:
-        """Record what ``peer`` holds after both sides absorbed ``uids``.
-
-        Every record held so far is then held by the peer too: each cluster
-        was either sent or already known in full, and whatever was appended
-        during the exchange came from the peer. Of the sent or touched
-        ``uids``, those the peer does not resolve are kept apart: full-state
-        exchange sends them again, so the delta must too. A uid the peer
-        resolves stays resolved until the peer evicts a tombstone, after
-        which ``_delta_for`` sends the peer full views; so a skipped view is
-        always a recognised cluster with nothing new.
-        """
-        resolve = peer._resolve_uid
-        unresolved = {uid for uid in uids if resolve(uid) is None}
-        self._known[peer.owner] = (peer._epoch, len(self._keys), unresolved)
-
     def _absorb(self, received: list[ClusterView], theta_merge: float
-                ) -> tuple[int, int, int, list[ClusterUid]]:
-        """Fold received views in; returns (merged, copied, added, touched).
+                ) -> tuple[int, int, int]:
+        """Fold received views in; returns (merged, copied, added).
 
-        ``touched`` lists the local clusters that gained members or were
-        created. A view's first ``start`` members must already be held here,
-        as the sender held them before its position for this database,
-        and, when ``start`` > 0, its uid must resolve: the skipped prefix is
-        then exactly what full-state absorption would find held.
+        A view that lists only some members must have a uid that resolves
+        here, and the members it leaves out must be held here: they are then
+        exactly what full-state absorption would find held.
         """
         merged = copied = added_total = 0
-        touched = []
         keys = self._keys
         for view in received:
-            fresh = [m for m in islice(view.members, view.start, view.n)
-                     if m.key not in keys]
+            fresh = [m for m in islice(view.members, view.n) if m.key not in keys]
             target = self._resolve_uid(view.uid)
             if target is None:
                 best = self._index.best(view.embedding)
@@ -481,52 +508,60 @@ class ClusterDatabase:
                         self._add_members(self._new_cluster(view.uid), fresh, summary)
                         copied += 1
                         added_total += len(fresh)
-                        touched.append(view.uid)
                     continue
                 target = best[0]
                 self._remember_tombstone(view.uid, target)
             merged += 1
-            # No fresh record is the common case on repeat meetings.
+            # Only a view sent in full can have no fresh record.
             if fresh:
                 self._add_members(self.clusters[target], fresh)
                 added_total += len(fresh)
-                touched.append(target)
-        return merged, copied, added_total, touched
+        return merged, copied, added_total
 
     # ---------- serialization ----------
 
-    def to_dict(self) -> dict:
+    def to_json(self, memo: dict[int, str] | None = None) -> str:
+        """The snapshot as ``canonical_json`` of its document.
+
+        Each member is encoded once per ``memo``, keyed by record identity,
+        so databases saved with one memo, while their records live, encode
+        a shared record once. The document is composed around those
+        fragments: ``"clusters"`` sorts first among the snapshot's keys, and
+        ``"members"`` first among a cluster's.
+        """
+        if memo is None:
+            memo = {}
         clusters = []
         for uid in sorted(self.clusters):
             c = self.clusters[uid]
-            clusters.append({
-                "uid": list(uid),
-                "summary_text": c.summary_text,
-                "track_ids": [list(t) for t in
-                              sorted(set(map(_record_track, c.members)))],
-                "members": [
-                    {
+            members = []
+            for m in c.members:
+                text = memo.get(id(m))
+                if text is None:
+                    text = memo[id(m)] = canonical_json({
                         "text": m.text,
                         "robot_id": m.robot_id,
                         "tick": m.tick,
                         "track_id": m.track_id,
                         "person_id": m.person_id,
-                    }
-                    for m in c.members
-                ],
+                    })
+                members.append(text)
+            rest = canonical_json({
+                "uid": list(uid),
+                "summary_text": c.summary_text,
+                "track_ids": [list(t) for t in
+                              sorted(set(map(_record_track, c.members)))],
             })
-        return {
+            clusters.append('{"members":[' + ",".join(members) + "]," + rest[1:])
+        rest = canonical_json({
             "schema_version": SCHEMA_VERSION,
             "owner": self.owner,
             "mode": self.mode,
             "uid_counter": self.uid_counter,
             "tombstone_cap": self.tombstone_cap,
             "tombstones": [[list(k), list(v)] for k, v in self.tombstones.items()],
-            "clusters": clusters,
-        }
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_dict())
+        })
+        return '{"clusters":[' + ",".join(clusters) + "]," + rest[1:]
 
     @classmethod
     def from_dict(cls, d: dict, ops: LanguageOps = REFERENCE_OPS) -> "ClusterDatabase":
@@ -535,6 +570,9 @@ class ClusterDatabase:
         db = cls(owner=d["owner"], mode=d["mode"],
                  tombstone_cap=d.get("tombstone_cap", DEFAULT_TOMBSTONE_CAP), ops=ops)
         db.uid_counter = d["uid_counter"]
+        # A snapshot may not be a prefix of every origin's records, say an
+        # earlier one of a database that has gone on.
+        db._by_origin = None
         records = _loaded_records.get()
         if records is None:
             records = {}
@@ -577,17 +615,15 @@ class ClusterDatabase:
 
     def check_invariants(self) -> None:
         """Raise AssertionError if any structural invariant is violated."""
-        held: dict = {}
-        for key, uid in self._keys.items():
-            held.setdefault(uid, []).append(key)
+        keys = self._keys
+        held = 0
         tracks: dict = {}
         for uid, c in self.clusters.items():
             assert c.uid == uid
             assert c.members, f"cluster {uid} has no members"
-            # views counts a cluster's records from a position in the key
-            # index, so they must stand there in member order.
-            assert held.pop(uid, None) == [m.key for m in c.members], (
-                f"key index of {uid} differs from its members in order")
+            for m in c.members:
+                assert keys.get(m.key) == uid, f"key index puts {m.key} outside {uid}"
+            held += len(c.members)
             expected = self.ops.summarize(c.members)
             assert c.summary_text == expected, (
                 f"stale summary in {uid}: {c.summary_text!r} != {expected!r}"
@@ -610,7 +646,23 @@ class ClusterDatabase:
                 tracks[track] = min(tracks.get(track, uid), uid)
             if uid[0] == self.owner:
                 assert uid[1] < self.uid_counter, f"uid {uid} beyond counter"
-        assert not held, f"key index lists records of no cluster: {sorted(held)}"
+        assert len(keys) == held, "key index lists records of no cluster"
+        if self._by_origin is not None:
+            # Each origin's list holds exactly the held records of that
+            # origin, by identity and once each, sorted by tick.
+            listed = 0
+            for origin, entries in self._by_origin.items():
+                ticks = [tick for tick, _, _ in entries]
+                assert ticks == sorted(ticks), f"records of origin {origin} not tick-sorted"
+                for tick, i, m in entries:
+                    c = self.clusters.get(keys.get(m.key))
+                    assert (c is not None and m.robot_id == origin and m.tick == tick
+                            and i < len(c.members) and c.members[i] is m), (
+                        f"origin entry of {m.key} is not member {i} of its cluster")
+                assert len({m.key for _, _, m in entries}) == len(entries), (
+                    f"origin list of {origin} repeats a record")
+                listed += len(entries)
+            assert listed == held, "origin lists miss held records"
         assert tracks == self._tracks
         index = self._index
         assert index._rows == {uid: i for i, uid in enumerate(index._uids)}
@@ -623,9 +675,6 @@ class ClusterDatabase:
         for absorbed, survivor in self.tombstones.items():
             assert absorbed not in self.clusters and survivor in self.clusters, (
                 f"tombstone {absorbed} -> {survivor} is not one hop to a live cluster")
-        for peer, (_, since, unresolved) in self._known.items():
-            assert since <= len(self._keys), f"position for peer {peer} beyond keys"
-            assert unresolved <= self.clusters.keys()
 
 
 def exchange(a: ClusterDatabase, b: ClusterDatabase,
@@ -639,16 +688,22 @@ def exchange(a: ClusterDatabase, b: ClusterDatabase,
     it is copied in under its original uid. Member union deduplicates on
     (robot_id, track_id, tick) across the whole database.
 
-    Each side sends only deltas. Knowledge invariant: while the peer's epoch
-    is unchanged, a recorded position in the key index means the peer holds
-    every record held before it and, until it evicts a tombstone, resolves
-    the uid of every cluster holding one of them except the recorded
-    unresolved ones. A cluster with no record held since and not unresolved
-    is not sent (the full-state exchange would recognise it and find nothing
-    new, so it counts as merged); a grown one is sent from its first record
-    held since, and an unresolved one in full. A peer that evicted stands at
-    its tombstone cap, and one at or near its cap gets the full state.
-    Results and stats equal the full-state exchange.
+    Each side sends only a delta, read from the peer's own holdings.
+    Watermark invariant: a database holds, from each origin robot, a prefix
+    of that origin's assignment order, which never goes back in tick; so it
+    holds every record of the origin below the highest tick it holds from
+    it. A database built by the constructor trusts the invariant until it
+    assigns a record of another robot or of a tick below its own latest. One
+    loaded by ``from_dict`` never trusts it, and an exchange in which either
+    side does not trust it leaves neither trusting. Owners must be unique
+    among the databases that exchange, directly or through others, as they
+    are in a run. Between trusting sides, a cluster the peer resolves by uid
+    and holds every record of is not sent (the full-state exchange would
+    recognise it and find nothing new, so it counts as merged); one it
+    resolves but lacks records of is sent with just those records, and one
+    it does not resolve is sent in full. Otherwise, and for a peer at or
+    near its tombstone cap, the full state is sent. Results and stats equal
+    the full-state exchange.
     """
     if not (0.0 <= theta_merge <= 1.0):
         raise ContractError(f"theta_merge={theta_merge} outside [0, 1]")
@@ -658,6 +713,8 @@ def exchange(a: ClusterDatabase, b: ClusterDatabase,
         # Views carry the sender's embeddings, which only match in one mode.
         raise ContractError(f"exchange requires one matching mode, got "
                             f"{a.mode!r} and {b.mode!r}")
+    if a._by_origin is None or b._by_origin is None:
+        a._by_origin = b._by_origin = None
     # Views instead of copies: while a absorbs, a's clusters can only gain
     # records from b by appending, past the members a's views cover, and
     # their summaries and embeddings are rebound, never mutated.
@@ -665,10 +722,8 @@ def exchange(a: ClusterDatabase, b: ClusterDatabase,
     views_b = b._delta_for(a)
     unsent_a = len(a.clusters) - len(views_a)
     unsent_b = len(b.clusters) - len(views_b)
-    merged_a, copied_a, added_a, touched_a = a._absorb(views_b, theta_merge)
-    merged_b, copied_b, added_b, touched_b = b._absorb(views_a, theta_merge)
-    a._learn(b, chain(map(_view_uid, views_a), touched_a))
-    b._learn(a, chain(map(_view_uid, views_b), touched_b))
+    merged_a, copied_a, added_a = a._absorb(views_b, theta_merge)
+    merged_b, copied_b, added_b = b._absorb(views_a, theta_merge)
     return ExchangeStats(
         merged_into_a=merged_a + unsent_b, copied_to_a=copied_a,
         records_added_to_a=added_a,

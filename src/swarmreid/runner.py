@@ -139,8 +139,10 @@ class RunArtifact:
             {"person_id": pid, "attributes": attrs.to_dict()}
             for pid, attrs in self.people
         ]) + "\n")
+        # A run's databases share record objects; each is encoded once.
+        memo: dict[int, str] = {}
         for db in self.databases:
-            (out / f"db_robot_{db.owner}.json").write_text(db.to_json() + "\n")
+            (out / f"db_robot_{db.owner}.json").write_text(db.to_json(memo) + "\n")
         with (out / "events.ndjson").open("w") as fh:
             for event in self.events:
                 fh.write(canonical_json(event) + "\n")
@@ -341,6 +343,11 @@ def sweep(base: SimConfig, axis: str, values: Sequence[object],
     if axis == "seed":
         raise ConfigError("sweep cannot vary 'seed' as its axis: seeds sets "
                           "each run's seed")
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        # Results are grouped by value, so a repeat would merge two cells.
+        raise ConfigError(f"values: {repeated[0]!r} is given more than once; "
+                          "sweep values must be distinct")
     cells = [(base, axis, value, seed) for value in values for seed in seeds]
     results: dict[object, list[dict[str, float]]] = {v: [] for v in values}
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1

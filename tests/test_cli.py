@@ -190,6 +190,14 @@ class TestSweep:
         assert err.startswith("error: ") and "seeds" in err
         assert err.count("\n") == 1
 
+    def test_repeated_value_exits_two(self, capsys):
+        rc = main(["sweep", "--axis", "people.count", "--values", "3", "3",
+                   "--seeds", "0", "--set", "duration_ticks=150"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "values" in err
+        assert err.count("\n") == 1
+
 
 class TestEntryPoints:
     def test_console_script_and_module_run(self, tmp_path):

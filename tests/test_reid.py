@@ -167,16 +167,37 @@ class TestExchange:
         assert stats.merged_into_b == 0 and stats.copied_to_b == 0
         a.check_invariants()
 
-    def test_invariants_check_key_index_order(self):
-        # Records of different clusters interleave in the key index, but
-        # views counts from a position in it, so each cluster's records must
-        # stand there in member order.
+    def test_invariants_check_watermark_index(self):
+        # The delta reads each origin's tick-sorted records and orders a
+        # cluster's records by their member index, so both must be exact.
         db = self._seeded_db(0, [(WOMAN_TEXT, 1), (MAN_TEXT, 2)] * 2)
         db.check_invariants()
-        items = list(db._keys.items())
-        items[0], items[2] = items[2], items[0]
-        db._keys = dict(items)
-        with pytest.raises(AssertionError, match="key index of"):
+        first = db._by_origin[0].pop(0)
+        with pytest.raises(AssertionError, match="origin lists miss"):
+            db.check_invariants()
+        db._by_origin[0].insert(1, first)
+        with pytest.raises(AssertionError, match="not tick-sorted"):
+            db.check_invariants()
+        db._by_origin[0].sort(key=lambda entry: entry[0])
+        db.check_invariants()
+        tick, i, record = db._by_origin[0][0]
+        db._by_origin[0][0] = (tick, i + 1, record)
+        with pytest.raises(AssertionError, match="is not member"):
+            db.check_invariants()
+
+    def test_foreign_or_earlier_record_stops_trusting_watermarks(self):
+        own = self._seeded_db(0, [(WOMAN_TEXT, 1)] * 2)
+        own.assign_description(_record(MAN_TEXT, robot_id=0, tick=1, track_id=2), 0.8)
+        assert own._by_origin is not None
+        own.assign_description(_record(MAN_TEXT, robot_id=0, tick=0, track_id=3), 0.8)
+        assert own._by_origin is None
+        foreign = self._seeded_db(1, [(WOMAN_TEXT, 1)])
+        foreign.assign_description(_record(MAN_TEXT, robot_id=0, tick=5), 0.8)
+        assert foreign._by_origin is None
+        peer = self._seeded_db(2, [(GREEN_TEXT, 1)])
+        exchange(peer, foreign, 0.8)
+        assert peer._by_origin is None
+        for db in (own, foreign, peer):
             db.check_invariants()
 
     def test_invariants_check_tombstones(self):
@@ -192,7 +213,7 @@ class TestExchange:
         with pytest.raises(AssertionError, match="beyond the cap"):
             db.check_invariants()
 
-    def test_eviction_keeps_epoch_and_sends_full_views(self):
+    def test_eviction_sends_full_views(self):
         """Robot 1 evicts the tombstone of robot 0's cluster. Robot 0 has
         nothing new for it, but must send that cluster again, as a
         full-state exchange would: robot 1 no longer resolves its uid."""
@@ -201,11 +222,9 @@ class TestExchange:
         b.assign_description(_record(WOMAN_TEXT, robot_id=1, track_id=1), 0.8)
         exchange(a, b, 0.8)
         assert list(b.tombstones) == [(0, 0)]
-        epoch = b._epoch
         exchange(b, c, 0.8)
         assert list(b.tombstones) == [(2, 0)]
-        assert b._epoch == epoch
-        assert a.views(a._known[1][1]) == []
+        assert b.record_keys() >= a.record_keys()
         assert a._delta_for(b) == a.views()
         stats = exchange(a, b, 0.8)
         assert (stats.merged_into_b, stats.copied_to_b) == (1, 0)

@@ -1,7 +1,7 @@
 """Randomized invariant checks for the cluster database and exchange."""
 
 import copy
-from collections import Counter
+import json
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -11,7 +11,15 @@ from swarmreid.perception import (DescriptionNoise, DescriptionRecord,
                                   canonical_description, describe,
                                   sample_attributes)
 from swarmreid.reid import (DEFAULT_TOMBSTONE_CAP, ClusterDatabase,
-                            ExchangeStats, exchange)
+                            ExchangeStats, canonical_json, exchange)
+
+
+def _examples(n):
+    """Settings for ``n`` examples without a deadline; under the ``deep``
+    profile (tests/conftest.py) every test runs that profile's count."""
+    deep = settings.get_profile("deep")
+    return settings(max_examples=deep.max_examples if settings.default is deep else n,
+                    deadline=None)
 
 _PEOPLE = sample_attributes(6, np.random.default_rng(7), distinct=True)
 _TEXTS = tuple(canonical_description(p) for p in _PEOPLE)
@@ -43,7 +51,7 @@ def _build(script, theta_local, owners=(0, 1), mode="text"):
 class TestExchangeProperties:
     @given(script=_sightings, mode=_mode, theta_local=_theta,
            theta_merge=_theta)
-    @settings(max_examples=80, deadline=None)
+    @settings(_examples(80))
     def test_records_conserved_both_sides(self, script, mode, theta_local,
                                           theta_merge):
         dbs = _build(script, theta_local, mode=mode)
@@ -55,7 +63,7 @@ class TestExchangeProperties:
             db.check_invariants()
 
     @given(script=_sightings, theta_local=_theta, theta_merge=_theta)
-    @settings(max_examples=80, deadline=None)
+    @settings(_examples(80))
     def test_second_exchange_is_identity(self, script, theta_local, theta_merge):
         dbs = _build(script, theta_local)
         exchange(dbs[0], dbs[1], theta_merge)
@@ -71,7 +79,7 @@ class TestExchangeProperties:
            meetings=st.lists(st.sampled_from([(0, 1), (0, 2), (1, 2)]),
                              min_size=1, max_size=8),
            mode=_mode, theta_local=_theta, theta_merge=_theta)
-    @settings(max_examples=60, deadline=None)
+    @settings(_examples(60))
     def test_gossip_never_loses_records(self, script, meetings, mode,
                                         theta_local, theta_merge):
         dbs = _build(script, theta_local, owners=(0, 1, 2), mode=mode)
@@ -89,7 +97,7 @@ class TestExchangeProperties:
 
     @given(script=_sightings, theta_local=_theta,
            cap=st.integers(0, 3), theta_merge=_theta)
-    @settings(max_examples=40, deadline=None)
+    @settings(_examples(40))
     def test_tombstone_cap_is_respected(self, script, theta_local, cap,
                                         theta_merge):
         dbs = {r: ClusterDatabase(owner=r, tombstone_cap=cap) for r in (0, 1)}
@@ -106,7 +114,7 @@ class TestExchangeProperties:
 
 class TestAssignProperties:
     @given(script=_sightings, mode=_mode, theta_local=_theta)
-    @settings(max_examples=80, deadline=None)
+    @settings(_examples(80))
     def test_cluster_count_bounded_by_tracks(self, script, mode, theta_local):
         dbs = _build(script, theta_local, mode=mode)
         for robot, db in dbs.items():
@@ -118,7 +126,7 @@ class TestAssignProperties:
            theta=st.floats(min_value=float(_MAX_CROSS) + 1e-6, max_value=1.0))
     @example(script=[(0, 0, 0), (1, 0, 0)], theta=1.0)
     @example(script=[(0, 1, 0), (1, 1, 0)], theta=1.0)
-    @settings(max_examples=80, deadline=None)
+    @settings(_examples(80))
     def test_noise_free_separation(self, script, theta):
         """Distinct outfits plus thresholds above the brute-force cross-outfit
         similarity put every person in exactly one pure cluster per database.
@@ -136,7 +144,7 @@ class TestAssignProperties:
             db.check_invariants()
 
     @given(script=_sightings, theta_local=_theta)
-    @settings(max_examples=40, deadline=None)
+    @settings(_examples(40))
     def test_uids_strictly_increase(self, script, theta_local):
         db = ClusterDatabase(owner=0)
         created_order = []
@@ -154,7 +162,7 @@ class TestAssignProperties:
 class TestSerializationProperties:
     @given(script=_sightings, mode=_mode, theta_local=_theta,
            theta_merge=_theta)
-    @settings(max_examples=60, deadline=None)
+    @settings(_examples(60))
     def test_round_trip_after_exchange(self, script, mode, theta_local,
                                        theta_merge):
         dbs = _build(script, theta_local, mode=mode)
@@ -186,15 +194,21 @@ _cap = st.sampled_from([0, 1, 2, DEFAULT_TOMBSTONE_CAP])
 
 
 def _play(steps, mode, theta_local, theta_merge, check=None,
-          cap=DEFAULT_TOMBSTONE_CAP):
+          cap=DEFAULT_TOMBSTONE_CAP, same_tick=False):
+    """Play ``steps`` on three fresh databases. Step ``i`` happens at tick
+    ``i``, or at tick 0 with track id ``i`` when ``same_tick``. A fourth
+    entry in a description step stamps the record with that robot id."""
     dbs = [ClusterDatabase(owner=r, mode=mode, tombstone_cap=cap)
            for r in range(3)]
-    for tick, step in enumerate(steps):
-        if len(step) == 3:
-            robot, person, rendering = step
+    for i, step in enumerate(steps):
+        if len(step) >= 3:
+            robot, person, rendering, *stamp = step
             dbs[robot].assign_description(DescriptionRecord.create(
-                text=_RENDERINGS[person][rendering], robot_id=robot, tick=tick,
-                track_id=person + 6 * rendering, person_id=person), theta_local)
+                text=_RENDERINGS[person][rendering],
+                robot_id=stamp[0] if stamp else robot,
+                tick=0 if same_tick else i,
+                track_id=i if same_tick else person + 6 * rendering,
+                person_id=person), theta_local)
         elif step[0] != step[1]:
             if check is not None:
                 check(dbs[step[0]], dbs[step[1]], theta_merge)
@@ -208,38 +222,21 @@ def _one_sided(receiver, sender, theta_merge):
     Returns the receiver's snapshot and its (merged, copied, added) counts.
     """
     receiver, sender = copy.deepcopy(receiver), copy.deepcopy(sender)
-    merged, copied, added, _ = receiver._absorb(sender.views(), theta_merge)
-    return receiver.to_json(), (merged, copied, added)
-
-
-def _cuts(views):
-    return [(v.uid, v.start, v.n) for v in views]
-
-
-def _scanned_cuts(db, since, unresolved):
-    """Every cluster cut at its records held before position ``since`` of the
-    key index (unresolved ones at 0), leaving out those with nothing past the
-    cut."""
-    held = Counter(list(db._keys.values())[:since])
-    cuts = []
-    for uid in sorted(db.clusters):
-        n = len(db.clusters[uid].members)
-        start = 0 if uid in unresolved else held[uid]
-        if start != n:
-            cuts.append((uid, start, n))
-    return cuts
+    counts = receiver._absorb(sender.views(), theta_merge)
+    return receiver.to_json(), counts
 
 
 def _assert_full_state(a, b, theta_merge):
     """``exchange`` on copies of ``a`` and ``b`` equals full-state absorption
-    in both directions, snapshots and stats alike; and wherever a side still
-    holds knowledge of the other, the key index suffix and unresolved uids
-    yield the views a scan of every cluster does."""
-    for side, peer in ((a, b), (b, a)):
-        epoch, since, unresolved = side._known.get(peer.owner, (None, 0, set()))
-        if epoch == peer._epoch:
-            assert (_cuts(side.views(since, unresolved))
-                    == _scanned_cuts(side, since, unresolved))
+    in both directions, snapshots and stats alike; and between sides that
+    trust their watermarks, every record a view lists without its whole
+    cluster is one the peer lacks."""
+    if a._by_origin is not None and b._by_origin is not None:
+        for side, peer in ((a, b), (b, a)):
+            for view in side._delta_for(peer):
+                if view.members is not side.clusters[view.uid].members:
+                    assert view.members
+                    assert not any(m.key in peer._keys for m in view.members)
     json_a, counts_a = _one_sided(a, b, theta_merge)
     json_b, counts_b = _one_sided(b, a, theta_merge)
     a_copy, b_copy = copy.deepcopy(a), copy.deepcopy(b)
@@ -250,38 +247,53 @@ def _assert_full_state(a, b, theta_merge):
 
 class TestIncrementalState:
     @given(steps=_steps, mode=_mode, theta_local=_theta, theta_merge=_theta,
-           cap=_cap)
+           cap=_cap, same_tick=st.booleans())
     # Robot 0's three clusters all fold into one at robot 1 under a cap of
     # one tombstone, so later meetings need the full-view fallback.
     @example(steps=[(0, 0, 0), (0, 1, 0), (0, 2, 0), (0, 1), (0, 1), (0, 1)],
-             mode="text", theta_local=1.0, theta_merge=0.0, cap=1)
+             mode="text", theta_local=1.0, theta_merge=0.0, cap=1, same_tick=False)
     # Robot 1 learns robot 0's cluster through a tombstone, then evicts that
     # tombstone while meeting robot 2: robot 0 must send the cluster again.
     @example(steps=[(0, 0, 0), (1, 0, 0), (0, 1), (2, 1, 0), (1, 2), (0, 1)],
-             mode="text", theta_local=1.0, theta_merge=0.0, cap=1)
+             mode="text", theta_local=1.0, theta_merge=0.0, cap=1, same_tick=False)
     # Robots 0 and 2 see the person robot 1 sees. Robot 1, at its cap of
     # one, evicts the tombstone of (0, 0) for that of (2, 0) without
     # changing its epoch: robot 0 has nothing new but must send (0, 0) again.
     @example(steps=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1), (1, 2), (0, 1)],
-             mode="text", theta_local=1.0, theta_merge=0.8, cap=1)
+             mode="text", theta_local=1.0, theta_merge=0.8, cap=1, same_tick=False)
     # With no tombstones, cluster (0, 0) merges into robot 1's twin but its
     # uid does not resolve there; once robot 1's cluster drifts below
     # theta_merge, the view sent again is neither merged nor copied. Robot 0
     # must keep (0, 0) unresolved, or it skips the view and counts it as
     # merged.
     @example(steps=[(0, 0, 0), (1, 0, 0), (0, 1), (1, 1, 0), (0, 1)],
-             mode="text", theta_local=0.0, theta_merge=0.99, cap=0)
-    @settings(max_examples=60, deadline=None)
+             mode="text", theta_local=0.0, theta_merge=0.99, cap=0, same_tick=False)
+    # Robot 0 meets robot 1 between two of its assignments of one tick, so
+    # robot 1's watermark for robot 0 is a tick it holds only part of.
+    @example(steps=[(0, 0, 0), (1, 2, 0), (0, 1), (0, 0, 0), (0, 1)],
+             mode="text", theta_local=1.0, theta_merge=0.8,
+             cap=DEFAULT_TOMBSTONE_CAP, same_tick=True)
+    # Robot 2 assigns a record of robot 0 at tick 3 and passes it to robot 1,
+    # which then lacks robot 0's record of tick 2 in cluster (0, 0). The
+    # exchange of robots 1 and 2 must leave neither trusting its watermarks,
+    # or robot 0 skips that record when it meets robot 1 again.
+    @example(steps=[(0, 0, 0), (0, 1), (0, 0, 0), (2, 3, 0, 0), (1, 2), (0, 1)],
+             mode="text", theta_local=0.5, theta_merge=0.99,
+             cap=DEFAULT_TOMBSTONE_CAP, same_tick=False)
+    @settings(_examples(60))
     def test_exchange_equals_both_directions_from_copies(
-            self, steps, mode, theta_local, theta_merge, cap):
-        _play(steps, mode, theta_local, theta_merge, _assert_full_state, cap)
+            self, steps, mode, theta_local, theta_merge, cap, same_tick):
+        dbs = _play(steps, mode, theta_local, theta_merge, _assert_full_state,
+                    cap, same_tick)
+        for db in dbs:
+            db.check_invariants()
 
     @given(script=_sightings, theta_local=_theta, theta_merge=_theta)
-    @settings(max_examples=40, deadline=None)
+    @settings(_examples(40))
     def test_knowledge_does_not_cross_incarnations(
             self, script, theta_local, theta_merge):
         """A reload of an earlier snapshot of the peer holds less than the
-        peer did, so what ``a`` learned about the peer must not apply."""
+        peer did, so ``a`` must not take its watermarks on trust."""
         dbs = _build(script, theta_local)
         earlier = dbs[1].to_json()
         exchange(dbs[0], dbs[1], theta_merge)
@@ -305,7 +317,7 @@ class TestIncrementalState:
     @example(steps=[(2, 2, 2), (2, 4, 2), (2, 2, 0), (1, 0, 0), (2, 1), (1, 0, 0),
                     (0, 2), (0, 0, 1), (1, 0)],
              mode="text", theta_local=0.56, theta_merge=0.2)
-    @settings(max_examples=60, deadline=None)
+    @settings(_examples(60))
     def test_maintained_state_equals_recomputation(
             self, steps, mode, theta_local, theta_merge):
         for db in _play(steps, mode, theta_local, theta_merge):
@@ -343,7 +355,7 @@ _QUERIES = tuple(text for renderings in _RENDERINGS for text in renderings) + (
 class TestQueryProperties:
     @given(steps=_steps, mode=_mode, theta_local=_theta, theta_merge=_theta,
            text=st.sampled_from(_QUERIES))
-    @settings(max_examples=60, deadline=None)
+    @settings(_examples(60))
     def test_query_equals_brute_force_ranking(self, steps, mode, theta_local,
                                               theta_merge, text):
         for db in _play(steps, mode, theta_local, theta_merge):
@@ -353,3 +365,16 @@ class TestQueryProperties:
                 for queried in (db, reloaded):
                     assert [(h.uid, h.score, h.summary_text, h.samples)
                             for h in queried.query(text, k)] == expected
+
+
+class TestSnapshotText:
+    @given(steps=_steps, mode=_mode, theta_local=_theta, theta_merge=_theta)
+    @settings(_examples(60))
+    def test_composed_snapshot_is_canonical_json(self, steps, mode, theta_local,
+                                                 theta_merge):
+        """``to_json`` composes its text around per-record fragments shared
+        through one memo; it must still be canonical JSON of its document."""
+        memo = {}
+        for db in _play(steps, mode, theta_local, theta_merge):
+            text = db.to_json(memo)
+            assert text == db.to_json() == canonical_json(json.loads(text))

@@ -244,6 +244,12 @@ class TestSweep:
         with pytest.raises(ConfigError, match="seeds"):
             sweep(_small(), "seed", [0, 1, 2], seeds=[0])
 
+    def test_repeated_value_rejected(self):
+        # Rows are grouped by value, so a repeat would merge two cells into
+        # two identical rows of twice the runs.
+        with pytest.raises(ConfigError, match="values"):
+            sweep(_small(), "people.count", [3, 3], seeds=[0])
+
 
 @pytest.fixture(scope="module")
 def saved_run(tmp_path_factory):
