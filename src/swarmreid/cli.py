@@ -29,8 +29,12 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     configuration = _load(args)
+    out = Path(args.out)
+    # Checked before the run, which saving would otherwise fail after.
+    if any(path.is_file() for path in (out, *out.parents)):
+        raise ConfigError(f"--out {args.out} is a file or lies under one")
     artifact = run_experiment(configuration)
-    out = artifact.save(args.out)
+    artifact.save(out)
     m = artifact.metrics
     print(f"run complete: seed={configuration.seed} fingerprint={artifact.fingerprint[:12]}")
     print(f"  detected identities: {m.detected_identity_count}/{configuration.people.count}")
@@ -46,8 +50,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     base = _load(args)
-    values = [yaml.safe_load(v) for v in args.values]
-    seeds = [int(s) for s in args.seeds]
+    values = []
+    for v in args.values:
+        try:
+            values.append(yaml.safe_load(v))
+        except yaml.YAMLError:
+            raise ConfigError(f"--values: {v!r} is not YAML") from None
+    try:
+        seeds = [int(s) for s in args.seeds]
+    except ValueError as exc:
+        raise ConfigError(f"--seeds: {exc}") from None
     rows = sweep(base, args.axis, values, seeds, workers=args.workers,
                  progress=lambda msg: print(f"  {msg}", file=sys.stderr))
     text = sweep_csv(rows)

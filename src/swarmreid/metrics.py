@@ -56,20 +56,35 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
 
-def majority_person(cluster: Cluster) -> int:
-    """Most frequent sealed person id among members; ties to the lower id."""
+class _Labeled(NamedTuple):
+    """A pooled cluster with what evaluation reads of its sealed ids."""
+
+    owner: int
+    cluster: Cluster
+    # Most frequent sealed person id among members; ties to the lower id.
+    person_id: int
+    # Share of members carrying ``person_id``.
+    purity: float
+    # Every sealed person id among members.
+    person_ids: Iterable[int]
+
+
+def _label(cluster: Cluster) -> tuple[int, float, Iterable[int]]:
+    """The ``_Labeled`` fields of a cluster, in the one pass over its
+    members that evaluation makes."""
     counts = Counter(m.person_id for m in cluster.members)
     top = max(counts.values())
-    return min(pid for pid, c in counts.items() if c == top)
+    return (min(pid for pid, c in counts.items() if c == top),
+            top / len(cluster.members), counts.keys())
 
 
-def _purity_value(cluster: Cluster) -> float:
-    counts = Counter(m.person_id for m in cluster.members)
-    return max(counts.values()) / len(cluster.members)
+def _labeled(dbs: Sequence[ClusterDatabase]) -> list[_Labeled]:
+    return [_Labeled(db.owner, c, *_label(c)) for db in dbs for c in db.clusters.values()]
 
 
-def _pooled(dbs: Sequence[ClusterDatabase]) -> list[tuple[int, Cluster]]:
-    return [(db.owner, c) for db in dbs for c in db.clusters.values()]
+def majority_person(cluster: Cluster) -> int:
+    """Most frequent sealed person id among members; ties to the lower id."""
+    return _label(cluster)[0]
 
 
 def cluster_purity(dbs: Sequence[ClusterDatabase],
@@ -80,12 +95,14 @@ def cluster_purity(dbs: Sequence[ClusterDatabase],
     (ties: more recent last member tick, then lower uid) and score its
     purity; ids with no majority cluster anywhere score 0.
     """
-    gt = sorted(set(ground_truth_ids))
-    if not gt:
-        raise ContractError("ground_truth_ids must be non-empty")
-    by_id: dict[int, list[tuple[int, Cluster]]] = {}
-    for owner, c in _pooled(dbs):
-        by_id.setdefault(majority_person(c), []).append((owner, c))
+    return _largest_purity(_labeled(dbs), ground_truth_ids)
+
+
+def _largest_purity(labeled: Sequence[_Labeled], ground_truth_ids: Iterable[int]) -> float:
+    gt = _ground_truth(ground_truth_ids)
+    by_id: dict[int, list[_Labeled]] = {}
+    for item in labeled:
+        by_id.setdefault(item.person_id, []).append(item)
     total = 0.0
     for pid in gt:
         candidates = by_id.get(pid)
@@ -93,28 +110,38 @@ def cluster_purity(dbs: Sequence[ClusterDatabase],
             continue
         retained = min(
             candidates,
-            key=lambda oc: (-len(oc[1].members), -oc[1].last_member_tick(),
-                            oc[1].uid, oc[0]),
+            key=lambda item: (-len(item.cluster.members),
+                              -item.cluster.last_member_tick(),
+                              item.cluster.uid, item.owner),
         )
-        total += _purity_value(retained[1])
+        total += retained.purity
     return total / len(gt)
 
 
 def normalized_purity(dbs: Sequence[ClusterDatabase],
                       ground_truth_ids: Iterable[int]) -> float:
     """Mean over ids of the mean purity of all their majority clusters."""
-    gt = sorted(set(ground_truth_ids))
-    if not gt:
-        raise ContractError("ground_truth_ids must be non-empty")
+    return _mean_purity(_labeled(dbs), ground_truth_ids)
+
+
+def _mean_purity(labeled: Sequence[_Labeled], ground_truth_ids: Iterable[int]) -> float:
+    gt = _ground_truth(ground_truth_ids)
     by_id: dict[int, list[float]] = {}
-    for _owner, c in _pooled(dbs):
-        by_id.setdefault(majority_person(c), []).append(_purity_value(c))
+    for item in labeled:
+        by_id.setdefault(item.person_id, []).append(item.purity)
     total = 0.0
     for pid in gt:
         values = by_id.get(pid)
         if values:
             total += sum(values) / len(values)
     return total / len(gt)
+
+
+def _ground_truth(ground_truth_ids: Iterable[int]) -> list[int]:
+    gt = sorted(set(ground_truth_ids))
+    if not gt:
+        raise ContractError("ground_truth_ids must be non-empty")
+    return gt
 
 
 def build_probe_gallery(
@@ -128,10 +155,14 @@ def build_probe_gallery(
     its canonical noise-free description; the gallery holds every cluster
     from every database.
     """
+    return _probe_gallery(_labeled(dbs), people, ops)
+
+
+def _probe_gallery(labeled: Sequence[_Labeled],
+                   people: Sequence[tuple[int, PersonAttributes]],
+                   ops: LanguageOps) -> tuple[list[Probe], list[GalleryItem]]:
     attrs = dict(people)
-    detected = sorted({
-        m.person_id for db in dbs for c in db.clusters.values() for m in c.members
-    })
+    detected = sorted({pid for item in labeled for pid in item.person_ids})
     missing = [pid for pid in detected if pid not in attrs]
     if missing:
         raise ContractError(f"no attributes supplied for detected ids {missing}")
@@ -139,10 +170,8 @@ def build_probe_gallery(
         Probe(pid, ops.embed(language.tokenize(canonical_description(attrs[pid]))))
         for pid in detected
     ]
-    gallery = [
-        GalleryItem(c.uid, db.owner, majority_person(c), c.embedding)
-        for db in dbs for c in db.clusters.values()
-    ]
+    gallery = [GalleryItem(item.cluster.uid, item.owner, item.person_id,
+                           item.cluster.embedding) for item in labeled]
     gallery.sort(key=lambda g: (g.uid, g.owner))
     return probes, gallery
 
@@ -221,7 +250,8 @@ def compute_report(
     With an empty gallery (nothing ever detected) the CMC curve is empty and
     mAP is 0 rather than an error, so zero-length runs still report cleanly.
     """
-    probes, gallery = build_probe_gallery(dbs, people, ops=ops)
+    labeled = _labeled(dbs)
+    probes, gallery = _probe_gallery(labeled, people, ops)
     if gallery:
         # Every gallery cluster has a detected person, so probes is non-empty.
         cmc, ap = _rank_metrics(probes, gallery, len(gallery))
@@ -231,8 +261,8 @@ def compute_report(
     return MetricsReport(
         cmc=cmc,
         map_score=ap,
-        avg_purity=cluster_purity(dbs, ground_truth_ids),
-        normalized_purity=normalized_purity(dbs, ground_truth_ids),
+        avg_purity=_largest_purity(labeled, ground_truth_ids),
+        normalized_purity=_mean_purity(labeled, ground_truth_ids),
         clusters_per_robot=tuple(len(db.clusters) for db in dbs),
         detected_identity_count=len(probes),
         config_fingerprint=config_fingerprint,

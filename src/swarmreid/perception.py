@@ -70,12 +70,15 @@ class DescriptionRecord:
     tick: int
     track_id: int
     person_id: int
-    # Dedup identity (robot_id, track_id, tick), built once so that every
-    # database's key index shares one tuple per record.
+    # Dedup identity (robot_id, track_id, tick) and track (robot_id,
+    # track_id), built once so that every database's key and track indexes
+    # share one tuple per record.
     key: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+    track: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "key", (self.robot_id, self.track_id, self.tick))
+        object.__setattr__(self, "track", (self.robot_id, self.track_id))
 
     @classmethod
     def create(cls, text: str, robot_id: int, tick: int, track_id: int,

@@ -22,10 +22,10 @@ tick it holds from it. While a database knows this holds, it keeps each
 origin's records sorted by tick, and the delta for a peer reads only those
 at or past the peer's highest tick from the origin, keeps the ones the peer
 lacks, and sends them as views of their own clusters in member order. Each
-cluster whose uid the peer does not resolve goes in full, as a full-state
-exchange would send it; a peer at or near its tombstone cap, or a database
-that cannot trust its watermarks, gets the full state. Nothing is remembered
-per peer.
+cluster whose uid the peer does not resolve is sent as well, even with no
+such record, as the peer may match it by similarity and tombstone it; a peer
+at or near its tombstone cap, or a database that cannot trust its
+watermarks, gets the full state. Nothing is remembered per peer.
 
 Exchange passes records by reference, so a run's databases share one record
 object per record; databases loaded inside one ``shared_records`` scope share
@@ -35,13 +35,14 @@ them the same way.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, insort
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from itertools import islice
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -91,7 +92,7 @@ class LanguageOps:
 REFERENCE_OPS = LanguageOps()
 
 
-@dataclass
+@dataclass(slots=True)
 class Cluster:
     uid: ClusterUid
     members: list[DescriptionRecord]
@@ -138,7 +139,29 @@ class ClusterView(NamedTuple):
     embedding: np.ndarray
 
 
-_record_track = attrgetter("robot_id", "track_id")
+class _OriginLog(NamedTuple):
+    """The records a database holds from one origin robot, sorted by tick,
+    as three parallel columns: no tuple per record."""
+
+    ticks: array
+    # index of each record in its cluster's member list
+    indexes: array
+    records: list[DescriptionRecord]
+
+    def add(self, index: int, record: DescriptionRecord) -> None:
+        """Insert after every held record of the same or an earlier tick."""
+        ticks, tick = self.ticks, record.tick
+        if not ticks or ticks[-1] <= tick:
+            ticks.append(tick)
+            self.indexes.append(index)
+            self.records.append(record)
+        else:
+            at = bisect_right(ticks, tick)
+            ticks.insert(at, tick)
+            self.indexes.insert(at, index)
+            self.records.insert(at, record)
+
+
 _first = itemgetter(0)
 
 
@@ -181,7 +204,11 @@ class _SimilarityIndex:
         if row is None:
             row = len(self._uids)
             if row == self._mat.shape[0]:
-                self._mat = np.vstack([self._mat, np.zeros_like(self._mat)])
+                # Copy only the held rows: the fresh buffer's spare rows stay
+                # untouched zero pages, resident only once a row lands there.
+                grown = np.zeros((2 * row, self._mat.shape[1]), dtype=self._mat.dtype)
+                grown[:row] = self._mat
+                self._mat = grown
             self._uids.append(uid)
             self._rows[uid] = row
         self._mat[row] = vec
@@ -256,11 +283,10 @@ class ClusterDatabase:
         # (robot_id, track_id) -> lowest uid of a cluster holding that track
         self._tracks: dict[tuple[int, int], ClusterUid] = {}
         self._index = _SimilarityIndex()
-        # origin robot id -> (tick, index in its cluster's member list,
-        # record) of each record held from it, sorted by tick; None once the
+        # origin robot id -> log of the records held from it; None once the
         # watermark invariant is not known to hold (see exchange), so a
         # loaded database builds none
-        self._by_origin: dict[int, list[tuple[int, int, DescriptionRecord]]] | None = {}
+        self._by_origin: dict[int, _OriginLog] | None = {}
 
     # ---------- internals ----------
 
@@ -278,21 +304,17 @@ class ClusterDatabase:
         uid = cluster.uid
         members = cluster.members
         self._keys[record.key] = uid
-        track = _record_track(record)
+        track = record.track
         if self._tracks.setdefault(track, uid) > uid:
             self._tracks[track] = uid
         if cluster.embedding_sum is not None:
             cluster.embedding_sum = cluster.embedding_sum + self.ops.embed(record.tokens)
         by_origin = self._by_origin
         if by_origin is not None:
-            entry = (record.tick, len(members), record)
-            held = by_origin.get(record.robot_id)
-            if held is None:
-                by_origin[record.robot_id] = [entry]
-            elif held[-1][0] <= record.tick:
-                held.append(entry)
-            else:
-                insort(held, entry, key=_first)
+            log = by_origin.get(record.robot_id)
+            if log is None:
+                log = by_origin[record.robot_id] = _OriginLog(array("q"), array("q"), [])
+            log.add(len(members), record)
         members.append(record)
         samples = cluster.samples
         if not samples or record.tick > samples[0].tick:
@@ -380,10 +402,11 @@ class ClusterDatabase:
             raise ContractError(f"record {record.key} already assigned")
         if self._by_origin is not None:
             own = self._by_origin.get(self.owner)
-            if record.robot_id != self.owner or (own and record.tick < own[-1][0]):
+            if record.robot_id != self.owner or (own is not None
+                                                 and record.tick < own.ticks[-1]):
                 self._by_origin = None
 
-        target = self._tracks.get((record.robot_id, record.track_id))
+        target = self._tracks.get(record.track)
         if target is None:
             vec = self.ops.embed(record.tokens)
             best = self._index.best(vec)
@@ -443,10 +466,13 @@ class ClusterDatabase:
 
         A full-state view of a cluster whose uid the peer resolves only adds
         the records the peer lacks there; one whose uid it does not resolve
-        runs a similarity match whatever the peer holds. So, when both sides
-        trust their watermarks, a cluster the peer does not resolve is sent
-        in full, and one it resolves with just the records the peer lacks,
-        or not at all. Of each origin, only the records from the peer's
+        runs a similarity match whatever the peer holds, and may copy the
+        cluster's summary when the peer lacks every member. So, when both
+        sides trust their watermarks, each view carries just the records the
+        peer lacks, in member order, with ``n`` the cluster's member count; a
+        cluster the peer resolves and lacks nothing of is not sent, and one
+        it does not resolve is sent even with no record, as the peer may
+        tombstone it. Of each origin, only the records from the peer's
         highest tick from it on are looked up, as the peer holds every
         earlier one. Only eviction un-resolves a uid, so a peer whose
         tombstones could reach its cap while absorbing gets the full state.
@@ -459,37 +485,33 @@ class ClusterDatabase:
         unresolved = clusters.keys() - peer.clusters.keys() - peer.tombstones.keys()
         keys, peer_keys = self._keys, peer._keys
         lacking: dict[ClusterUid, list[tuple[int, DescriptionRecord]]] = {}
-        for origin, held in by_origin.items():
-            peer_held = peer_origins.get(origin)
+        for origin, log in by_origin.items():
+            peer_log = peer_origins.get(origin)
             # Inclusive: the peer may hold only some records of that tick.
-            start = bisect_left(held, peer_held[-1][0], key=_first) if peer_held else 0
-            for _, i, record in held[start:]:
+            start = 0 if peer_log is None else bisect_left(log.ticks, peer_log.ticks[-1])
+            for i, record in zip(log.indexes[start:], log.records[start:]):
                 if record.key not in peer_keys:
-                    uid = keys[record.key]
-                    if uid not in unresolved:
-                        lacking.setdefault(uid, []).append((i, record))
-        if 0 < peer.tombstone_cap <= len(peer.tombstones) + len(lacking) + len(unresolved):
+                    lacking.setdefault(keys[record.key], []).append((i, record))
+        sent = lacking.keys() | unresolved
+        if 0 < peer.tombstone_cap <= len(peer.tombstones) + len(sent):
             return self.views()
         views = []
-        for uid in sorted(lacking.keys() | unresolved):
+        for uid in sorted(sent):
             c = clusters[uid]
-            if uid in unresolved:
-                members = c.members
-            else:
-                listed = lacking[uid]
-                listed.sort(key=_first)
-                members = [record for _, record in listed]
-            views.append(ClusterView(uid, members, len(c.members), c.summary_text,
-                                     c.embedding))
+            listed = sorted(lacking.get(uid, ()), key=_first)
+            views.append(ClusterView(uid, [record for _, record in listed],
+                                     len(c.members), c.summary_text, c.embedding))
         return views
 
     def _absorb(self, received: list[ClusterView], theta_merge: float
                 ) -> tuple[int, int, int]:
         """Fold received views in; returns (merged, copied, added).
 
-        A view that lists only some members must have a uid that resolves
-        here, and the members it leaves out must be held here: they are then
-        exactly what full-state absorption would find held.
+        A view may list only some of the ``n`` members its cluster had, but
+        the ones it leaves out must be held here. Then ``fresh`` is exactly
+        what full-state absorption would find, and it has ``n`` records only
+        when every member was lacking, the case in which a copy keeps the
+        sender's summary.
         """
         merged = copied = added_total = 0
         keys = self._keys
@@ -512,7 +534,8 @@ class ClusterDatabase:
                 target = best[0]
                 self._remember_tombstone(view.uid, target)
             merged += 1
-            # Only a view sent in full can have no fresh record.
+            # A delta view of a cluster whose uid resolved here carries a
+            # fresh record; any other view may carry none.
             if fresh:
                 self._add_members(self.clusters[target], fresh)
                 added_total += len(fresh)
@@ -521,7 +544,12 @@ class ClusterDatabase:
     # ---------- serialization ----------
 
     def to_json(self, memo: dict[int, str] | None = None) -> str:
-        """The snapshot as ``canonical_json`` of its document.
+        """The snapshot as ``canonical_json`` of its document."""
+        return "".join(self.json_chunks(memo))
+
+    def json_chunks(self, memo: dict[int, str] | None = None) -> Iterator[str]:
+        """The text of ``to_json`` in pieces of one cluster each, so a save
+        can write it without holding it whole.
 
         Each member is encoded once per ``memo``, keyed by record identity,
         so databases saved with one memo, while their records live, encode
@@ -531,8 +559,8 @@ class ClusterDatabase:
         """
         if memo is None:
             memo = {}
-        clusters = []
-        for uid in sorted(self.clusters):
+        yield '{"clusters":['
+        for n, uid in enumerate(sorted(self.clusters)):
             c = self.clusters[uid]
             members = []
             for m in c.members:
@@ -550,9 +578,9 @@ class ClusterDatabase:
                 "uid": list(uid),
                 "summary_text": c.summary_text,
                 "track_ids": [list(t) for t in
-                              sorted(set(map(_record_track, c.members)))],
+                              sorted({m.track for m in c.members})],
             })
-            clusters.append('{"members":[' + ",".join(members) + "]," + rest[1:])
+            yield ("," if n else "") + '{"members":[' + ",".join(members) + "]," + rest[1:]
         rest = canonical_json({
             "schema_version": SCHEMA_VERSION,
             "owner": self.owner,
@@ -561,7 +589,7 @@ class ClusterDatabase:
             "tombstone_cap": self.tombstone_cap,
             "tombstones": [[list(k), list(v)] for k, v in self.tombstones.items()],
         })
-        return '{"clusters":[' + ",".join(clusters) + "]," + rest[1:]
+        yield "]," + rest[1:]
 
     @classmethod
     def from_dict(cls, d: dict, ops: LanguageOps = REFERENCE_OPS) -> "ClusterDatabase":
@@ -594,7 +622,7 @@ class ClusterDatabase:
                     raise ContractError(f"snapshot has duplicate record {record.key}")
                 db._append(cluster, record)
             listed = {tuple(t) for t in cd["track_ids"]}
-            if set(map(_record_track, cluster.members)) != listed:
+            if {m.track for m in cluster.members} != listed:
                 raise ContractError(f"snapshot cluster {cluster.uid} lists tracks "
                                     "other than its members'")
             db._refresh(cluster, cd["summary_text"])
@@ -642,27 +670,28 @@ class ClusterDatabase:
                 vec = mean / norm if norm > 1e-12 else vec
             assert c.embedding.tobytes() == vec.tobytes(), (
                 f"embedding of {uid} differs from its recomputation")
-            for track in map(_record_track, c.members):
-                tracks[track] = min(tracks.get(track, uid), uid)
+            for m in c.members:
+                tracks[m.track] = min(tracks.get(m.track, uid), uid)
             if uid[0] == self.owner:
                 assert uid[1] < self.uid_counter, f"uid {uid} beyond counter"
         assert len(keys) == held, "key index lists records of no cluster"
         if self._by_origin is not None:
-            # Each origin's list holds exactly the held records of that
+            # Each origin's log holds exactly the held records of that
             # origin, by identity and once each, sorted by tick.
             listed = 0
-            for origin, entries in self._by_origin.items():
-                ticks = [tick for tick, _, _ in entries]
-                assert ticks == sorted(ticks), f"records of origin {origin} not tick-sorted"
-                for tick, i, m in entries:
+            for origin, (ticks, indexes, records) in self._by_origin.items():
+                assert len(ticks) == len(indexes) == len(records), (
+                    f"columns of origin {origin} differ in length")
+                assert list(ticks) == sorted(ticks), f"records of origin {origin} not tick-sorted"
+                for tick, i, m in zip(ticks, indexes, records):
                     c = self.clusters.get(keys.get(m.key))
                     assert (c is not None and m.robot_id == origin and m.tick == tick
                             and i < len(c.members) and c.members[i] is m), (
                         f"origin entry of {m.key} is not member {i} of its cluster")
-                assert len({m.key for _, _, m in entries}) == len(entries), (
-                    f"origin list of {origin} repeats a record")
-                listed += len(entries)
-            assert listed == held, "origin lists miss held records"
+                assert len({m.key for m in records}) == len(records), (
+                    f"origin log of {origin} repeats a record")
+                listed += len(records)
+            assert listed == held, "origin logs miss held records"
         assert tracks == self._tracks
         index = self._index
         assert index._rows == {uid: i for i, uid in enumerate(index._uids)}
@@ -701,9 +730,9 @@ def exchange(a: ClusterDatabase, b: ClusterDatabase,
     and holds every record of is not sent (the full-state exchange would
     recognise it and find nothing new, so it counts as merged); one it
     resolves but lacks records of is sent with just those records, and one
-    it does not resolve is sent in full. Otherwise, and for a peer at or
-    near its tombstone cap, the full state is sent. Results and stats equal
-    the full-state exchange.
+    it does not resolve is sent with just the records the peer lacks, even
+    if that is none. Otherwise, and for a peer at or near its tombstone cap,
+    the full state is sent. Results and stats equal the full-state exchange.
     """
     if not (0.0 <= theta_merge <= 1.0):
         raise ContractError(f"theta_merge={theta_merge} outside [0, 1]")

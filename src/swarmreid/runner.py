@@ -142,7 +142,9 @@ class RunArtifact:
         # A run's databases share record objects; each is encoded once.
         memo: dict[int, str] = {}
         for db in self.databases:
-            (out / f"db_robot_{db.owner}.json").write_text(db.to_json(memo) + "\n")
+            with (out / f"db_robot_{db.owner}.json").open("w") as fh:
+                fh.writelines(db.json_chunks(memo))
+                fh.write("\n")
         with (out / "events.ndjson").open("w") as fh:
             for event in self.events:
                 fh.write(canonical_json(event) + "\n")

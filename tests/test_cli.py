@@ -53,6 +53,15 @@ class TestRun:
         assert err.startswith("error: provider sent a non-JSON line")
         assert err.count("\n") == 1
 
+    def test_out_is_a_file_exits_two(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        rc = main(["run", "--out", str(taken), *_RUN_ARGS])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: --out") and err.count("\n") == 1
+        assert taken.read_text() == ""
+
     def test_config_file_plus_override(self, tmp_path, capsys):
         conf = tmp_path / "c.yaml"
         conf.write_text("duration_ticks: 200\npeople:\n  count: 3\n")
@@ -196,6 +205,16 @@ class TestSweep:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "values" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag, bad", [("--seeds", "zero"), ("--values", "[1")])
+    def test_unparsable_argument_exits_two(self, flag, bad, capsys):
+        args = {"--values": ["3"], "--seeds": ["0"], flag: [bad]}
+        rc = main(["sweep", "--axis", "people.count", "--values", *args["--values"],
+                   "--seeds", *args["--seeds"], "--set", "duration_ticks=150"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}") and bad in err
         assert err.count("\n") == 1
 
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from swarmreid.errors import ContractError, EmptyDescriptionError
-from swarmreid.language import cached_tokens, cosine, embed, tokenize
+from swarmreid.language import EMBEDDING_DIM, cached_tokens, cosine, embed, tokenize
 from swarmreid.perception import DescriptionRecord, canonical_description, sample_attributes
 from swarmreid.reid import (SCHEMA_VERSION, ClusterDatabase, LanguageOps,
-                            canonical_json, exchange)
+                            _SimilarityIndex, canonical_json, exchange)
 
 WOMAN_TEXT = "a woman wearing a red shirt and black skirt"
 MAN_TEXT = "a man wearing a blue shirt and gray pants"
@@ -148,6 +148,37 @@ class TestTextModeEmbeds:
         assert sorted(embedded) == summary_tokens(loaded)
 
 
+class TestSimilarityIndex:
+    def test_growth_matches_a_stacked_matrix(self):
+        """Rows set in order past each growth, and one re-set after the
+        first, read back bitwise and rank as a freshly stacked matrix."""
+        rng = np.random.default_rng(0)
+        vectors = rng.normal(size=(82, EMBEDDING_DIM))
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        vectors[9] = vectors[4]  # a tie that best breaks by the lower uid
+        probes = [vectors[4], vectors[40], *rng.normal(size=(3, EMBEDDING_DIM))]
+        index = _SimilarityIndex()
+        uids, rows = [], []
+        for n in range(1, 81):
+            uid = (n % 3, n)
+            index.set(uid, vectors[n - 1])
+            uids.append(uid)
+            rows.append(vectors[n - 1])
+            if n == 17:
+                index.set(uids[2], vectors[81])
+                rows[2] = vectors[81]
+            stacked = _SimilarityIndex()
+            stacked._mat = np.stack(rows)
+            stacked._uids = list(uids)
+            stacked._rows = {uid: i for i, uid in enumerate(uids)}
+            assert index._mat[:n].tobytes() == stacked._mat.tobytes()
+            assert not index._mat[n:].any()
+            for vec in probes:
+                assert index.best(vec) == stacked.best(vec)
+                for k in (1, 5, n):
+                    assert index.top(vec, k) == stacked.top(vec, k)
+
+
 class TestExchange:
     def _seeded_db(self, owner, texts_with_tracks):
         db = ClusterDatabase(owner=owner)
@@ -172,16 +203,25 @@ class TestExchange:
         # cluster's records by their member index, so both must be exact.
         db = self._seeded_db(0, [(WOMAN_TEXT, 1), (MAN_TEXT, 2)] * 2)
         db.check_invariants()
-        first = db._by_origin[0].pop(0)
-        with pytest.raises(AssertionError, match="origin lists miss"):
+        log = db._by_origin[0]
+        saved = [column[:] for column in log]
+
+        def restore():
+            for column, values in zip(log, saved):
+                column[:] = values
             db.check_invariants()
-        db._by_origin[0].insert(1, first)
+
+        for column in log:
+            del column[0]
+        with pytest.raises(AssertionError, match="origin logs miss"):
+            db.check_invariants()
+        restore()
+        for column in log:
+            column.insert(1, column.pop(0))
         with pytest.raises(AssertionError, match="not tick-sorted"):
             db.check_invariants()
-        db._by_origin[0].sort(key=lambda entry: entry[0])
-        db.check_invariants()
-        tick, i, record = db._by_origin[0][0]
-        db._by_origin[0][0] = (tick, i + 1, record)
+        restore()
+        log.indexes[0] += 1
         with pytest.raises(AssertionError, match="is not member"):
             db.check_invariants()
 

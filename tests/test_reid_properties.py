@@ -229,14 +229,22 @@ def _one_sided(receiver, sender, theta_merge):
 def _assert_full_state(a, b, theta_merge):
     """``exchange`` on copies of ``a`` and ``b`` equals full-state absorption
     in both directions, snapshots and stats alike; and between sides that
-    trust their watermarks, every record a view lists without its whole
-    cluster is one the peer lacks."""
+    trust their watermarks, each view carries exactly the records of its
+    cluster the peer lacks, in member order. A cluster goes when the peer
+    lacks any of its records or does not resolve its uid, and a peer at or
+    near its tombstone cap gets the full state instead."""
     if a._by_origin is not None and b._by_origin is not None:
         for side, peer in ((a, b), (b, a)):
-            for view in side._delta_for(peer):
-                if view.members is not side.clusters[view.uid].members:
-                    assert view.members
-                    assert not any(m.key in peer._keys for m in view.members)
+            lacking = {uid: [m for m in c.members if m.key not in peer._keys]
+                       for uid, c in sorted(side.clusters.items())}
+            sent = [uid for uid, listed in lacking.items()
+                    if listed or peer._resolve_uid(uid) is None]
+            if 0 < peer.tombstone_cap <= len(peer.tombstones) + len(sent):
+                expected = [(v.uid, v.members, v.n) for v in side.views()]
+            else:
+                expected = [(uid, lacking[uid], len(side.clusters[uid].members))
+                            for uid in sent]
+            assert [(v.uid, v.members, v.n) for v in side._delta_for(peer)] == expected
     json_a, counts_a = _one_sided(a, b, theta_merge)
     json_b, counts_b = _one_sided(b, a, theta_merge)
     a_copy, b_copy = copy.deepcopy(a), copy.deepcopy(b)
@@ -280,6 +288,11 @@ class TestIncrementalState:
     @example(steps=[(0, 0, 0), (0, 1), (0, 0, 0), (2, 3, 0, 0), (1, 2), (0, 1)],
              mode="text", theta_local=0.5, theta_merge=0.99,
              cap=DEFAULT_TOMBSTONE_CAP, same_tick=False)
+    # Cluster (0, 0) holds robot 0's record of tick 0, robot 1's of tick 1
+    # and robot 0's of tick 3, so a view for robot 2 must put the records
+    # it gathers origin by origin back into member order.
+    @example(steps=[(0, 0, 0), (1, 0, 0), (0, 1), (0, 0, 0), (0, 2)],
+             mode="text", theta_local=0.0, theta_merge=0.0, cap=0, same_tick=False)
     @settings(_examples(60))
     def test_exchange_equals_both_directions_from_copies(
             self, steps, mode, theta_local, theta_merge, cap, same_tick):
