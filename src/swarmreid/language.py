@@ -46,8 +46,10 @@ def cached_tokens(text: str) -> tuple[str, ...]:
     return tuple(tokenize(text))
 
 
+@lru_cache(maxsize=None)
 def _feature_hash(feature: str) -> tuple[int, float]:
-    """Map a feature string to (bucket index, sign) via independent hash bits."""
+    """Map a feature string to (bucket index, sign) via independent hash bits;
+    cached per feature, as texts share most of theirs."""
     digest = hashlib.blake2b(
         (HASH_SEED + "\x1f" + feature).encode("utf-8"), digest_size=9
     ).digest()

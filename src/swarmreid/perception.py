@@ -60,7 +60,7 @@ class DescriptionNoise:
 NO_NOISE = DescriptionNoise()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DescriptionRecord:
     """One emitted description, stamped with who/when/which track."""
 

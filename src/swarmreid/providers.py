@@ -15,11 +15,11 @@ plumbing for swapping in an actual captioner or encoder.
 from __future__ import annotations
 
 import json
+import math
 import os
 import select
 import subprocess
 import time
-import urllib.request
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -122,6 +122,10 @@ class HttpProvider:
         self._timeout = timeout
 
     def request(self, payload: dict) -> dict:
+        # Imported here: it pulls in http.client, ssl and email, which no
+        # process without an HTTP provider needs.
+        import urllib.request
+
         req = urllib.request.Request(
             self._url,
             data=json.dumps(payload).encode("utf-8"),
@@ -149,6 +153,15 @@ def _check(response: dict) -> dict:
     if "error" in response:
         raise ProviderError(f"provider error: {response['error']}")
     return response
+
+
+def _text_answer(response: dict, op: str) -> str:
+    """The text of a describer or summarizer answer, which must keep a
+    token after stopwords are dropped, as every description must."""
+    text = response.get("text")
+    if not isinstance(text, str) or not language.cached_tokens(text):
+        raise ProviderError(f"{op} returned {text!r}, which has no usable tokens")
+    return text
 
 
 def _make_transport(endpoint: ProviderEndpoint):
@@ -204,10 +217,7 @@ def resolve_providers(cfg: ProvidersConfig) -> ResolvedProviders:
                 "v": PROTOCOL_VERSION, "op": "describe",
                 "attributes": attributes.to_dict(),
             })
-            text = resp.get("text")
-            if not isinstance(text, str) or not text:
-                raise ProviderError(f"describer returned {text!r}")
-            return text
+            return _text_answer(resp, "describer")
 
     embed_fn = REFERENCE_OPS.embed
     if cfg.embedder is not None:
@@ -227,8 +237,10 @@ def resolve_providers(cfg: ProvidersConfig) -> ResolvedProviders:
             if vec.shape != (language.EMBEDDING_DIM,):
                 raise ProviderError(f"embedder returned shape {vec.shape}")
             norm = float(np.linalg.norm(vec))
-            if norm <= 0:
-                raise ProviderError("embedder returned a zero vector")
+            # A NaN or infinite component makes the norm NaN or infinite.
+            if not 0.0 < norm < math.inf:
+                raise ProviderError(f"embedder returned a vector of norm {norm}; "
+                                    "it must be finite and nonzero")
             vec = vec / norm
             vec.flags.writeable = False
             _cache[key] = vec
@@ -243,10 +255,7 @@ def resolve_providers(cfg: ProvidersConfig) -> ResolvedProviders:
             if not texts:
                 return REFERENCE_OPS.summarize(texts)  # raises EmptyClusterError
             resp = _t.request({"v": PROTOCOL_VERSION, "op": "summarize", "texts": texts})
-            text = resp.get("text")
-            if not isinstance(text, str) or not text:
-                raise ProviderError(f"summarizer returned {text!r}")
-            return text
+            return _text_answer(resp, "summarizer")
 
     return ResolvedProviders(
         describe_fn=describe_fn,

@@ -58,6 +58,11 @@ ClusterUid = tuple[int, int]
 SCHEMA_VERSION = 1
 DEFAULT_TOMBSTONE_CAP = 1024
 
+# The vector of a cluster before its first refresh, and the running sum it
+# starts from; shared, as nothing writes into either.
+_ZEROS = np.zeros(EMBEDDING_DIM)
+_ZEROS.flags.writeable = False
+
 # Record key -> record loaded in the current shared_records() scope, if any.
 _loaded_records: ContextVar[dict | None] = ContextVar("_loaded_records",
                                                       default=None)
@@ -292,35 +297,59 @@ class ClusterDatabase:
 
     def _new_cluster(self, uid: ClusterUid) -> Cluster:
         """Register an empty cluster; callers add members and refresh it."""
-        zeros = np.zeros(EMBEDDING_DIM)
-        cluster = Cluster(uid=uid, members=[], summary_text="", embedding=zeros,
-                          embedding_sum=None if self.mode == "text" else zeros)
+        cluster = Cluster(uid=uid, members=[], summary_text="", embedding=_ZEROS,
+                          embedding_sum=None if self.mode == "text" else _ZEROS)
         self.clusters[uid] = cluster
         return cluster
 
-    def _append(self, cluster: Cluster, record: DescriptionRecord) -> None:
-        """Add a record not held yet to ``cluster``, indexed by key, track
-        and, while the watermarks are trusted, origin."""
+    def _append(self, cluster: Cluster, records: Sequence[DescriptionRecord]
+                ) -> set[tuple[int, int]]:
+        """Add records not held yet to ``cluster``, in member order, indexed
+        by key, track and, while the watermarks are trusted, origin; returns
+        their tracks.
+
+        One call takes a whole batch, as a loaded cluster is: each record
+        takes one key-index update, and the track index, the samples and
+        the running sum are brought up to date once. A record held already,
+        here or in another cluster, or listed twice raises ContractError and
+        leaves the indexes inconsistent: live callers check first, and a
+        snapshot that repeats a record is not loaded.
+        """
         uid = cluster.uid
-        members = cluster.members
-        self._keys[record.key] = uid
-        track = record.track
-        if self._tracks.setdefault(track, uid) > uid:
-            self._tracks[track] = uid
+        keys, track_index = self._keys, self._tracks
+        held = len(keys)
+        tracks = set()
+        for record in records:
+            keys[record.key] = uid
+            tracks.add(record.track)
+        if len(keys) != held + len(records):
+            raise ContractError(f"records added to cluster {uid} repeat a record "
+                                "or one held already")
+        for track in tracks:
+            if track_index.setdefault(track, uid) > uid:
+                track_index[track] = uid
         if cluster.embedding_sum is not None:
-            cluster.embedding_sum = cluster.embedding_sum + self.ops.embed(record.tokens)
+            total = cluster.embedding_sum
+            for record in records:
+                total = total + self.ops.embed(record.tokens)
+            cluster.embedding_sum = total
+        members = cluster.members
         by_origin = self._by_origin
         if by_origin is not None:
-            log = by_origin.get(record.robot_id)
-            if log is None:
-                log = by_origin[record.robot_id] = _OriginLog(array("q"), array("q"), [])
-            log.add(len(members), record)
-        members.append(record)
+            index = len(members)
+            for record in records:
+                log = by_origin.get(record.robot_id)
+                if log is None:
+                    log = by_origin[record.robot_id] = _OriginLog(array("q"), array("q"), [])
+                log.add(index, record)
+                index += 1
+        members.extend(records)
         samples = cluster.samples
-        if not samples or record.tick > samples[0].tick:
-            cluster.samples = (record, *samples[:2])
-        elif len(samples) < 3 or _sample_order(record) < _sample_order(samples[2]):
-            cluster.samples = tuple(sorted((*samples, record), key=_sample_order)[:3])
+        if len(records) == 1 and (not samples or records[0].tick > samples[0].tick):
+            cluster.samples = (records[0], *samples[:2])
+        else:
+            cluster.samples = tuple(sorted((*samples, *records), key=_sample_order)[:3])
+        return tracks
 
     def _refresh(self, cluster: Cluster, summary_text: str) -> None:
         """Set the summary, the embedding and its index row after appends.
@@ -360,8 +389,7 @@ class ClusterDatabase:
                      summary_text: str | None = None) -> None:
         """Append records not held yet and refresh. A given ``summary_text``
         is the resulting summary: no summarizer runs."""
-        for m in records:
-            self._append(cluster, m)
+        self._append(cluster, records)
         if summary_text is None:
             summary_text = self._summary(cluster, len(records))
         self._refresh(cluster, summary_text)
@@ -606,6 +634,7 @@ class ClusterDatabase:
             records = {}
         for cd in d["clusters"]:
             cluster = db._new_cluster(tuple(cd["uid"]))
+            members = []
             for m in cd["members"]:
                 text, person_id = m["text"], m["person_id"]
                 record = records.get((m["robot_id"], m["track_id"], m["tick"]))
@@ -618,11 +647,9 @@ class ClusterDatabase:
                     # Keyed by the record's own key tuple, so the table
                     # holds no tuple the records do not already hold.
                     records.setdefault(record.key, record)
-                if record.key in db._keys:
-                    raise ContractError(f"snapshot has duplicate record {record.key}")
-                db._append(cluster, record)
-            listed = {tuple(t) for t in cd["track_ids"]}
-            if {m.track for m in cluster.members} != listed:
+                members.append(record)
+            tracks = db._append(cluster, members)
+            if tracks != {tuple(t) for t in cd["track_ids"]}:
                 raise ContractError(f"snapshot cluster {cluster.uid} lists tracks "
                                     "other than its members'")
             db._refresh(cluster, cd["summary_text"])

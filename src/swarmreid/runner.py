@@ -9,6 +9,7 @@ attributable to interaction.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import statistics
@@ -158,8 +159,27 @@ class RunArtifact:
 
         The databases load in one ``shared_records`` scope, so they share
         one record object per record as the saved run's databases did.
+
+        The cyclic garbage collector is paused while the files are decoded
+        and built, and the caller's setting is restored however the load
+        ends. Loading creates tens of thousands of tracked objects (records,
+        clusters, decoded dicts and lists) and no reference cycle, so the
+        collections they would trigger, full heap scans among them, find
+        nothing to free. When the collector was on, one young-generation
+        pass at the end moves the loaded objects to the oldest generation:
+        that scan is charged to the load, not to the first query.
         """
-        out = Path(outdir)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return cls._load(Path(outdir))
+        finally:
+            if enabled:
+                gc.enable()
+                gc.collect(1)
+
+    @classmethod
+    def _load(cls, out: Path) -> "RunArtifact":
         configuration, fingerprint = _parse(out / "config.json", _parse_config)
         people = _parse(out / "people.json", _parse_people)
         databases = []

@@ -53,6 +53,19 @@ class TestRun:
         assert err.startswith("error: provider sent a non-JSON line")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("op", ["describer", "summarizer"])
+    def test_stopword_only_provider_answer_exits_two(self, tmp_path, capsys, op):
+        stub = tmp_path / "stopword_provider.py"
+        stub.write_text("import sys\nfor line in sys.stdin:\n"
+                        "    print('{\"text\": \"the a an\"}', flush=True)\n")
+        rc = main(["run", "--out", str(tmp_path / "r"), *_RUN_ARGS,
+                   "--set", f"providers.{op}.transport=subprocess",
+                   "--set", f"providers.{op}.command={sys.executable} {stub}"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {op} returned 'the a an'")
+        assert err.count("\n") == 1
+
     def test_out_is_a_file_exits_two(self, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("")

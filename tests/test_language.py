@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import examples
 from oracles import (
     oracle_cosine_float,
     oracle_feature_counts,
@@ -205,19 +206,19 @@ _template_strategy = st.tuples(
 class TestSummarizeProperties:
     @given(st.lists(_template_strategy, min_size=1, max_size=12),
            st.randoms(use_true_random=False))
-    @settings(max_examples=200, deadline=None)
+    @examples(200)
     def test_permutation_invariance(self, texts, rnd):
         shuffled = list(texts)
         rnd.shuffle(shuffled)
         assert summarize(shuffled) == summarize(texts)
 
     @given(st.lists(_template_strategy, min_size=1, max_size=10))
-    @settings(max_examples=200, deadline=None)
+    @examples(200)
     def test_duplication_invariance(self, texts):
         assert summarize(texts + texts) == summarize(texts)
 
     @given(st.lists(_template_strategy, min_size=1, max_size=10))
-    @settings(max_examples=300, deadline=None)
+    @examples(300)
     def test_matches_slot_oracle(self, texts):
         expected = oracle_summary_slots(texts)
         got = parse_description(summarize(texts))
@@ -270,7 +271,7 @@ class TestSlotTally:
     @example([[RED], [RED, BLUE, BLUE]])
     # hair named once: kept at n = 4 (quorum 1), dropped at n = 5 (quorum 2)
     @example([[RED + ", brown hair", BLUE, RED], [BLUE], [BLUE]])
-    @settings(max_examples=300, deadline=None)
+    @examples(300)
     def test_batched_tally_renders_summarize(self, batches):
         tally = SlotTally()
         members = []

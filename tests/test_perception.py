@@ -1,10 +1,14 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import examples
 from swarmreid.errors import ContractError, EmptyDescriptionError
 from swarmreid.language import cosine, embed, tokenize
 from swarmreid.perception import (
@@ -70,7 +74,7 @@ class TestDescribe:
         assert canonical_description(WOMAN) == describe(WOMAN, NO_NOISE, None)
 
     @given(st.integers(0, 10_000))
-    @settings(max_examples=200, deadline=None)
+    @examples(200)
     def test_every_text_tokenizes_with_a_noun(self, seed):
         rng = np.random.default_rng(seed)
         attrs = sample_attributes(1, rng)[0]
@@ -95,6 +99,17 @@ class TestDescriptionRecord:
         with pytest.raises(EmptyDescriptionError):
             DescriptionRecord.create(text="a the an", robot_id=0, tick=0,
                                      track_id=0, person_id=0)
+
+    def test_slotted_frozen_hashable_copyable_picklable(self):
+        r = DescriptionRecord.create(text="a man wearing a blue shirt",
+                                     robot_id=2, tick=5, track_id=4, person_id=1)
+        assert not hasattr(r, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.tick = 6
+        for twin in (copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert twin == r and twin is not r
+            assert hash(twin) == hash(r) and len({r, twin}) == 1
+            assert (twin.key, twin.track, twin.tokens) == ((2, 4, 5), (2, 4), r.tokens)
 
 
 class TestTracking:

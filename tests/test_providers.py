@@ -1,5 +1,7 @@
 import json
+import os
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -8,10 +10,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
+import swarmreid
 from swarmreid.config import (ProviderEndpoint, ProvidersConfig, SimConfig,
                               set_value)
 from swarmreid.errors import ProviderError
-from swarmreid.language import embed, summarize, tokenize
+from swarmreid.language import EMBEDDING_DIM, embed, summarize, tokenize
 from swarmreid.perception import canonical_description, sample_attributes
 from swarmreid.providers import (HttpProvider, SubprocessProvider,
                                  handle_request, resolve_providers)
@@ -236,6 +239,19 @@ class TestHttpProvider:
         with pytest.raises(ProviderError, match="unknown op"):
             HttpProvider(http_url).request({"v": 1, "op": "rank"})
 
+    def test_importing_the_package_loads_no_http_client(self):
+        # urllib.request, which pulls these in, is imported by the first
+        # HTTP request only.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(os.path.dirname(os.path.dirname(swarmreid.__file__))),
+                        env.get("PYTHONPATH")) if p)
+        code = ("import sys, swarmreid, swarmreid.cli; "
+                "print(sorted({'http.client', 'ssl', 'urllib.request'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, check=True)
+        assert proc.stdout.strip() == "[]"
+
 
 def _providers_config(**endpoints):
     return ProvidersConfig(**{
@@ -310,3 +326,33 @@ class TestProviderRun:
         ref_doc.pop("config_fingerprint")
         remote_doc.pop("config_fingerprint")
         assert remote_doc == ref_doc
+
+
+def _answering(tmp_path, response):
+    """Endpoint of a stub that answers every request with ``response``."""
+    body = ("import sys\nfor line in sys.stdin:\n"
+            f"    print({json.dumps(response)!r}, flush=True)\n")
+    return ProviderEndpoint(transport="subprocess", command=_stub(tmp_path, body))
+
+
+class TestGarbageAnswers:
+    @pytest.mark.parametrize("first, rest", [
+        (float("nan"), 1.0), (float("inf"), 1.0), (float("-inf"), 1.0), (0.0, 0.0)])
+    def test_non_finite_or_zero_vector_rejected(self, tmp_path, first, rest):
+        vector = [first] + [rest] * (EMBEDDING_DIM - 1)
+        config = ProvidersConfig(embedder=_answering(tmp_path, {"vector": vector}))
+        with resolve_providers(config) as resolved:
+            with pytest.raises(ProviderError, match="embedder returned a vector of norm"):
+                resolved.ops.embed(["red"])
+
+    def test_stopword_only_description_rejected(self, tmp_path):
+        config = ProvidersConfig(describer=_answering(tmp_path, {"text": "the a an"}))
+        with resolve_providers(config) as resolved:
+            with pytest.raises(ProviderError, match="describer returned 'the a an'"):
+                resolved.describe_fn(_ATTRS)
+
+    def test_stopword_only_summary_rejected(self, tmp_path):
+        config = ProvidersConfig(summarizer=_answering(tmp_path, {"text": "the a an"}))
+        with resolve_providers(config) as resolved:
+            with pytest.raises(ProviderError, match="summarizer returned 'the a an'"):
+                resolved.ops.summarize(["a man wearing a blue shirt"])

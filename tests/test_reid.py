@@ -470,6 +470,13 @@ class TestSerialization:
         with pytest.raises(ContractError):
             ClusterDatabase.from_dict(doc)
 
+    def test_member_listed_twice_in_one_cluster_rejected(self):
+        doc = json.loads(self._db().to_json())
+        members = doc["clusters"][0]["members"]
+        members.append(dict(members[0]))
+        with pytest.raises(ContractError, match="repeat a record"):
+            ClusterDatabase.from_dict(doc)
+
     def test_listed_tracks_must_be_the_members_tracks(self):
         db = ClusterDatabase(owner=2)
         for tick, track_id in enumerate((3, 1, 2)):

@@ -4,8 +4,9 @@ import copy
 import json
 
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
+from conftest import examples
 from swarmreid.language import cosine, embed, tokenize
 from swarmreid.perception import (DescriptionNoise, DescriptionRecord,
                                   canonical_description, describe,
@@ -13,13 +14,6 @@ from swarmreid.perception import (DescriptionNoise, DescriptionRecord,
 from swarmreid.reid import (DEFAULT_TOMBSTONE_CAP, ClusterDatabase,
                             ExchangeStats, canonical_json, exchange)
 
-
-def _examples(n):
-    """Settings for ``n`` examples without a deadline; under the ``deep``
-    profile (tests/conftest.py) every test runs that profile's count."""
-    deep = settings.get_profile("deep")
-    return settings(max_examples=deep.max_examples if settings.default is deep else n,
-                    deadline=None)
 
 _PEOPLE = sample_attributes(6, np.random.default_rng(7), distinct=True)
 _TEXTS = tuple(canonical_description(p) for p in _PEOPLE)
@@ -51,7 +45,7 @@ def _build(script, theta_local, owners=(0, 1), mode="text"):
 class TestExchangeProperties:
     @given(script=_sightings, mode=_mode, theta_local=_theta,
            theta_merge=_theta)
-    @settings(_examples(80))
+    @examples(80)
     def test_records_conserved_both_sides(self, script, mode, theta_local,
                                           theta_merge):
         dbs = _build(script, theta_local, mode=mode)
@@ -63,7 +57,7 @@ class TestExchangeProperties:
             db.check_invariants()
 
     @given(script=_sightings, theta_local=_theta, theta_merge=_theta)
-    @settings(_examples(80))
+    @examples(80)
     def test_second_exchange_is_identity(self, script, theta_local, theta_merge):
         dbs = _build(script, theta_local)
         exchange(dbs[0], dbs[1], theta_merge)
@@ -79,7 +73,7 @@ class TestExchangeProperties:
            meetings=st.lists(st.sampled_from([(0, 1), (0, 2), (1, 2)]),
                              min_size=1, max_size=8),
            mode=_mode, theta_local=_theta, theta_merge=_theta)
-    @settings(_examples(60))
+    @examples(60)
     def test_gossip_never_loses_records(self, script, meetings, mode,
                                         theta_local, theta_merge):
         dbs = _build(script, theta_local, owners=(0, 1, 2), mode=mode)
@@ -97,7 +91,7 @@ class TestExchangeProperties:
 
     @given(script=_sightings, theta_local=_theta,
            cap=st.integers(0, 3), theta_merge=_theta)
-    @settings(_examples(40))
+    @examples(40)
     def test_tombstone_cap_is_respected(self, script, theta_local, cap,
                                         theta_merge):
         dbs = {r: ClusterDatabase(owner=r, tombstone_cap=cap) for r in (0, 1)}
@@ -114,7 +108,7 @@ class TestExchangeProperties:
 
 class TestAssignProperties:
     @given(script=_sightings, mode=_mode, theta_local=_theta)
-    @settings(_examples(80))
+    @examples(80)
     def test_cluster_count_bounded_by_tracks(self, script, mode, theta_local):
         dbs = _build(script, theta_local, mode=mode)
         for robot, db in dbs.items():
@@ -126,7 +120,7 @@ class TestAssignProperties:
            theta=st.floats(min_value=float(_MAX_CROSS) + 1e-6, max_value=1.0))
     @example(script=[(0, 0, 0), (1, 0, 0)], theta=1.0)
     @example(script=[(0, 1, 0), (1, 1, 0)], theta=1.0)
-    @settings(_examples(80))
+    @examples(80)
     def test_noise_free_separation(self, script, theta):
         """Distinct outfits plus thresholds above the brute-force cross-outfit
         similarity put every person in exactly one pure cluster per database.
@@ -144,7 +138,7 @@ class TestAssignProperties:
             db.check_invariants()
 
     @given(script=_sightings, theta_local=_theta)
-    @settings(_examples(40))
+    @examples(40)
     def test_uids_strictly_increase(self, script, theta_local):
         db = ClusterDatabase(owner=0)
         created_order = []
@@ -162,7 +156,7 @@ class TestAssignProperties:
 class TestSerializationProperties:
     @given(script=_sightings, mode=_mode, theta_local=_theta,
            theta_merge=_theta)
-    @settings(_examples(60))
+    @examples(60)
     def test_round_trip_after_exchange(self, script, mode, theta_local,
                                        theta_merge):
         dbs = _build(script, theta_local, mode=mode)
@@ -293,7 +287,7 @@ class TestIncrementalState:
     # it gathers origin by origin back into member order.
     @example(steps=[(0, 0, 0), (1, 0, 0), (0, 1), (0, 0, 0), (0, 2)],
              mode="text", theta_local=0.0, theta_merge=0.0, cap=0, same_tick=False)
-    @settings(_examples(60))
+    @examples(60)
     def test_exchange_equals_both_directions_from_copies(
             self, steps, mode, theta_local, theta_merge, cap, same_tick):
         dbs = _play(steps, mode, theta_local, theta_merge, _assert_full_state,
@@ -302,7 +296,7 @@ class TestIncrementalState:
             db.check_invariants()
 
     @given(script=_sightings, theta_local=_theta, theta_merge=_theta)
-    @settings(_examples(40))
+    @examples(40)
     def test_knowledge_does_not_cross_incarnations(
             self, script, theta_local, theta_merge):
         """A reload of an earlier snapshot of the peer holds less than the
@@ -330,7 +324,7 @@ class TestIncrementalState:
     @example(steps=[(2, 2, 2), (2, 4, 2), (2, 2, 0), (1, 0, 0), (2, 1), (1, 0, 0),
                     (0, 2), (0, 0, 1), (1, 0)],
              mode="text", theta_local=0.56, theta_merge=0.2)
-    @settings(_examples(60))
+    @examples(60)
     def test_maintained_state_equals_recomputation(
             self, steps, mode, theta_local, theta_merge):
         for db in _play(steps, mode, theta_local, theta_merge):
@@ -368,7 +362,7 @@ _QUERIES = tuple(text for renderings in _RENDERINGS for text in renderings) + (
 class TestQueryProperties:
     @given(steps=_steps, mode=_mode, theta_local=_theta, theta_merge=_theta,
            text=st.sampled_from(_QUERIES))
-    @settings(_examples(60))
+    @examples(60)
     def test_query_equals_brute_force_ranking(self, steps, mode, theta_local,
                                               theta_merge, text):
         for db in _play(steps, mode, theta_local, theta_merge):
@@ -382,7 +376,7 @@ class TestQueryProperties:
 
 class TestSnapshotText:
     @given(steps=_steps, mode=_mode, theta_local=_theta, theta_merge=_theta)
-    @settings(_examples(60))
+    @examples(60)
     def test_composed_snapshot_is_canonical_json(self, steps, mode, theta_local,
                                                  theta_merge):
         """``to_json`` composes its text around per-record fragments shared

@@ -1,5 +1,7 @@
+import gc
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -327,6 +329,58 @@ class TestLoadSharesRecords:
         records = _records(RunArtifact.load(saved_run).databases)
         assert len(calls) == 4
         assert len({id(m) for m in records}) == len({m.key for m in records})
+
+
+def _rebuilt_state(db):
+    """What loading rebuilds besides the saved fields, by value."""
+    index = db._index
+    return {
+        "keys": db._keys,
+        "tracks": db._tracks,
+        "samples": {uid: [m.key for m in c.samples] for uid, c in db.clusters.items()},
+        "rows": {uid: index._mat[row].tobytes() for uid, row in index._rows.items()},
+        "sums": {uid: None if c.embedding_sum is None else c.embedding_sum.tobytes()
+                 for uid, c in db.clusters.items()},
+    }
+
+
+class TestLoadRebuildsDatabases:
+    @pytest.mark.parametrize("mode", ["text", "vector-baseline"])
+    def test_loaded_indexes_equal_the_live_run(self, tmp_path, mode):
+        base = load_config(Path(__file__).resolve().parents[1] / "configs" / "crowded.yaml")
+        art = run_experiment(_tweak(base, [("robots.count", 8), ("duration_ticks", 1000),
+                                           ("mode", mode)]))
+        loaded = RunArtifact.load(art.save(tmp_path / "run")).databases
+        assert any(e["type"] == "exchange" for e in art.events)
+        for live, db in zip(art.databases, loaded, strict=True):
+            db.check_invariants()
+            assert _rebuilt_state(db) == _rebuilt_state(live)
+
+
+class TestLoadPausesCollector:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_restored(self, saved_run, tmp_path, monkeypatch, enabled):
+        bad = _edited_copy(saved_run, tmp_path, "db_robot_1.json",
+                           lambda text: text.replace('"owner":1,', '"owner":0,'))
+        original = ClusterDatabase.__dict__["from_json"].__func__
+        during = []
+
+        def recording(cls, text, ops=REFERENCE_OPS):
+            during.append(gc.isenabled())
+            return original(cls, text, ops=ops)
+
+        monkeypatch.setattr(ClusterDatabase, "from_json", classmethod(recording))
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            RunArtifact.load(saved_run)
+            assert gc.isenabled() is enabled
+            with pytest.raises(ContractError, match="owner is 0"):
+                RunArtifact.load(bad)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert during and not any(during)
 
 
 class TestLoadRejectsBadFiles:

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import examples
 from swarmreid.errors import ContractError
 from swarmreid.vocab import PersonAttributes
 from swarmreid.world import (
@@ -183,7 +184,7 @@ class TestMotionProperties:
            st.floats(0.0, TAU, exclude_max=True),
            st.floats(0.0, 3.0),
            st.integers(0, 2**32 - 1))
-    @settings(max_examples=300, deadline=None)
+    @examples(300)
     @example(pos=(0.0, 15.0), heading=6.9418929803411105e-146, speed=1.0,
              seed=0)
     def test_stays_in_free_space(self, pos, heading, speed, seed):
@@ -198,7 +199,7 @@ class TestMotionProperties:
     @given(_free_positions(ARENA),
            st.floats(0.0, TAU, exclude_max=True),
            st.integers(0, 2**32 - 1))
-    @settings(max_examples=100, deadline=None)
+    @examples(100)
     def test_deterministic_given_rng_state(self, pos, heading, seed):
         a = ballistic_step(pos, heading, 1.0, 0.1, ARENA,
                            0.3, np.random.default_rng(seed))
@@ -207,7 +208,7 @@ class TestMotionProperties:
         assert a == b
 
     @given(_free_positions(ARENA), st.floats(0.0, TAU, exclude_max=True))
-    @settings(max_examples=100, deadline=None)
+    @examples(100)
     def test_no_turn_preserves_heading_without_reflection(self, pos, heading):
         x, y = pos
         margin = 0.2
@@ -266,7 +267,7 @@ def _assert_batched_equals_scalar(agents, ticks, dt, arena):
 
 class TestAgentArrays:
     @given(_agents, st.sampled_from([0.1, 0.5]))
-    @settings(max_examples=200, deadline=None)
+    @examples(200)
     # Head-on into an obstacle edge; into a wall from on it (t = 0); a still
     # agent at x = -0.0, which x + 0.0 would turn into 0.0.
     @example(agents=[((0.0, 4.0), 0.0, 0.5, 0.0, 0)], dt=0.5)
@@ -306,7 +307,7 @@ class TestSensingCandidates:
            st.floats(0.1, math.pi),
            st.floats(0.5, 10.0),
            st.lists(st.tuples(_coords, _coords), max_size=12))
-    @settings(max_examples=300, deadline=None)
+    @examples(300)
     # The people 1e-9 rad past the cone edges are at distance 1.5 by hypot,
     # but their float sums of squares exceed 1.5 ** 2.
     @example(pos=(0.0, 0.0), heading=0.0, fov=0.1015625, sensing=1.5, extra=[])
