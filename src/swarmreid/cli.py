@@ -27,12 +27,20 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
                         help="override a config key (repeatable)")
 
 
+def _check_out(out: Path, kind: str) -> None:
+    """Raise ConfigError unless ``out`` can be written as a ``kind``,
+    "directory" or "file". Called before any run, after which writing would
+    otherwise fail."""
+    if any(parent.is_file() for parent in out.parents):
+        raise ConfigError(f"--out {out} lies under a file")
+    if out.is_file() if kind == "directory" else out.is_dir():
+        raise ConfigError(f"--out {out} must name a {kind}")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     configuration = _load(args)
     out = Path(args.out)
-    # Checked before the run, which saving would otherwise fail after.
-    if any(path.is_file() for path in (out, *out.parents)):
-        raise ConfigError(f"--out {args.out} is a file or lies under one")
+    _check_out(out, "directory")
     artifact = run_experiment(configuration)
     artifact.save(out)
     m = artifact.metrics
@@ -60,6 +68,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         seeds = [int(s) for s in args.seeds]
     except ValueError as exc:
         raise ConfigError(f"--seeds: {exc}") from None
+    if args.out:
+        _check_out(Path(args.out), "file")
     rows = sweep(base, args.axis, values, seeds, workers=args.workers,
                  progress=lambda msg: print(f"  {msg}", file=sys.stderr))
     text = sweep_csv(rows)
@@ -164,10 +174,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ContractError, ProviderError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    # An OSError is a path that cannot be read or written as asked.
+    except (ConfigError, ContractError, ProviderError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,6 +33,10 @@ from .reid import LanguageOps, REFERENCE_OPS
 
 PROTOCOL_VERSION = 1
 
+# The longest reply either transport accepts; a reference embed reply is
+# about 7 KB.
+MAX_REPLY_BYTES = 1 << 20
+
 
 def handle_request(request: dict) -> dict:
     """Serve one protocol request with the reference implementations."""
@@ -58,8 +62,9 @@ def handle_request(request: dict) -> dict:
 class SubprocessProvider:
     """Talks the protocol to a child process over stdin/stdout lines.
 
-    Each request must be answered within ``timeout`` seconds, and ``close``
-    gives the child as long to exit after its stdin closes before killing it.
+    Each request must be answered within ``timeout`` seconds by a line of at
+    most ``MAX_REPLY_BYTES``, and ``close`` gives the child as long to exit
+    after its stdin closes before killing it.
     """
 
     def __init__(self, command: Sequence[str], timeout: float = 10.0) -> None:
@@ -89,7 +94,7 @@ class SubprocessProvider:
     def _read_line(self, deadline: float) -> bytes:
         """One reply line, read straight from the pipe so a stall times out."""
         fd = self._proc.stdout.fileno()
-        while b"\n" not in self._pending:
+        while b"\n" not in self._pending and len(self._pending) <= MAX_REPLY_BYTES:
             remaining = deadline - time.monotonic()
             if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
                 raise ProviderError(
@@ -99,6 +104,9 @@ class SubprocessProvider:
                 raise ProviderError("provider subprocess closed its stdout")
             self._pending += chunk
         line, _, self._pending = self._pending.partition(b"\n")
+        if len(line) > MAX_REPLY_BYTES:
+            raise ProviderError("provider subprocess sent a reply longer than "
+                                f"{MAX_REPLY_BYTES} bytes")
         return line
 
     def close(self) -> None:
@@ -115,32 +123,50 @@ class SubprocessProvider:
 
 
 class HttpProvider:
-    """POSTs protocol payloads to an HTTP endpoint."""
+    """POSTs protocol payloads to an HTTP endpoint.
+
+    Each socket operation waits at most ``timeout`` seconds, and the reply
+    body, at most ``MAX_REPLY_BYTES``, is read in chunks against one
+    deadline ``timeout`` seconds after the request starts, so a body that
+    trickles in ends the request too.
+    """
 
     def __init__(self, url: str, timeout: float = 10.0) -> None:
         self._url = url
         self._timeout = timeout
 
     def request(self, payload: dict) -> dict:
-        # Imported here: it pulls in http.client, ssl and email, which no
-        # process without an HTTP provider needs.
+        # Imported here: urllib.request pulls in http.client, ssl and email,
+        # which no process without an HTTP provider needs.
+        import http.client
         import urllib.request
 
+        deadline = time.monotonic() + self._timeout
         req = urllib.request.Request(
             self._url,
             data=json.dumps(payload).encode("utf-8"),
             headers={"Content-Type": "application/json"},
         )
+        body = bytearray()
         try:
-            # URLError, HTTPError and socket timeouts are all OSErrors.
+            # URLError, HTTPError and socket timeouts are all OSErrors; a
+            # malformed response is an HTTPException.
             with urllib.request.urlopen(req, timeout=self._timeout) as resp:
-                body = resp.read()
-        except OSError as exc:
+                while chunk := resp.read1(65536):
+                    body += chunk
+                    if len(body) > MAX_REPLY_BYTES:
+                        raise ProviderError(f"provider at {self._url} sent a reply "
+                                            f"longer than {MAX_REPLY_BYTES} bytes")
+                    if time.monotonic() > deadline:
+                        raise ProviderError(f"provider at {self._url} did not reply "
+                                            f"within {self._timeout}s")
+        except (OSError, http.client.HTTPException) as exc:
             raise ProviderError(f"provider request to {self._url} failed: {exc}") from exc
         try:
             response = json.loads(body)
         except ValueError as exc:
-            raise ProviderError(f"provider sent a non-JSON body: {body[:200]!r}") from exc
+            raise ProviderError(
+                f"provider sent a non-JSON body: {bytes(body[:200])!r}") from exc
         return _check(response)
 
     def close(self) -> None:

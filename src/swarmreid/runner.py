@@ -89,6 +89,12 @@ def _parse_config(text: str) -> tuple[SimConfig, str]:
     return cfg.from_dict(doc["config"]), doc["fingerprint"]
 
 
+def _check_fingerprint(path: Path, saved: str, fingerprint: str) -> None:
+    if saved != fingerprint:
+        raise ContractError(f"{path}: fingerprint {saved!r} is not the "
+                            f"loaded config's {fingerprint!r}")
+
+
 def _parse_people(text: str) -> list[tuple[int, PersonAttributes]]:
     return [(p["person_id"], PersonAttributes.from_dict(p["attributes"]))
             for p in json.loads(text)]
@@ -123,11 +129,14 @@ class RunArtifact:
     """Everything a finished run leaves behind, reloadable from disk."""
 
     config: SimConfig
-    fingerprint: str
     people: list[tuple[int, PersonAttributes]]
     databases: list[ClusterDatabase]
     events: list[dict]
     metrics: MetricsReport
+
+    @property
+    def fingerprint(self) -> str:
+        return cfg.fingerprint(self.config)
 
     def save(self, outdir: str | Path) -> Path:
         out = Path(outdir)
@@ -155,7 +164,9 @@ class RunArtifact:
 
     @classmethod
     def load(cls, outdir: str | Path) -> "RunArtifact":
-        """Reload a saved run; a malformed file raises ContractError naming it.
+        """Reload a saved run; a malformed file, or a fingerprint in
+        ``config.json`` or ``metrics.json`` other than the loaded config's,
+        raises ContractError naming the file.
 
         The databases load in one ``shared_records`` scope, so they share
         one record object per record as the saved run's databases did.
@@ -180,7 +191,9 @@ class RunArtifact:
 
     @classmethod
     def _load(cls, out: Path) -> "RunArtifact":
-        configuration, fingerprint = _parse(out / "config.json", _parse_config)
+        configuration, saved = _parse(out / "config.json", _parse_config)
+        fingerprint = cfg.fingerprint(configuration)
+        _check_fingerprint(out / "config.json", saved, fingerprint)
         people = _parse(out / "people.json", _parse_people)
         databases = []
         with shared_records():
@@ -194,8 +207,10 @@ class RunArtifact:
                 databases.append(db)
         events = _parse(out / "events.ndjson", _parse_events)
         metrics = _parse(out / "metrics.json", _parse_metrics)
-        return cls(config=configuration, fingerprint=fingerprint,
-                   people=people, databases=databases, events=events, metrics=metrics)
+        _check_fingerprint(out / "metrics.json", metrics.config_fingerprint,
+                           fingerprint)
+        return cls(config=configuration, people=people, databases=databases,
+                   events=events, metrics=metrics)
 
 
 def run_experiment(configuration: SimConfig) -> RunArtifact:
@@ -309,17 +324,14 @@ def run_experiment(configuration: SimConfig) -> RunArtifact:
                         "robots": list(pair), **asdict(stats),
                     })
 
-        fingerprint = cfg.fingerprint(c)
         people_out = [(p.person_id, p.attributes) for p in people]
         report = compute_report(
-            databases, people_out, range(c.people.count), fingerprint,
+            databases, people_out, range(c.people.count), cfg.fingerprint(c),
             ops=providers.ops,
         )
 
-    return RunArtifact(
-        config=c, fingerprint=fingerprint, people=people_out,
-        databases=databases, events=events, metrics=report,
-    )
+    return RunArtifact(config=c, people=people_out, databases=databases,
+                       events=events, metrics=report)
 
 
 # ---------- sweeps ----------

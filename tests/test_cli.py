@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 import swarmreid
+from swarmreid import config as cfg
 from swarmreid.cli import main
 
 _RUN_ARGS = ["--set", "duration_ticks=300", "--set", "seed=1"]
+_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # Saved file -> an edit of its decoded JSON that removes a key loading needs
 _DROP_A_KEY = {
@@ -136,6 +138,14 @@ class TestQuery:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    def test_run_is_a_file_exits_two(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["query", "a man", "--run", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "taken" in err
+        assert err.count("\n") == 1
+
 
 class TestReport:
     def test_reprints_saved_metrics(self, run_dir, capsys):
@@ -171,6 +181,24 @@ class TestReport:
         assert err.startswith("error: ") and name in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("refingerprint, named", [
+        (False, "config.json"), (True, "metrics.json")])
+    def test_edited_seed_exits_two(self, run_dir, tmp_path, capsys,
+                                   refingerprint, named):
+        """A config edited after the run no longer matches its fingerprint,
+        nor, once config.json's fingerprint is rewritten, the metrics'."""
+        edited = tmp_path / "run"
+        shutil.copytree(run_dir, edited)
+        doc = json.loads((edited / "config.json").read_text())
+        doc["config"]["seed"] += 1
+        if refingerprint:
+            doc["fingerprint"] = cfg.fingerprint(cfg.from_dict(doc["config"]))
+        (edited / "config.json").write_text(json.dumps(doc))
+        assert main(["report", "--run", str(edited)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "fingerprint" in err
+        assert err.count("\n") == 1
+
     def test_truncated_events_exits_two(self, run_dir, tmp_path, capsys):
         edited = tmp_path / "run"
         shutil.copytree(run_dir, edited)
@@ -203,6 +231,33 @@ class TestSweep:
         assert rc == 0
         assert out.read_text().startswith("axis,value,n_runs,")
         assert "sweep written" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["baseline", "comm_benefit", "crowded"])
+    def test_bundled_config(self, name, capsys):
+        rc = main(["sweep", "--config", str(_CONFIGS / f"{name}.yaml"),
+                   "--axis", "communication_enabled", "--values", "false", "true",
+                   "--seeds", "0", "--set", "duration_ticks=150"])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert lines[0].startswith("axis,value,n_runs,")
+        assert [line.split(",")[:3] for line in lines[1:]] == [
+            ["communication_enabled", "False", "1"],
+            ["communication_enabled", "True", "1"]]
+
+    @pytest.mark.parametrize("make, out", [
+        (lambda d: (d / "afile").write_text(""), "afile/x.csv"),
+        (lambda d: (d / "adir").mkdir(), "adir"),
+    ], ids=["under_a_file", "a_directory"])
+    def test_unwritable_out_exits_two_before_any_run(self, tmp_path, capsys,
+                                                      make, out):
+        make(tmp_path)
+        rc = main(["sweep", "--axis", "people.count", "--values", "2", "3",
+                   "--seeds", "0", "--set", "duration_ticks=150",
+                   "--out", str(tmp_path / out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        # No progress line: the check runs before the first cell.
+        assert err.startswith("error: --out") and err.count("\n") == 1
 
     def test_seed_axis_exits_two(self, capsys):
         rc = main(["sweep", "--axis", "seed", "--values", "0", "1",

@@ -16,8 +16,9 @@ from swarmreid.config import (ProviderEndpoint, ProvidersConfig, SimConfig,
 from swarmreid.errors import ProviderError
 from swarmreid.language import EMBEDDING_DIM, embed, summarize, tokenize
 from swarmreid.perception import canonical_description, sample_attributes
-from swarmreid.providers import (HttpProvider, SubprocessProvider,
-                                 handle_request, resolve_providers)
+from swarmreid.providers import (MAX_REPLY_BYTES, HttpProvider,
+                                 SubprocessProvider, handle_request,
+                                 resolve_providers)
 from swarmreid.runner import run_experiment
 
 _STUB = (sys.executable, "-m", "swarmreid.provider_stub")
@@ -124,6 +125,19 @@ class TestMisbehavingSubprocess:
         finally:
             provider.close()
 
+    def test_reply_past_the_cap_fails_before_the_deadline(self, tmp_path):
+        provider = SubprocessProvider(_stub(
+            tmp_path, "import sys\nsys.stdin.readline()\n"
+                      f"sys.stdout.buffer.write(b'x' * {MAX_REPLY_BYTES + 1})\n"
+                      "sys.stdout.flush()\nsys.stdin.read()\n"), timeout=5.0)
+        started = time.monotonic()
+        try:
+            with pytest.raises(ProviderError, match="longer than"):
+                provider.request(_REQUEST)
+            assert time.monotonic() - started < 2.5
+        finally:
+            provider.close()
+
     def test_child_dying_mid_request_raises(self, tmp_path):
         provider = SubprocessProvider(
             _stub(tmp_path, "import sys\nsys.stdin.readline()\n"), timeout=5.0)
@@ -172,8 +186,17 @@ def http_url():
     server.server_close()
 
 
+# Bodies by path; any other path answers "<html>not json</html>".
+_BODIES = {
+    "/trickle": b'{"text": "a man wearing a red shirt"}',  # 37 bytes
+    "/huge": b'{"text": "' + b"x" * MAX_REPLY_BYTES + b'"}',
+}
+
+
 class _BadHandler(BaseHTTPRequestHandler):
-    """Answers by path: /500 fails, /garbage sends non-JSON, /slow stalls."""
+    """Answers by path: /500 fails, /garbage sends non-JSON, /slow stalls,
+    /trickle sends its body a byte every 0.15 s, /huge sends more than
+    MAX_REPLY_BYTES."""
 
     def do_POST(self):
         self.rfile.read(int(self.headers["Content-Length"]))
@@ -182,11 +205,19 @@ class _BadHandler(BaseHTTPRequestHandler):
         if self.path == "/500":
             self.send_error(500)
             return
-        body = b"<html>not json</html>"
+        body = _BODIES.get(self.path, b"<html>not json</html>")
         self.send_response(200)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
-        self.wfile.write(body)
+        try:
+            if self.path == "/trickle":
+                for i in range(len(body)):
+                    self.wfile.write(body[i:i + 1])
+                    time.sleep(0.15)
+            else:
+                self.wfile.write(body)
+        except OSError:
+            pass  # the client gave up, as it should
 
     def log_message(self, *args):
         pass
@@ -220,6 +251,16 @@ class TestMisbehavingHttp:
     def test_timeout(self, bad_http_url):
         with pytest.raises(ProviderError, match="timed out"):
             HttpProvider(bad_http_url + "/slow", timeout=0.3).request(_REQUEST)
+
+    def test_trickled_body_ends_at_the_deadline(self, bad_http_url):
+        started = time.monotonic()
+        with pytest.raises(ProviderError, match="did not reply within"):
+            HttpProvider(bad_http_url + "/trickle", timeout=1.0).request(_REQUEST)
+        assert time.monotonic() - started < 1.5
+
+    def test_oversized_body(self, bad_http_url):
+        with pytest.raises(ProviderError, match="longer than"):
+            HttpProvider(bad_http_url + "/huge").request(_REQUEST)
 
     def test_connection_refused(self):
         url = f"http://127.0.0.1:{_closed_port()}/"
