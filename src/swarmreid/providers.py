@@ -18,6 +18,7 @@ import json
 import math
 import os
 import select
+import socket
 import subprocess
 import time
 from dataclasses import dataclass
@@ -122,13 +123,38 @@ class SubprocessProvider:
         self._proc.stdout.close()
 
 
+class _DeadlineSocket(socket.socket):
+    """A connected socket whose every send and receive waits at most the
+    time left to one monotonic deadline, so a peer that trickles bytes
+    cannot stretch a request past it."""
+
+    def __init__(self, sock: socket.socket, deadline: float) -> None:
+        super().__init__(sock.family, sock.type, sock.proto, sock.detach())
+        self._deadline = deadline
+
+    def _wait_left(self) -> None:
+        left = self._deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("timed out")
+        self.settimeout(left)
+
+    def sendall(self, *args) -> None:
+        self._wait_left()
+        super().sendall(*args)
+
+    def recv_into(self, *args) -> int:
+        self._wait_left()
+        return super().recv_into(*args)
+
+
 class HttpProvider:
     """POSTs protocol payloads to an HTTP endpoint.
 
-    Each socket operation waits at most ``timeout`` seconds, and the reply
-    body, at most ``MAX_REPLY_BYTES``, is read in chunks against one
-    deadline ``timeout`` seconds after the request starts, so a body that
-    trickles in ends the request too.
+    Over plain HTTP, the whole exchange after connecting (the request, the
+    status line, the headers and the body, at most ``MAX_REPLY_BYTES``)
+    waits at most until one deadline ``timeout`` seconds after the request
+    starts: each read waits only the time left. Connecting, and every socket
+    operation of an HTTPS exchange, waits at most ``timeout`` seconds.
     """
 
     def __init__(self, url: str, timeout: float = 10.0) -> None:
@@ -142,6 +168,17 @@ class HttpProvider:
         import urllib.request
 
         deadline = time.monotonic() + self._timeout
+
+        def connection(host, **kwargs):
+            conn = http.client.HTTPConnection(host, **kwargs)
+            connect = conn._create_connection
+            conn._create_connection = lambda *args: _DeadlineSocket(connect(*args), deadline)
+            return conn
+
+        class DeadlineHandler(urllib.request.HTTPHandler):
+            def http_open(self, req):
+                return self.do_open(connection, req)
+
         req = urllib.request.Request(
             self._url,
             data=json.dumps(payload).encode("utf-8"),
@@ -151,15 +188,16 @@ class HttpProvider:
         try:
             # URLError, HTTPError and socket timeouts are all OSErrors; a
             # malformed response is an HTTPException.
-            with urllib.request.urlopen(req, timeout=self._timeout) as resp:
+            with urllib.request.build_opener(DeadlineHandler).open(
+                    req, timeout=self._timeout) as resp:
                 while chunk := resp.read1(65536):
                     body += chunk
                     if len(body) > MAX_REPLY_BYTES:
                         raise ProviderError(f"provider at {self._url} sent a reply "
                                             f"longer than {MAX_REPLY_BYTES} bytes")
-                    if time.monotonic() > deadline:
-                        raise ProviderError(f"provider at {self._url} did not reply "
-                                            f"within {self._timeout}s")
+        except TimeoutError as exc:
+            raise ProviderError(f"provider at {self._url} did not reply within "
+                                f"{self._timeout}s: timed out") from exc
         except (OSError, http.client.HTTPException) as exc:
             raise ProviderError(f"provider request to {self._url} failed: {exc}") from exc
         try:

@@ -29,19 +29,22 @@ watermarks, gets the full state. Nothing is remembered per peer.
 
 Exchange passes records by reference, so a run's databases share one record
 object per record; databases loaded inside one ``shared_records`` scope share
-them the same way.
+them the same way. The similarity indexes of every database in the process
+keep slot ids into one table of distinct vectors (``_VectorTable``).
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
+from copy import deepcopy
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import count, islice
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -104,7 +107,8 @@ class Cluster:
     summary_text: str
     # The matching vector; only ClusterDatabase._refresh sets it, and it
     # binds a new array rather than writing into the old one, so a
-    # ClusterView taken earlier keeps the vector it saw.
+    # ClusterView taken earlier keeps the vector it saw, and the vector
+    # table, which copies each vector object once, stays equal to it.
     embedding: np.ndarray
     # Vector-baseline mode only, else None: member embeddings summed in
     # member order. Every append binds a new array.
@@ -192,35 +196,175 @@ class ExchangeStats:
 _RANK_MARGIN = 1e-9
 
 
-class _SimilarityIndex:
-    """Growable row matrix of cluster embeddings, one row per uid.
+def _grown(mat: np.ndarray, rows: int) -> np.ndarray:
+    """A zeroed buffer of twice ``mat``'s rows holding its first ``rows``.
 
-    Serves the argmax that assignment and merging decide by (``best``) and
-    the candidate filter that ranked queries rescore exactly (``top``).
+    Only the rows in use are copied: the spare rows stay untouched zero
+    pages, resident only once a row lands there.
+    """
+    grown = np.zeros((2 * len(mat), *mat.shape[1:]), dtype=mat.dtype)
+    grown[:rows] = mat[:rows]
+    return grown
+
+
+class _VectorTable:
+    """The distinct vectors behind every similarity index of the process.
+
+    Clusters share vector objects (text-mode summaries through the embed
+    cache, received views by reference), so an index row is a slot id into
+    this table, which copies each distinct vector once. A slot is found by
+    the id of its vector and counts the index rows naming it; while the count
+    is positive the table holds the vector, so no other object can take its
+    id. A slot whose count drops to zero is freed for the next new vector.
+
+    The table also owns what ``_SimilarityIndex`` multiplies: one scratch
+    matrix for ``best``, holding the rows of the index whose serial is
+    ``owner``, and the product of the last query vector with every slot for
+    ``top``, kept until a slot is written (``version``).
     """
 
-    def __init__(self, dim: int = EMBEDDING_DIM) -> None:
-        self._mat = np.zeros((16, dim), dtype=np.float64)
+    def __init__(self, dim: int) -> None:
+        self.mat = np.zeros((16, dim), dtype=np.float64)
+        self.size = 0  # slots handed out so far: the rows of mat in use
+        self.version = 0
+        self.vectors: list[np.ndarray | None] = []
+        self.counts: list[int] = []
+        self._slot_of: dict[int, int] = {}
+        self._free: list[int] = []
+        self.scratch = np.zeros((16, dim), dtype=np.float64)
+        self.owner = -1
+        self._product: tuple[np.ndarray, int, np.ndarray] | None = None
+        self.indexes: weakref.WeakSet[_SimilarityIndex] = weakref.WeakSet()
+
+    def take(self, vec: np.ndarray) -> int:
+        """The slot of ``vec``, written on first use, counting one more row."""
+        slot = self._slot_of.get(id(vec))
+        if slot is None:
+            if self._free:
+                slot = self._free.pop()
+            else:
+                slot = self.size
+                if slot == len(self.mat):
+                    self.mat = _grown(self.mat, slot)
+                self.size += 1
+                self.vectors.append(None)
+                self.counts.append(0)
+            self._slot_of[id(vec)] = slot
+            self.vectors[slot] = vec
+            self.mat[slot] = vec
+            self.version += 1
+        self.counts[slot] += 1
+        return slot
+
+    def release(self, slot: int) -> None:
+        """Count one row less naming ``slot``; free it at zero."""
+        left = self.counts[slot] = self.counts[slot] - 1
+        if not left:
+            del self._slot_of[id(self.vectors[slot])]
+            self.vectors[slot] = None
+            self._free.append(slot)
+
+    def live(self) -> int:
+        """Slots that some index row names."""
+        return self.size - len(self._free)
+
+    def gather(self, owner: int, slots: np.ndarray) -> None:
+        """Fill the scratch with the rows of ``slots`` for index ``owner``."""
+        n = len(slots)
+        if n > len(self.scratch):
+            self.scratch = np.zeros((max(n, 2 * len(self.scratch)), self.mat.shape[1]),
+                                    dtype=np.float64)
+        # mode="clip" skips the bounds pass that the default mode makes
+        # when writing to ``out``; every slot is below size.
+        np.take(self.mat, slots, axis=0, out=self.scratch[:n], mode="clip")
+        self.owner = owner
+
+    def products(self, vec: np.ndarray) -> np.ndarray:
+        """Every slot's product with ``vec``, by slot; one product per
+        query vector object while no slot is written."""
+        product = self._product
+        if product is None or product[0] is not vec or product[1] != self.version:
+            product = self._product = (vec, self.version, self.mat[:self.size] @ vec)
+        return product[2]
+
+    def check(self) -> None:
+        """Raise AssertionError unless the counts equal the rows of the live
+        indexes naming each slot, and an owned scratch holds its rows."""
+        counts = np.zeros(self.size, dtype=np.int64)
+        for index in list(self.indexes):
+            slots = index._slots[:len(index._uids)]
+            assert all(self.vectors[s] is not None for s in slots.tolist()), (
+                "an index row names a freed slot")
+            counts += np.bincount(slots, minlength=self.size)
+            if index._serial == self.owner:
+                assert (self.scratch[:len(slots)].tobytes()
+                        == self.mat[slots].tobytes()), "stale scratch rows"
+        assert counts.tolist() == self.counts, "slot counts differ from the rows"
+        assert self.live() == np.count_nonzero(counts), "a held slot is free"
+
+
+_TABLE = _VectorTable(EMBEDDING_DIM)
+_serials = count()
+
+
+class _SimilarityIndex:
+    """Rows of cluster vectors in the shared table, one row per uid.
+
+    Serves the argmax that assignment and merging decide by (``best``) and
+    the candidate filter that ranked queries rescore exactly (``top``). A row
+    is a slot id; the index releases its slots when it is dropped.
+    """
+
+    def __init__(self) -> None:
         self._uids: list[ClusterUid] = []
         self._rows: dict[ClusterUid, int] = {}
+        self._slots = np.zeros(16, dtype=np.intp)
+        # Unique for the life of the process, unlike id(self): it tags the
+        # table's scratch as this index's rows.
+        self._serial = next(_serials)
+        # Bound here, so that __del__ needs no module global at exit.
+        self._table = _TABLE
+        _TABLE.indexes.add(self)
+
+    def __del__(self) -> None:
+        release = self._table.release
+        for slot in self._slots[:len(self._uids)].tolist():
+            release(slot)
+
+    def __deepcopy__(self, memo: dict) -> "_SimilarityIndex":
+        """A twin whose rows name deep copies of the vectors, the same
+        copies as its clusters' when the whole database is copied."""
+        twin = _SimilarityIndex()
+        vectors = self._table.vectors
+        for uid, slot in zip(self._uids, self._slots.tolist()):
+            twin.set(uid, deepcopy(vectors[slot], memo))
+        return twin
 
     def set(self, uid: ClusterUid, vec: np.ndarray) -> None:
+        table = self._table
         row = self._rows.get(uid)
         if row is None:
             row = len(self._uids)
-            if row == self._mat.shape[0]:
-                # Copy only the held rows: the fresh buffer's spare rows stay
-                # untouched zero pages, resident only once a row lands there.
-                grown = np.zeros((2 * row, self._mat.shape[1]), dtype=self._mat.dtype)
-                grown[:row] = self._mat
-                self._mat = grown
+            if row == len(self._slots):
+                self._slots = _grown(self._slots, row)
             self._uids.append(uid)
             self._rows[uid] = row
-        self._mat[row] = vec
+        else:
+            # Released first, so a cluster whose vector changes reuses its
+            # slot when no other row names it.
+            table.release(int(self._slots[row]))
+        slot = self._slots[row] = table.take(vec)
+        if table.owner == self._serial:
+            if row == len(table.scratch):
+                table.scratch = _grown(table.scratch, row)
+            table.scratch[row] = table.mat[slot]
 
     def best(self, vec: np.ndarray) -> tuple[ClusterUid, float] | None:
         """Most similar row as (uid, clamped dot product), ties to lowest uid.
 
+        The product is taken with this index's rows gathered into one
+        contiguous matrix in row order, so every row's summation is the one
+        a private matrix of these rows gets, and the decisions with it.
         A winning row bitwise equal to ``vec`` scores exactly 1.0, the cosine
         of a vector with itself, which the float dot product can round below;
         so a threshold of 1.0 joins identical descriptions.
@@ -228,14 +372,18 @@ class _SimilarityIndex:
         n = len(self._uids)
         if n == 0:
             return None
-        sims = self._mat[:n] @ vec
+        table = self._table
+        if table.owner != self._serial:
+            table.gather(self._serial, self._slots[:n])
+        mat = table.scratch[:n]
+        sims = mat @ vec
         row = int(sims.argmax())
         top = sims[row]
         tied = sims == top
         if np.count_nonzero(tied) > 1:
             row = self._rows[min(self._uids[i] for i in np.flatnonzero(tied))]
         # A row bitwise equal to the unit vector ``vec`` scores about 1.
-        if top >= 0.5 and np.array_equal(self._mat[row], vec):
+        if top >= 0.5 and np.array_equal(mat[row], vec):
             return self._uids[row], 1.0
         return self._uids[row], min(1.0, max(-1.0, float(top)))
 
@@ -243,21 +391,22 @@ class _SimilarityIndex:
         """Uids of every row whose product with ``vec`` comes within
         ``_RANK_MARGIN`` of the k-th best: all rows when ``k`` >= rows.
 
-        For unit vectors the product and any other summation order of the
-        same dot product, such as ``cosine``, differ by at most 2*gamma_n,
-        about 5.7e-14 at n = 256 (Higham, "Accuracy and Stability of
-        Numerical Algorithms", section 3.1). A row left out scores more than the
-        margin below k rows by product, so more than the margin minus
-        2*gamma_n below each of them by ``cosine``: the kept rows hold the
-        exact top k under any tie rule, lower uids of tied scores included.
-        Clamping to [-1, 1] keeps that order, since a product of unit
-        vectors passes 1 by about gamma_n at most.
+        The products are the table's, one per query vector for every index,
+        gathered by slot. For unit vectors the product and any other
+        summation order of the same dot product, such as ``cosine``, differ
+        by at most 2*gamma_n, about 5.7e-14 at n = 256 (Higham, "Accuracy
+        and Stability of Numerical Algorithms", section 3.1). A row left out
+        scores more than the margin below k rows by product, so more than
+        the margin minus 2*gamma_n below each of them by ``cosine``: the
+        kept rows hold the exact top k under any tie rule, lower uids of
+        tied scores included. Clamping to [-1, 1] keeps that order, since a
+        product of unit vectors passes 1 by about gamma_n at most.
         """
         uids = self._uids
         n = len(uids)
         if k >= n:
             return list(uids)
-        sims = self._mat[:n] @ vec
+        sims = self._table.products(vec).take(self._slots[:n])
         kth = np.partition(sims, n - k)[n - k]
         return [uids[i] for i in np.flatnonzero(sims >= kth - _RANK_MARGIN)]
 
@@ -724,9 +873,13 @@ class ClusterDatabase:
         assert index._rows == {uid: i for i, uid in enumerate(index._uids)}
         assert index._rows.keys() == self.clusters.keys(), (
             "similarity index rows differ from the clusters")
+        table = index._table
         for uid, c in self.clusters.items():
-            assert index._mat[index._rows[uid]].tobytes() == c.embedding.tobytes(), (
+            slot = int(index._slots[index._rows[uid]])
+            assert (table.vectors[slot] is c.embedding
+                    and table.mat[slot].tobytes() == c.embedding.tobytes()), (
                 f"index row of {uid} is not its embedding")
+        table.check()
         assert len(self.tombstones) <= self.tombstone_cap, "tombstones beyond the cap"
         for absorbed, survivor in self.tombstones.items():
             assert absorbed not in self.clusters and survivor in self.clusters, (

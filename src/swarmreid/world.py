@@ -29,6 +29,10 @@ _TURN_BLOCK = 256
 _NEAR_MARGIN = 1e-9
 # Relative widening of the squared sensing range in the visibility prefilter.
 _RANGE_MARGIN = 1e-9
+# Slack of the prefilter's cone test, relative to the distance: far above
+# the rounding of the product with the heading and of the exact bearing
+# test in visible_people, a few ulps of the distance.
+_CONE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -447,20 +451,26 @@ def visible_people(
 
 def sensing_candidates(robots: Sequence[RobotState],
                        people_xy: np.ndarray) -> list[list[int]]:
-    """Per robot, the indices of the people that may be in range.
+    """Per robot, the indices of the people that may be visible.
 
     ``people_xy`` holds the people's x in row 0 and y in row 1.
-    A superset, in people order, of those within ``sensing_range``: the
-    squared distance is compared with a slightly widened squared range.
+    A superset, in people order, of those within ``sensing_range`` and the
+    FOV cone: the squared distance is compared with a slightly widened
+    squared range, and the offset's product with the heading direction
+    with ``|d| * cos(fov_half_angle)`` lowered by a relative margin, which
+    keeps a person at the robot and, at a half angle of pi, everyone.
     ``visible_people`` over these candidates equals it over all people.
     """
-    rx = np.array([r.position[0] for r in robots], dtype=np.float64)[:, None]
-    ry = np.array([r.position[1] for r in robots], dtype=np.float64)[:, None]
-    reach = np.array([r.sensing_range * r.sensing_range for r in robots],
-                     dtype=np.float64)[:, None] * (1.0 + _RANGE_MARGIN)
+    # Each of these has shape (robots, 1).
+    rx, ry, reach, cos_h, sin_h, cos_fov = np.array(
+        [(*r.position, r.sensing_range * r.sensing_range * (1.0 + _RANGE_MARGIN),
+          math.cos(r.heading), math.sin(r.heading),
+          math.cos(r.fov_half_angle) - _CONE_MARGIN) for r in robots],
+        dtype=np.float64).T[:, :, None]
     ddx = people_xy[0] - rx
     ddy = people_xy[1] - ry
-    near = ddx * ddx + ddy * ddy <= reach
+    squared = ddx * ddx + ddy * ddy
+    near = (squared <= reach) & (ddx * cos_h + ddy * sin_h >= np.sqrt(squared) * cos_fov)
     return [row.nonzero()[0].tolist() for row in near]
 
 

@@ -11,6 +11,8 @@ import hashlib
 import math
 from fractions import Fraction
 
+import numpy as np
+
 HASH_SEED = "reid-hash-v1"
 DIM = 256
 
@@ -181,3 +183,28 @@ def oracle_summary_slots(texts: list[str]) -> dict:
         "hair": plurality(tallies["hair"]),
         "accessories": sorted(a for a, c in acc_counts.items() if c >= quorum),
     }
+
+
+def stacked_best(uids, rows, vec):
+    """The similarity argmax over a freshly stacked matrix of ``rows``, one
+    per uid in that order: (uid, clamped product), ties to the lowest uid, and
+    exactly 1.0 for a winning row bitwise equal to ``vec``; None if empty."""
+    if not uids:
+        return None
+    mat = np.stack(rows)
+    sims = mat @ vec
+    top = sims.max()
+    row = min((i for i in range(len(uids)) if sims[i] == top), key=lambda i: uids[i])
+    if top >= 0.5 and np.array_equal(mat[row], vec):
+        return uids[row], 1.0
+    return uids[row], min(1.0, max(-1.0, float(top)))
+
+
+def stacked_top(uids, rows, vec, k):
+    """The ranking filter over a freshly stacked matrix of ``rows``: every uid
+    whose product comes within 1e-9 of the k-th best, in row order."""
+    if k >= len(uids):
+        return list(uids)
+    sims = np.stack(rows) @ vec
+    kth = sorted(sims, reverse=True)[k - 1]
+    return [uid for uid, s in zip(uids, sims) if s >= kth - 1e-9]

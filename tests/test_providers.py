@@ -193,13 +193,28 @@ _BODIES = {
 }
 
 
+# A status line and headers of 71 bytes, which /trickle-head sends a byte
+# every 0.15 s before a valid body.
+_TRICKLED_HEAD = (b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n"
+                  b"Content-Length: 37\r\n\r\n")
+
+
 class _BadHandler(BaseHTTPRequestHandler):
     """Answers by path: /500 fails, /garbage sends non-JSON, /slow stalls,
-    /trickle sends its body a byte every 0.15 s, /huge sends more than
-    MAX_REPLY_BYTES."""
+    /trickle sends its body a byte every 0.15 s, /trickle-head its status
+    line and headers, /huge sends more than MAX_REPLY_BYTES."""
 
     def do_POST(self):
         self.rfile.read(int(self.headers["Content-Length"]))
+        if self.path == "/trickle-head":
+            try:
+                for i in range(len(_TRICKLED_HEAD)):
+                    self.wfile.write(_TRICKLED_HEAD[i:i + 1])
+                    time.sleep(0.15)
+                self.wfile.write(_BODIES["/trickle"])
+            except OSError:
+                pass  # the client gave up, as it should
+            return
         if self.path == "/slow":
             time.sleep(2.0)
         if self.path == "/500":
@@ -257,6 +272,12 @@ class TestMisbehavingHttp:
         with pytest.raises(ProviderError, match="did not reply within"):
             HttpProvider(bad_http_url + "/trickle", timeout=1.0).request(_REQUEST)
         assert time.monotonic() - started < 1.5
+
+    def test_trickled_headers_end_at_the_deadline(self, bad_http_url):
+        started = time.monotonic()
+        with pytest.raises(ProviderError, match="did not reply within"):
+            HttpProvider(bad_http_url + "/trickle-head", timeout=1.0).request(_REQUEST)
+        assert time.monotonic() - started < 2.0
 
     def test_oversized_body(self, bad_http_url):
         with pytest.raises(ProviderError, match="longer than"):

@@ -6,8 +6,10 @@ import pytest
 from swarmreid.errors import ContractError, EmptyDescriptionError
 from swarmreid.language import EMBEDDING_DIM, cached_tokens, cosine, embed, tokenize
 from swarmreid.perception import DescriptionRecord, canonical_description, sample_attributes
-from swarmreid.reid import (SCHEMA_VERSION, ClusterDatabase, LanguageOps,
+from swarmreid.reid import (_TABLE, SCHEMA_VERSION, ClusterDatabase, LanguageOps,
                             _SimilarityIndex, canonical_json, exchange)
+
+from oracles import stacked_best, stacked_top
 
 WOMAN_TEXT = "a woman wearing a red shirt and black skirt"
 MAN_TEXT = "a man wearing a blue shirt and gray pants"
@@ -151,14 +153,23 @@ class TestTextModeEmbeds:
 class TestSimilarityIndex:
     def test_growth_matches_a_stacked_matrix(self):
         """Rows set in order past each growth, and one re-set after the
-        first, read back bitwise and rank as a freshly stacked matrix."""
+        first, rank as a freshly stacked matrix of the same rows. A second
+        index over other rows answers in between, so the shared scratch of
+        ``best`` is set while held and taken over in turn."""
         rng = np.random.default_rng(0)
         vectors = rng.normal(size=(82, EMBEDDING_DIM))
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
         vectors[9] = vectors[4]  # a tie that best breaks by the lower uid
         probes = [vectors[4], vectors[40], *rng.normal(size=(3, EMBEDDING_DIM))]
-        index = _SimilarityIndex()
-        uids, rows = [], []
+        index, other = _SimilarityIndex(), _SimilarityIndex()
+        uids, rows, other_rows = [], [], []
+
+        def check(answering, rows):
+            for vec in probes:
+                assert answering.best(vec) == stacked_best(uids, rows, vec)
+                for k in (1, 5, len(uids)):
+                    assert answering.top(vec, k) == stacked_top(uids, rows, vec, k)
+
         for n in range(1, 81):
             uid = (n % 3, n)
             index.set(uid, vectors[n - 1])
@@ -167,16 +178,33 @@ class TestSimilarityIndex:
             if n == 17:
                 index.set(uids[2], vectors[81])
                 rows[2] = vectors[81]
-            stacked = _SimilarityIndex()
-            stacked._mat = np.stack(rows)
-            stacked._uids = list(uids)
-            stacked._rows = {uid: i for i, uid in enumerate(uids)}
-            assert index._mat[:n].tobytes() == stacked._mat.tobytes()
-            assert not index._mat[n:].any()
-            for vec in probes:
-                assert index.best(vec) == stacked.best(vec)
-                for k in (1, 5, n):
-                    assert index.top(vec, k) == stacked.top(vec, k)
+            check(index, rows)
+            other.set(uid, vectors[80 - n])
+            other_rows.append(vectors[80 - n])
+            check(other, other_rows)
+            check(index, rows)
+
+    def test_rows_share_one_slot_per_vector(self):
+        """Rows naming one vector object name one slot, counted per row; a
+        slot is freed once no row of a live index names it."""
+        vec = embed(tokenize(WOMAN_TEXT)).copy()
+        other = embed(tokenize(MAN_TEXT)).copy()
+        before = _TABLE.live()
+        first, second = _SimilarityIndex(), _SimilarityIndex()
+        first.set((0, 0), vec)
+        second.set((1, 0), vec)
+        second.set((1, 1), vec)
+        slot = first._slots[0]
+        assert second._slots[0] == second._slots[1] == slot
+        assert (_TABLE.live(), _TABLE.counts[slot]) == (before + 1, 3)
+        second.set((1, 1), other)
+        del first
+        assert (_TABLE.live(), _TABLE.counts[slot]) == (before + 2, 1)
+        _TABLE.check()
+        assert second.best(vec) == ((1, 0), 1.0)
+        del second
+        assert _TABLE.live() == before
+        _TABLE.check()
 
 
 class TestExchange:

@@ -12,7 +12,10 @@ from swarmreid.perception import (DescriptionNoise, DescriptionRecord,
                                   canonical_description, describe,
                                   sample_attributes)
 from swarmreid.reid import (DEFAULT_TOMBSTONE_CAP, ClusterDatabase,
-                            ExchangeStats, canonical_json, exchange)
+                            ExchangeStats, _SimilarityIndex, canonical_json,
+                            exchange)
+
+from oracles import stacked_best, stacked_top
 
 
 _PEOPLE = sample_attributes(6, np.random.default_rng(7), distinct=True)
@@ -176,12 +179,11 @@ _RENDERINGS = tuple(
      describe(p, _NOISE, np.random.default_rng(200 + i)))
     for i, (p, text) in enumerate(zip(_PEOPLE, _TEXTS))
 )
-_steps = st.lists(st.one_of(
-    # (robot, person, rendering): the robot describes the person
-    st.tuples(st.integers(0, 2), st.integers(0, 5), st.integers(0, 2)),
-    # (robot, robot): the two robots meet
-    st.tuples(st.integers(0, 2), st.integers(0, 2)),
-), min_size=1, max_size=40)
+# (robot, person, rendering): the robot describes the person
+_describe = st.tuples(st.integers(0, 2), st.integers(0, 5), st.integers(0, 2))
+# (robot, robot): the two robots meet
+_meet = st.tuples(st.integers(0, 2), st.integers(0, 2))
+_steps = st.lists(st.one_of(_describe, _meet), min_size=1, max_size=40)
 # Small caps make absorbs evict tombstones, which un-resolves uids the peer
 # was known to hold.
 _cap = st.sampled_from([0, 1, 2, DEFAULT_TOMBSTONE_CAP])
@@ -372,6 +374,67 @@ class TestQueryProperties:
                 for queried in (db, reloaded):
                     assert [(h.uid, h.score, h.summary_text, h.samples)
                             for h in queried.query(text, k)] == expected
+
+
+class _CheckedIndex(_SimilarityIndex):
+    """A similarity index that checks every answer against a freshly stacked
+    matrix of its database's cluster vectors, one row per cluster in
+    creation order."""
+
+    def __init__(self, clusters):
+        super().__init__()
+        self._clusters = clusters
+
+    def _stacked(self):
+        uids = list(self._clusters)
+        return uids, [self._clusters[uid].embedding for uid in uids]
+
+    def best(self, vec):
+        got = super().best(vec)
+        assert got == stacked_best(*self._stacked(), vec)
+        return got
+
+    def top(self, vec, k):
+        got = super().top(vec, k)
+        assert got == stacked_top(*self._stacked(), vec, k)
+        return got
+
+
+# A description step, a meeting, or (robot, query text, k): the robot's
+# database answers the query.
+_session = st.lists(st.one_of(
+    _describe, _meet,
+    st.tuples(st.integers(0, 2), st.sampled_from(_QUERIES), st.integers(1, 4)),
+), min_size=1, max_size=40)
+
+
+class TestSharedIndexProperties:
+    @given(steps=_session, mode=_mode, theta_local=_theta, theta_merge=_theta)
+    @examples(60)
+    def test_every_match_and_query_equals_a_stacked_matrix(
+            self, steps, mode, theta_local, theta_merge):
+        """Three databases share the vector table and the scratch of
+        ``best``; interleaved assignments, exchanges and queries hand the
+        scratch from one to another, and every answer must still be the one
+        a private matrix of the database's own rows gives."""
+        dbs = [ClusterDatabase(owner=r, mode=mode) for r in range(3)]
+        for db in dbs:
+            db._index = _CheckedIndex(db.clusters)
+        for tick, step in enumerate(steps):
+            if isinstance(step[1], str):
+                robot, text, k = step
+                assert [(h.uid, h.score, h.summary_text, h.samples)
+                        for h in dbs[robot].query(text, k)] == (
+                    _brute_force_query(dbs[robot], text, k))
+            elif len(step) == 3:
+                robot, person, rendering = step
+                dbs[robot].assign_description(DescriptionRecord.create(
+                    text=_RENDERINGS[person][rendering], robot_id=robot, tick=tick,
+                    track_id=person + 6 * rendering, person_id=person), theta_local)
+            elif step[0] != step[1]:
+                exchange(dbs[step[0]], dbs[step[1]], theta_merge)
+        for db in dbs:
+            db.check_invariants()
 
 
 class TestSnapshotText:

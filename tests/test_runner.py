@@ -5,10 +5,12 @@ from pathlib import Path
 
 import pytest
 
+from oracles import stacked_best, stacked_top
 from swarmreid import config as cfg
 from swarmreid.config import SimConfig, load_config, set_value, validate
 from swarmreid.errors import ConfigError, ContractError
-from swarmreid.reid import REFERENCE_OPS, ClusterDatabase, canonical_json
+from swarmreid.language import embed, tokenize
+from swarmreid.reid import _TABLE, REFERENCE_OPS, ClusterDatabase, canonical_json
 from swarmreid.runner import RunArtifact, run_experiment, sweep, sweep_csv
 
 
@@ -333,15 +335,31 @@ class TestLoadSharesRecords:
 
 def _rebuilt_state(db):
     """What loading rebuilds besides the saved fields, by value."""
-    index = db._index
     return {
         "keys": db._keys,
         "tracks": db._tracks,
         "samples": {uid: [m.key for m in c.samples] for uid, c in db.clusters.items()},
-        "rows": {uid: index._mat[row].tobytes() for uid, row in index._rows.items()},
+        "vectors": {uid: c.embedding.tobytes() for uid, c in db.clusters.items()},
         "sums": {uid: None if c.embedding_sum is None else c.embedding_sum.tobytes()
                  for uid, c in db.clusters.items()},
     }
+
+
+def _assert_index_ranks_as_stacked(db, probes):
+    """The database's similarity index answers as a freshly stacked matrix
+    of its cluster vectors, one row per cluster in creation order."""
+    uids = list(db.clusters)
+    rows = [db.clusters[uid].embedding for uid in uids]
+    for vec in probes:
+        assert db._index.best(vec) == stacked_best(uids, rows, vec)
+        for k in (1, 5):
+            assert db._index.top(vec, k) == stacked_top(uids, rows, vec, k)
+
+
+def _swarm16(mode):
+    """crowded.yaml at 16 robots for 1000 ticks, simulation seed 0."""
+    base = load_config(Path(__file__).resolve().parents[1] / "configs" / "crowded.yaml")
+    return _tweak(base, [("robots.count", 16), ("duration_ticks", 1000), ("mode", mode)])
 
 
 class TestLoadRebuildsDatabases:
@@ -352,9 +370,42 @@ class TestLoadRebuildsDatabases:
                                            ("mode", mode)]))
         loaded = RunArtifact.load(art.save(tmp_path / "run")).databases
         assert any(e["type"] == "exchange" for e in art.events)
+        probes = [embed(tokenize(text)) for text in ("a woman in a red shirt",
+                                                     "a man with black pants")]
         for live, db in zip(art.databases, loaded, strict=True):
             db.check_invariants()
             assert _rebuilt_state(db) == _rebuilt_state(live)
+            # Alternating databases, so every call finds the scratch taken.
+            for one in (live, db):
+                _assert_index_ranks_as_stacked(
+                    one, probes + [c.embedding for c in list(live.clusters.values())[:3]])
+
+
+class TestSharedVectorTable:
+    def test_swarm16_table_is_bounded_and_released(self):
+        """Text mode holds one slot per distinct live vector; vector-baseline
+        mode, whose clusters each bind a new mean on every append, never
+        holds more slots than index rows. Dropping both runs frees every
+        slot they took."""
+        before = _TABLE.live()
+        text = run_experiment(_swarm16("text"))
+        vectors = {id(c.embedding) for db in text.databases for c in db.clusters.values()}
+        rows = sum(len(db.clusters) for db in text.databases)
+        assert (len(vectors), rows) == (321, 4881)
+        assert _TABLE.live() <= before + len(vectors)
+        high_water = _TABLE.size
+        baseline = run_experiment(_swarm16("vector-baseline"))
+        rows = sum(len(db.clusters) for db in baseline.databases)
+        appends = sum(len(c.members) for db in baseline.databases
+                      for c in db.clusters.values())
+        assert appends > 10 * rows
+        assert _TABLE.size <= high_water + rows
+        for db in (*text.databases, *baseline.databases):
+            db.check_invariants()
+        del text, baseline, db
+        gc.collect()
+        assert _TABLE.live() == before
+        _TABLE.check()
 
 
 class TestLoadPausesCollector:

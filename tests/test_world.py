@@ -311,12 +311,17 @@ class TestSensingCandidates:
     # The people 1e-9 rad past the cone edges are at distance 1.5 by hypot,
     # but their float sums of squares exceed 1.5 ** 2.
     @example(pos=(0.0, 0.0), heading=0.0, fov=0.1015625, sensing=1.5, extra=[])
+    # A half angle of pi: the cone test keeps everyone, behind the robot too.
+    @example(pos=(1.0, -2.0), heading=2.0, fov=math.pi, sensing=3.0,
+             extra=[(1.0 - 2.9 * math.cos(2.0), -2.0 - 2.9 * math.sin(2.0))])
     def test_prefiltered_visibility_equals_full(self, pos, heading, fov, sensing, extra):
         robot = _robot(0, pos, heading=heading, sensing=sensing, fov=fov)
         rx, ry = pos
-        # People exactly at the sensing range, on and just past both cone
-        # edges, and at the robot itself, plus arbitrary ones.
-        rim = [(rx + sensing * math.cos(a), ry + sensing * math.sin(a))
+        # People on and just past both cone edges, exactly at the sensing
+        # range and well inside it, and at the robot itself, plus arbitrary
+        # ones.
+        rim = [(rx + r * math.cos(a), ry + r * math.sin(a))
+               for r in (sensing, sensing / 2)
                for a in (heading, heading + fov, heading - fov,
                          heading + fov + 1e-9, heading - fov - 1e-9)]
         ring = [(rx + sensing, ry), (rx, ry - sensing), (rx, ry)]
@@ -325,7 +330,11 @@ class TestSensingCandidates:
         xy = np.array(points, dtype=np.float64).T
         (candidates,) = sensing_candidates([robot], xy)
         assert candidates == sorted(candidates)
-        assert {i for i, (px, py) in enumerate(points)
-                if math.hypot(px - rx, py - ry) <= sensing} <= set(candidates)
+        # Without obstacles, visible_people keeps exactly those in range and
+        # in the cone.
+        assert set(visible_people(robot, people, ARENA)) <= set(candidates)
+        if fov == math.pi:
+            assert {i for i, (px, py) in enumerate(points)
+                    if math.hypot(px - rx, py - ry) <= sensing} <= set(candidates)
         assert (visible_people(robot, [people[j] for j in candidates], _OBSTACLE_ARENA)
                 == visible_people(robot, people, _OBSTACLE_ARENA))
