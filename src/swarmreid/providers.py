@@ -14,15 +14,18 @@ plumbing for swapping in an actual captioner or encoder.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
+import re
 import select
 import socket
 import subprocess
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -60,54 +63,100 @@ def handle_request(request: dict) -> dict:
         return {"error": f"{type(exc).__name__}: {exc}"}
 
 
-class SubprocessProvider:
+def _time_left(deadline: float) -> float:
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("timed out")
+    return left
+
+
+def _read_reply(recv, deadline: float, complete) -> bytes:
+    """One reply, for either transport: ``recv(seconds)`` returns the next
+    bytes within ``seconds`` (b"" at end of stream) or raises TimeoutError,
+    and is given only the time left to ``deadline``. Reading stops at end of
+    stream or once ``complete(reply)`` holds, and refuses a reply longer
+    than ``MAX_REPLY_BYTES``."""
+    reply = b""
+    while not complete(reply):
+        chunk = recv(_time_left(deadline))
+        if not chunk:
+            break
+        reply += chunk
+        if len(reply) > MAX_REPLY_BYTES:
+            raise ProviderError(f"provider sent a reply longer than {MAX_REPLY_BYTES} bytes")
+    return reply
+
+
+class _Transport:
+    """Sends each request's JSON payload through the transport's
+    ``_exchange(data, deadline)``, which returns the reply's JSON bytes
+    before the deadline, ``timeout`` seconds after the request starts. A
+    stall, an OS error, or a reply that is not a JSON object or that holds
+    an ``error`` key raises ProviderError."""
+
+    def request(self, payload: dict) -> dict:
+        try:
+            reply = self._exchange(json.dumps(payload).encode("utf-8"),
+                                   time.monotonic() + self._timeout)
+        except TimeoutError as exc:
+            raise ProviderError(f"{self._who} did not reply within "
+                                f"{self._timeout}s: timed out") from exc
+        except OSError as exc:
+            raise ProviderError(f"request to {self._who} failed: {exc}") from exc
+        try:
+            response = json.loads(reply)
+        except ValueError as exc:
+            raise ProviderError(f"provider sent a non-JSON {self._unit}: "
+                                f"{reply[:200]!r}") from exc
+        if not isinstance(response, dict):
+            raise ProviderError(f"malformed provider response: {response!r}")
+        if "error" in response:
+            raise ProviderError(f"provider error: {response['error']}")
+        return response
+
+    def close(self) -> None:
+        pass
+
+
+class SubprocessProvider(_Transport):
     """Talks the protocol to a child process over stdin/stdout lines.
 
-    Each request must be answered within ``timeout`` seconds by a line of at
-    most ``MAX_REPLY_BYTES``, and ``close`` gives the child as long to exit
-    after its stdin closes before killing it.
+    Each request must be answered within ``timeout`` seconds by exactly one
+    line of at most ``MAX_REPLY_BYTES``, and ``close`` gives the child as
+    long to exit after its stdin closes before killing it.
     """
+
+    _who, _unit = "provider subprocess", "line"
 
     def __init__(self, command: Sequence[str], timeout: float = 10.0) -> None:
         self._timeout = timeout
-        self._pending = b""
         try:
             self._proc = subprocess.Popen(
                 list(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         except OSError as exc:
             raise ProviderError(f"cannot start provider {list(command)}: {exc}") from exc
 
-    def request(self, payload: dict) -> dict:
+    def _exchange(self, data: bytes, deadline: float) -> bytes:
+        fd = self._proc.stdout.fileno()
         if self._proc.poll() is not None:
             raise ProviderError("provider subprocess has exited")
-        try:
-            self._proc.stdin.write(json.dumps(payload).encode("utf-8") + b"\n")
-            self._proc.stdin.flush()
-        except OSError as exc:
-            raise ProviderError(f"cannot write to provider subprocess: {exc}") from exc
-        line = self._read_line(time.monotonic() + self._timeout)
-        try:
-            response = json.loads(line)
-        except ValueError as exc:
-            raise ProviderError(f"provider sent a non-JSON line: {line[:200]!r}") from exc
-        return _check(response)
+        if select.select([fd], [], [], 0)[0]:
+            raise ProviderError("provider subprocess sent unrequested output, "
+                                "or closed its stdout, before the request")
+        self._proc.stdin.write(data + b"\n")
+        self._proc.stdin.flush()
 
-    def _read_line(self, deadline: float) -> bytes:
-        """One reply line, read straight from the pipe so a stall times out."""
-        fd = self._proc.stdout.fileno()
-        while b"\n" not in self._pending and len(self._pending) <= MAX_REPLY_BYTES:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
-                raise ProviderError(
-                    f"provider subprocess did not reply within {self._timeout}s")
-            chunk = os.read(fd, 65536)
-            if not chunk:
-                raise ProviderError("provider subprocess closed its stdout")
-            self._pending += chunk
-        line, _, self._pending = self._pending.partition(b"\n")
-        if len(line) > MAX_REPLY_BYTES:
-            raise ProviderError("provider subprocess sent a reply longer than "
-                                f"{MAX_REPLY_BYTES} bytes")
+        def recv(seconds: float) -> bytes:
+            if not select.select([fd], [], [], seconds)[0]:
+                raise TimeoutError("timed out")
+            return os.read(fd, 65536)
+
+        line, newline, rest = _read_reply(recv, deadline, lambda r: b"\n" in r).partition(b"\n")
+        if not newline:
+            raise ProviderError("provider subprocess closed its stdout")
+        if rest:
+            raise ProviderError("provider subprocess sent unrequested output "
+                                f"after its reply line: {rest[:200]!r}")
         return line
 
     def close(self) -> None:
@@ -123,100 +172,71 @@ class SubprocessProvider:
         self._proc.stdout.close()
 
 
-class _DeadlineSocket(socket.socket):
-    """A connected socket whose every send and receive waits at most the
-    time left to one monotonic deadline, so a peer that trickles bytes
-    cannot stretch a request past it."""
-
-    def __init__(self, sock: socket.socket, deadline: float) -> None:
-        super().__init__(sock.family, sock.type, sock.proto, sock.detach())
-        self._deadline = deadline
-
-    def _wait_left(self) -> None:
-        left = self._deadline - time.monotonic()
-        if left <= 0:
-            raise TimeoutError("timed out")
-        self.settimeout(left)
-
-    def sendall(self, *args) -> None:
-        self._wait_left()
-        super().sendall(*args)
-
-    def recv_into(self, *args) -> int:
-        self._wait_left()
-        return super().recv_into(*args)
+def _http_complete(reply: bytes) -> bool:
+    """Whether the body holds the bytes its Content-Length announces, so a
+    server that keeps the connection open cannot hold the request. A length
+    too long to be met is left to end of stream and ``MAX_REPLY_BYTES``."""
+    head, sep, body = reply.partition(b"\r\n\r\n")
+    length = re.search(rb"(?im)^content-length:[ \t]*(\d{1,15})[ \t]*$", head)
+    return bool(sep and length) and len(body) >= int(length[1])
 
 
-class HttpProvider:
-    """POSTs protocol payloads to an HTTP endpoint.
+class HttpProvider(_Transport):
+    """POSTs protocol payloads to an ``http`` or ``https`` endpoint.
 
-    Over plain HTTP, the whole exchange after connecting (the request, the
-    status line, the headers and the body, at most ``MAX_REPLY_BYTES``)
-    waits at most until one deadline ``timeout`` seconds after the request
-    starts: each read waits only the time left. Connecting, and every socket
-    operation of an HTTPS exchange, waits at most ``timeout`` seconds.
+    Each request is one HTTP/1.0 exchange on its own connection. Connecting,
+    the TLS handshake, sending, and every read of the reply (at most
+    ``MAX_REPLY_BYTES``, head included) wait only the time left to one
+    deadline ``timeout`` seconds after the request starts; name resolution
+    is not bounded, and each address a name resolves to may take the time
+    left. Redirects are not followed and proxies are not used.
     """
 
+    _unit = "body"
+
     def __init__(self, url: str, timeout: float = 10.0) -> None:
-        self._url = url
+        self._who = f"provider at {url}"
         self._timeout = timeout
-
-    def request(self, payload: dict) -> dict:
-        # Imported here: urllib.request pulls in http.client, ssl and email,
-        # which no process without an HTTP provider needs.
-        import http.client
-        import urllib.request
-
-        deadline = time.monotonic() + self._timeout
-
-        def connection(host, **kwargs):
-            conn = http.client.HTTPConnection(host, **kwargs)
-            connect = conn._create_connection
-            conn._create_connection = lambda *args: _DeadlineSocket(connect(*args), deadline)
-            return conn
-
-        class DeadlineHandler(urllib.request.HTTPHandler):
-            def http_open(self, req):
-                return self.do_open(connection, req)
-
-        req = urllib.request.Request(
-            self._url,
-            data=json.dumps(payload).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-        )
-        body = bytearray()
+        parts = urlsplit(url)
         try:
-            # URLError, HTTPError and socket timeouts are all OSErrors; a
-            # malformed response is an HTTPException.
-            with urllib.request.build_opener(DeadlineHandler).open(
-                    req, timeout=self._timeout) as resp:
-                while chunk := resp.read1(65536):
-                    body += chunk
-                    if len(body) > MAX_REPLY_BYTES:
-                        raise ProviderError(f"provider at {self._url} sent a reply "
-                                            f"longer than {MAX_REPLY_BYTES} bytes")
-        except TimeoutError as exc:
-            raise ProviderError(f"provider at {self._url} did not reply within "
-                                f"{self._timeout}s: timed out") from exc
-        except (OSError, http.client.HTTPException) as exc:
-            raise ProviderError(f"provider request to {self._url} failed: {exc}") from exc
+            port = parts.port or (443 if parts.scheme == "https" else 80)
+        except ValueError:
+            port = None
+        if parts.scheme not in ("http", "https") or not parts.hostname or not port:
+            raise ProviderError(f"provider URL {url!r} is not an http(s) URL with a host")
+        self._address = (parts.hostname, port)
+        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        self._head = (f"POST {target} HTTP/1.0\r\nHost: {parts.netloc.rpartition('@')[2]}\r\n"
+                      "Content-Type: application/json\r\nConnection: close\r\n").encode()
+        self._tls = None
+        if parts.scheme == "https":
+            import ssl  # only an https provider needs it
+
+            self._tls = ssl.create_default_context()
+
+    def _exchange(self, data: bytes, deadline: float) -> bytes:
+        def recv(seconds: float) -> bytes:
+            sock.settimeout(seconds)
+            return sock.recv(65536)
+
+        sock = socket.create_connection(self._address, timeout=_time_left(deadline))
         try:
-            response = json.loads(body)
-        except ValueError as exc:
-            raise ProviderError(
-                f"provider sent a non-JSON body: {bytes(body[:200])!r}") from exc
-        return _check(response)
-
-    def close(self) -> None:
-        pass
-
-
-def _check(response: dict) -> dict:
-    if not isinstance(response, dict):
-        raise ProviderError(f"malformed provider response: {response!r}")
-    if "error" in response:
-        raise ProviderError(f"provider error: {response['error']}")
-    return response
+            if self._tls is not None:
+                sock.settimeout(_time_left(deadline))
+                sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
+            sock.settimeout(_time_left(deadline))
+            sock.sendall(self._head + b"Content-Length: %d\r\n\r\n" % len(data) + data)
+            reply = _read_reply(recv, deadline, _http_complete)
+        finally:
+            sock.close()  # the TLS socket once wrapped; wrapping detached the plain one
+        head, _, body = reply.partition(b"\r\n\r\n")
+        status = head.split(b"\r\n", 1)[0]
+        if not re.fullmatch(rb"HTTP/\d\.\d 2\d\d(?: .*)?", status):
+            raise ProviderError(f"request to {self._who} failed: {status[:200]!r}")
+        if re.search(rb"(?im)^transfer-encoding:", head):
+            raise ProviderError(f"{self._who} sent Transfer-Encoding, "
+                                "which an HTTP/1.0 reply must not")
+        return body
 
 
 def _text_answer(response: dict, op: str) -> str:
@@ -228,72 +248,48 @@ def _text_answer(response: dict, op: str) -> str:
     return text
 
 
-def _make_transport(endpoint: ProviderEndpoint):
-    if endpoint.transport == "subprocess":
-        return SubprocessProvider(endpoint.command)
-    if endpoint.transport == "http":
-        return HttpProvider(endpoint.url)
-    raise ProviderError(f"unknown transport {endpoint.transport!r}")
-
-
 @dataclass
 class ResolvedProviders:
     """Callables the runner wires in; None means use the reference path."""
 
     describe_fn: object | None
     ops: LanguageOps
-    _transports: list
-
-    def close(self) -> None:
-        for t in self._transports:
-            t.close()
-
-    def __enter__(self) -> "ResolvedProviders":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
-def resolve_providers(cfg: ProvidersConfig) -> ResolvedProviders:
+@contextlib.contextmanager
+def resolve_providers(cfg: ProvidersConfig) -> Iterator[ResolvedProviders]:
     """Build the describer callable and LanguageOps for a run.
 
-    If a transport fails to start, the ones already started are closed.
+    The scope owns every transport it starts and closes them when it ends,
+    also when a later one fails to start or the run raises.
     """
-    transports = []
+    with contextlib.ExitStack() as stack:
 
-    def start(endpoint: ProviderEndpoint):
-        try:
-            transport = _make_transport(endpoint)
-        except ProviderError:
-            for started in transports:
-                started.close()
-            raise
-        transports.append(transport)
-        return transport
+        def start(endpoint: ProviderEndpoint | None):
+            if endpoint is None:
+                return None
+            if endpoint.transport not in ("subprocess", "http"):
+                raise ProviderError(f"unknown transport {endpoint.transport!r}")
+            transport = (SubprocessProvider(endpoint.command) if endpoint.transport == "subprocess"
+                         else HttpProvider(endpoint.url))
+            stack.callback(transport.close)
+            return transport
 
-    describe_fn = None
-    if cfg.describer is not None:
-        t = start(cfg.describer)
-
-        def describe_fn(attributes: PersonAttributes, _t=t) -> str:
-            resp = _t.request({
-                "v": PROTOCOL_VERSION, "op": "describe",
-                "attributes": attributes.to_dict(),
-            })
-            return _text_answer(resp, "describer")
-
-    embed_fn = REFERENCE_OPS.embed
-    if cfg.embedder is not None:
-        t = start(cfg.embedder)
+        describer, embedder, summarizer = map(
+            start, (cfg.describer, cfg.embedder, cfg.summarizer))
         cache: dict[tuple[str, ...], np.ndarray] = {}
 
-        def embed_fn(tokens: Sequence[str], _t=t, _cache=cache) -> np.ndarray:
+        def describe_fn(attributes: PersonAttributes) -> str:
+            resp = describer.request({"v": PROTOCOL_VERSION, "op": "describe",
+                                      "attributes": attributes.to_dict()})
+            return _text_answer(resp, "describer")
+
+        def embed_fn(tokens: Sequence[str]) -> np.ndarray:
             key = tuple(tokens)
-            hit = _cache.get(key)
+            hit = cache.get(key)
             if hit is not None:
                 return hit
-            resp = _t.request({"v": PROTOCOL_VERSION, "op": "embed", "tokens": list(key)})
+            resp = embedder.request({"v": PROTOCOL_VERSION, "op": "embed", "tokens": list(key)})
             try:
                 vec = np.asarray(resp.get("vector", ()), dtype=np.float64)
             except (TypeError, ValueError) as exc:
@@ -307,22 +303,18 @@ def resolve_providers(cfg: ProvidersConfig) -> ResolvedProviders:
                                     "it must be finite and nonzero")
             vec = vec / norm
             vec.flags.writeable = False
-            _cache[key] = vec
+            cache[key] = vec
             return vec
 
-    summarize_fn = REFERENCE_OPS.summarize
-    if cfg.summarizer is not None:
-        t = start(cfg.summarizer)
-
-        def summarize_fn(members: Iterable, _t=t) -> str:
+        def summarize_fn(members: Iterable) -> str:
             texts = [m if isinstance(m, str) else m.text for m in members]
             if not texts:
                 return REFERENCE_OPS.summarize(texts)  # raises EmptyClusterError
-            resp = _t.request({"v": PROTOCOL_VERSION, "op": "summarize", "texts": texts})
+            resp = summarizer.request({"v": PROTOCOL_VERSION, "op": "summarize", "texts": texts})
             return _text_answer(resp, "summarizer")
 
-    return ResolvedProviders(
-        describe_fn=describe_fn,
-        ops=LanguageOps(embed=embed_fn, summarize=summarize_fn),
-        _transports=transports,
-    )
+        yield ResolvedProviders(
+            describe_fn=describe_fn if describer else None,
+            ops=LanguageOps(embed=embed_fn if embedder else REFERENCE_OPS.embed,
+                            summarize=summarize_fn if summarizer else REFERENCE_OPS.summarize),
+        )

@@ -1,6 +1,11 @@
+import contextlib
+import dataclasses
 import json
 import os
+import re
+import select
 import socket
+import ssl
 import subprocess
 import sys
 import threading
@@ -22,6 +27,8 @@ from swarmreid.providers import (MAX_REPLY_BYTES, HttpProvider,
 from swarmreid.runner import run_experiment
 
 _STUB = (sys.executable, "-m", "swarmreid.provider_stub")
+_DATA = os.path.join(os.path.dirname(__file__), "data")
+_CERT = os.path.join(_DATA, "loopback_cert.pem")  # for 127.0.0.1; see data/README.md
 _ATTRS = sample_attributes(1, np.random.default_rng(3))[0]
 
 
@@ -138,6 +145,21 @@ class TestMisbehavingSubprocess:
         finally:
             provider.close()
 
+    def test_second_reply_line_is_refused_not_kept_for_the_next_request(self, tmp_path):
+        provider = SubprocessProvider(_stub(
+            tmp_path, "import sys\nfor line in sys.stdin:\n"
+                      "    print('{\"text\": \"first\"}', flush=True)\n"
+                      "    print('{\"text\": \"second\"}', flush=True)\n"))
+        try:
+            # The second line comes in the read of the first reply, or after
+            # it; either way it is refused, never taken as the next answer.
+            with pytest.raises(ProviderError, match="unrequested output"):
+                assert provider.request(_REQUEST) == {"text": "first"}
+                select.select([provider._proc.stdout], [], [], 5.0)
+                provider.request(_REQUEST)
+        finally:
+            provider.close()
+
     def test_child_dying_mid_request_raises(self, tmp_path):
         provider = SubprocessProvider(
             _stub(tmp_path, "import sys\nsys.stdin.readline()\n"), timeout=5.0)
@@ -176,14 +198,37 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture(scope="module")
-def http_url():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+class _KeepAliveHandler(_Handler):
+    """Answers as _Handler does, then holds the connection open for a next
+    request until the client closes it."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        super().do_POST()
+        self.close_connection = False
+
+
+@contextlib.contextmanager
+def _serving(handler, tls=None):
+    """Base URL of a loopback server of ``handler``, over TLS when given a
+    server context."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    if tls is not None:
+        server.socket = tls.wrap_socket(server.socket, server_side=True)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/"
-    server.shutdown()
-    server.server_close()
+    try:
+        yield f"{'https' if tls else 'http'}://127.0.0.1:{server.server_port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture(scope="module")
+def http_url():
+    with _serving(_Handler) as url:
+        yield url + "/"
 
 
 # Bodies by path; any other path answers "<html>not json</html>".
@@ -199,13 +244,32 @@ _TRICKLED_HEAD = (b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n"
                   b"Content-Length: 37\r\n\r\n")
 
 
+# Status, headers and body by path, each sent at once.
+_WHOLE_REPLIES = {
+    "/redirect": (302, {"Location": "/trickle", "Content-Length": "0"}, b""),
+    "/chunked": (200, {"Transfer-Encoding": "chunked"},
+                 b"25\r\n" + _BODIES["/trickle"] + b"\r\n0\r\n\r\n"),
+    "/long-length": (200, {"Content-Length": "9" * 5000}, _BODIES["/trickle"]),
+}
+
+
 class _BadHandler(BaseHTTPRequestHandler):
     """Answers by path: /500 fails, /garbage sends non-JSON, /slow stalls,
     /trickle sends its body a byte every 0.15 s, /trickle-head its status
-    line and headers, /huge sends more than MAX_REPLY_BYTES."""
+    line and headers, /huge sends more than MAX_REPLY_BYTES, /redirect
+    redirects to /trickle, /chunked sends a chunked valid body, /long-length
+    a valid body under a 5000-digit Content-Length."""
 
     def do_POST(self):
         self.rfile.read(int(self.headers["Content-Length"]))
+        if self.path in _WHOLE_REPLIES:
+            status, headers, body = _WHOLE_REPLIES[self.path]
+            self.send_response(status)
+            for name, value in headers.items():
+                self.send_header(name, value)
+            self.end_headers()
+            self.wfile.write(body)
+            return
         if self.path == "/trickle-head":
             try:
                 for i in range(len(_TRICKLED_HEAD)):
@@ -240,12 +304,22 @@ class _BadHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture(scope="module")
 def bad_http_url():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _BadHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}"
-    server.shutdown()
-    server.server_close()
+    with _serving(_BadHandler) as url:
+        yield url
+
+
+@pytest.fixture(scope="module")
+def https_urls():
+    """Base URLs of a well-behaved and a misbehaving loopback HTTPS server."""
+    tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    tls.load_cert_chain(_CERT, os.path.join(_DATA, "loopback_key.pem"))
+    with _serving(_Handler, tls) as good, _serving(_BadHandler, tls) as bad:
+        yield good, bad
+
+
+@pytest.fixture
+def trust_loopback_cert(monkeypatch):
+    monkeypatch.setenv("SSL_CERT_FILE", _CERT)
 
 
 def _closed_port():
@@ -288,6 +362,36 @@ class TestMisbehavingHttp:
         with pytest.raises(ProviderError, match="failed"):
             HttpProvider(url, timeout=2.0).request(_REQUEST)
 
+    def test_redirect_is_not_followed(self, bad_http_url):
+        with pytest.raises(ProviderError, match="302"):
+            HttpProvider(bad_http_url + "/redirect").request(_REQUEST)
+
+    def test_unmeetable_content_length_reads_to_end_of_stream(self, bad_http_url):
+        reply = HttpProvider(bad_http_url + "/long-length", timeout=2.0).request(_REQUEST)
+        assert reply == json.loads(_BODIES["/trickle"])
+
+    def test_transfer_encoding_refused(self, bad_http_url):
+        with pytest.raises(ProviderError, match="Transfer-Encoding"):
+            HttpProvider(bad_http_url + "/chunked").request(_REQUEST)
+
+    @pytest.mark.parametrize("url", [
+        "ftp://127.0.0.1/", "http:///no-host", "127.0.0.1:8000", "http://127.0.0.1:port/"])
+    def test_unusable_url_refused_when_built(self, url):
+        with pytest.raises(ProviderError, match=re.escape(repr(url))):
+            HttpProvider(url)
+
+    def test_https_trickled_head_ends_at_the_deadline(self, https_urls, trust_loopback_cert):
+        provider = HttpProvider(https_urls[1] + "/trickle-head", timeout=1.0)
+        started = time.monotonic()
+        with pytest.raises(ProviderError, match="did not reply within"):
+            provider.request(_REQUEST)
+        assert time.monotonic() - started < 2.0
+
+    def test_https_checks_the_certificate(self, https_urls, monkeypatch):
+        monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+        with pytest.raises(ProviderError, match="failed"):
+            HttpProvider(https_urls[0] + "/", timeout=2.0).request(_REQUEST)
+
 
 class TestHttpProvider:
     def test_round_trip(self, http_url):
@@ -300,6 +404,31 @@ class TestHttpProvider:
     def test_error_raises(self, http_url):
         with pytest.raises(ProviderError, match="unknown op"):
             HttpProvider(http_url).request({"v": 1, "op": "rank"})
+
+    def test_https_round_trip(self, https_urls, trust_loopback_cert):
+        tokens = ["red", "shirt"]
+        vec = HttpProvider(https_urls[0] + "/?q=1").request(
+            {"v": 1, "op": "embed", "tokens": tokens})["vector"]
+        assert np.allclose(vec, embed(tokens))
+
+    def test_environment_proxies_are_not_used(self, http_url, monkeypatch):
+        for name in ("http_proxy", "HTTP_PROXY"):
+            monkeypatch.setenv(name, f"http://127.0.0.1:{_closed_port()}")
+        for name in ("no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        tokens = ["red", "shirt"]
+        vec = HttpProvider(http_url, timeout=2.0).request(
+            {"v": 1, "op": "embed", "tokens": tokens})["vector"]
+        assert np.allclose(vec, embed(tokens))
+
+    def test_keep_alive_server_is_answered_at_content_length(self):
+        tokens = ["red", "shirt"]
+        with _serving(_KeepAliveHandler) as url:
+            started = time.monotonic()
+            vec = HttpProvider(url + "/", timeout=5.0).request(
+                {"v": 1, "op": "embed", "tokens": tokens})["vector"]
+            assert time.monotonic() - started < 1.0
+        assert np.allclose(vec, embed(tokens))
 
     def test_importing_the_package_loads_no_http_client(self):
         # urllib.request, which pulls these in, is imported by the first
@@ -353,7 +482,8 @@ class TestResolveProviders:
 
         monkeypatch.setattr(SubprocessProvider, "__init__", recording_init)
         with pytest.raises(ProviderError, match="cannot start"):
-            resolve_providers(config)
+            with resolve_providers(config):
+                pass
         assert started[0]._proc.poll() is not None
 
     def test_describer_round_trip(self):
@@ -397,7 +527,46 @@ def _answering(tmp_path, response):
     return ProviderEndpoint(transport="subprocess", command=_stub(tmp_path, body))
 
 
+class TestProviderRunFailure:
+    def test_failed_run_leaves_no_provider_child(self, tmp_path, monkeypatch):
+        started = []
+        real_init = SubprocessProvider.__init__
+
+        def recording_init(self, *args, **kwargs):
+            started.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SubprocessProvider, "__init__", recording_init)
+        stub = ProviderEndpoint(transport="subprocess", command=_STUB)
+        config = dataclasses.replace(SimConfig(duration_ticks=300), providers=ProvidersConfig(
+            describer=_answering(tmp_path, {"text": "the a an"}),
+            embedder=stub, summarizer=stub))
+        with pytest.raises(ProviderError, match="describer returned 'the a an'"):
+            run_experiment(config)
+        assert len(started) == 3
+        assert all(p._proc.poll() is not None for p in started)
+
+
 class TestGarbageAnswers:
+    @pytest.mark.parametrize("answer, message", [
+        ([1, 2], "malformed provider response"),
+        ({"vector": [1.0, 2.0, 3.0]}, re.escape("returned shape (3,)")),
+        ({"vector": ["red"] * EMBEDDING_DIM}, "non-numeric"),
+        ({"text": "no vector here"}, re.escape("returned shape (0,)")),
+        ({"vector": [[1.0]] * EMBEDDING_DIM}, re.escape(f"returned shape ({EMBEDDING_DIM}, 1)")),
+    ])
+    def test_malformed_embedding_rejected(self, tmp_path, answer, message):
+        config = ProvidersConfig(embedder=_answering(tmp_path, answer))
+        with resolve_providers(config) as resolved:
+            with pytest.raises(ProviderError, match=message):
+                resolved.ops.embed(["red"])
+
+    def test_non_string_description_rejected(self, tmp_path):
+        config = ProvidersConfig(describer=_answering(tmp_path, {"text": 5}))
+        with resolve_providers(config) as resolved:
+            with pytest.raises(ProviderError, match="describer returned 5"):
+                resolved.describe_fn(_ATTRS)
+
     @pytest.mark.parametrize("first, rest", [
         (float("nan"), 1.0), (float("inf"), 1.0), (float("-inf"), 1.0), (0.0, 0.0)])
     def test_non_finite_or_zero_vector_rejected(self, tmp_path, first, rest):
