@@ -83,6 +83,15 @@ class DescriptionRecord:
     @classmethod
     def create(cls, text: str, robot_id: int, tick: int, track_id: int,
                person_id: int) -> "DescriptionRecord":
+        """The record of ``text``, a str; the ids and the tick must be ints,
+        not bools. Loading a snapshot builds its members here, so this is
+        where their fields are checked."""
+        if type(text) is not str:
+            raise ContractError(f"record text {text!r} is not a string")
+        for name, value in (("robot_id", robot_id), ("tick", tick),
+                            ("track_id", track_id), ("person_id", person_id)):
+            if type(value) is not int:
+                raise ContractError(f"record {name} {value!r} is not an integer")
         tokens = language.cached_tokens(text)
         if not tokens:
             raise EmptyDescriptionError(f"description {text!r} has no usable tokens")

@@ -13,19 +13,18 @@ clusters by uid (directly or through the tombstone map of absorbed uids)
 instead of re-running similarity matching. A tombstone names a live cluster,
 so every redirect is one hop; beyond the cap the oldest is evicted.
 
-Exchange is delta-state anti-entropy over per-origin tick watermarks. Owners
-are unique within a swarm, each robot assigns its own records in tick order,
-and exchange leaves both sides with the union of what they held; so the
-records a database holds from one origin robot are a prefix of that origin's
-assignment order, and it holds every record of the origin below the highest
-tick it holds from it. While a database knows this holds, it keeps each
-origin's records sorted by tick, and the delta for a peer reads only those
-at or past the peer's highest tick from the origin, keeps the ones the peer
-lacks, and sends them as views of their own clusters in member order. Each
-cluster whose uid the peer does not resolve is sent as well, even with no
-such record, as the peer may match it by similarity and tombstone it; a peer
-at or near its tombstone cap, or a database that cannot trust its
-watermarks, gets the full state. Nothing is remembered per peer.
+Exchange is delta-state anti-entropy: each view lists just the records of its
+cluster that the peer lacks, in member order. Owners are unique within a
+swarm, each robot assigns its own records in tick order, and exchange leaves
+both sides with the union of what they held; so the records a database holds
+from one origin robot are a prefix of that origin's assignment order, and it
+holds every record of the origin below the highest tick it holds from it.
+While both sides know this holds, the delta reads only each origin's records
+at or past the peer's highest tick from it; otherwise it tests every held
+record against the peer's key index. Each cluster whose uid the peer does not
+resolve is sent as well, even with no such record, as the peer may match it
+by similarity and tombstone it; a peer at or near its tombstone cap gets a
+view of every cluster. Nothing is remembered per peer.
 
 Exchange passes records by reference, so a run's databases share one record
 object per record; databases loaded inside one ``shared_records`` scope share
@@ -39,12 +38,11 @@ import json
 import weakref
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
 from copy import deepcopy
 from dataclasses import dataclass, field
-from itertools import count, islice
+from itertools import count
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -132,13 +130,11 @@ def _sample_order(record: DescriptionRecord) -> tuple[int, int, int]:
 
 
 class ClusterView(NamedTuple):
-    """A cluster as it stood when the view was taken, without copying it.
+    """A cluster as it stood when the view was taken, for one receiver.
 
-    The cluster then had ``n`` members. ``members`` is either its live list,
-    of which the view covers the first ``n`` entries (they never change, as
-    members are only ever appended), or a list of just the members the
-    receiver lacked, in member order. The summary and embedding fields are
-    references to values that updates replace rather than mutate.
+    The cluster then had ``n`` members; ``members`` is a new list of just
+    those the receiver lacked, in member order. The summary and embedding
+    fields are references to values that updates replace rather than mutate.
     """
 
     uid: ClusterUid
@@ -429,7 +425,7 @@ class ClusterDatabase:
         self.mode = mode
         self.clusters: dict[ClusterUid, Cluster] = {}
         self.uid_counter = 0
-        self.tombstones: OrderedDict[ClusterUid, ClusterUid] = OrderedDict()
+        self.tombstones: dict[ClusterUid, ClusterUid] = {}  # oldest first
         self.tombstone_cap = tombstone_cap
         self.ops = ops
         # record key -> cluster uid, of every record held
@@ -527,7 +523,7 @@ class ClusterDatabase:
         """Redirect ``absorbed``, which does not resolve, to live ``survivor``."""
         self.tombstones[absorbed] = survivor
         while len(self.tombstones) > self.tombstone_cap:
-            self.tombstones.popitem(last=False)
+            del self.tombstones[next(iter(self.tombstones))]
 
     def _resolve_uid(self, uid: ClusterUid) -> ClusterUid | None:
         """The live cluster ``uid`` names, directly or by its tombstone."""
@@ -630,48 +626,44 @@ class ClusterDatabase:
     def record_keys(self) -> set[tuple[int, int, int]]:
         return set(self._keys)
 
-    def views(self) -> list[ClusterView]:
-        """The full state: a view of every cluster as it stands now,
-        ascending uid."""
-        return [ClusterView(uid, c.members, len(c.members), c.summary_text,
-                            c.embedding)
-                for uid, c in sorted(self.clusters.items())]
-
     def _delta_for(self, peer: "ClusterDatabase") -> list[ClusterView]:
         """Views to send ``peer``, ascending uid: those a full-state exchange
-        would act on.
+        would act on, each listing just the records of its cluster the peer
+        lacks, in member order, with ``n`` the cluster's member count.
 
         A full-state view of a cluster whose uid the peer resolves only adds
         the records the peer lacks there; one whose uid it does not resolve
         runs a similarity match whatever the peer holds, and may copy the
-        cluster's summary when the peer lacks every member. So, when both
-        sides trust their watermarks, each view carries just the records the
-        peer lacks, in member order, with ``n`` the cluster's member count; a
-        cluster the peer resolves and lacks nothing of is not sent, and one
-        it does not resolve is sent even with no record, as the peer may
-        tombstone it. Of each origin, only the records from the peer's
-        highest tick from it on are looked up, as the peer holds every
-        earlier one. Only eviction un-resolves a uid, so a peer whose
-        tombstones could reach its cap while absorbing gets the full state.
+        cluster's summary when the peer lacks every member. So a cluster the
+        peer resolves and lacks nothing of is not sent, and one it does not
+        resolve is sent even with no record, as the peer may tombstone it.
+        When both sides trust their watermarks, only each origin's records
+        from the peer's highest tick from it on are looked up, as the peer
+        holds every earlier one; otherwise every held record is. Only
+        eviction un-resolves a uid, so a peer whose tombstones could reach
+        its cap while absorbing gets a view of every cluster.
         """
         by_origin, peer_origins = self._by_origin, peer._by_origin
-        if by_origin is None or peer_origins is None:
-            return self.views()
-        clusters = self.clusters
+        clusters, keys, peer_keys = self.clusters, self._keys, peer._keys
         # Tombstones name live clusters, so every tombstoned uid resolves.
         unresolved = clusters.keys() - peer.clusters.keys() - peer.tombstones.keys()
-        keys, peer_keys = self._keys, peer._keys
         lacking: dict[ClusterUid, list[tuple[int, DescriptionRecord]]] = {}
-        for origin, log in by_origin.items():
-            peer_log = peer_origins.get(origin)
-            # Inclusive: the peer may hold only some records of that tick.
-            start = 0 if peer_log is None else bisect_left(log.ticks, peer_log.ticks[-1])
-            for i, record in zip(log.indexes[start:], log.records[start:]):
-                if record.key not in peer_keys:
-                    lacking.setdefault(keys[record.key], []).append((i, record))
+        if by_origin is None or peer_origins is None:
+            for uid, c in clusters.items():
+                listed = [(i, m) for i, m in enumerate(c.members) if m.key not in peer_keys]
+                if listed:
+                    lacking[uid] = listed
+        else:
+            for origin, log in by_origin.items():
+                peer_log = peer_origins.get(origin)
+                # Inclusive: the peer may hold only some records of that tick.
+                start = 0 if peer_log is None else bisect_left(log.ticks, peer_log.ticks[-1])
+                for i, record in zip(log.indexes[start:], log.records[start:]):
+                    if record.key not in peer_keys:
+                        lacking.setdefault(keys[record.key], []).append((i, record))
         sent = lacking.keys() | unresolved
         if 0 < peer.tombstone_cap <= len(peer.tombstones) + len(sent):
-            return self.views()
+            sent = clusters.keys()
         views = []
         for uid in sorted(sent):
             c = clusters[uid]
@@ -684,16 +676,14 @@ class ClusterDatabase:
                 ) -> tuple[int, int, int]:
         """Fold received views in; returns (merged, copied, added).
 
-        A view may list only some of the ``n`` members its cluster had, but
-        the ones it leaves out must be held here. Then ``fresh`` is exactly
-        what full-state absorption would find, and it has ``n`` records only
-        when every member was lacking, the case in which a copy keeps the
-        sender's summary.
+        Each view lists what this database lacked of its cluster when taken;
+        the sender's clusters hold disjoint records, so that is exactly what
+        full-state absorption finds fresh. It is all ``n`` members only when
+        every one was lacking, the case in which a copy keeps the summary.
         """
         merged = copied = added_total = 0
-        keys = self._keys
         for view in received:
-            fresh = [m for m in islice(view.members, view.n) if m.key not in keys]
+            fresh = view.members
             target = self._resolve_uid(view.uid)
             if target is None:
                 best = self._index.best(view.embedding)
@@ -775,6 +765,8 @@ class ClusterDatabase:
         db = cls(owner=d["owner"], mode=d["mode"],
                  tombstone_cap=d.get("tombstone_cap", DEFAULT_TOMBSTONE_CAP), ops=ops)
         db.uid_counter = d["uid_counter"]
+        if type(db.uid_counter) is not int or db.uid_counter < 0:
+            raise ContractError(f"snapshot uid_counter {db.uid_counter!r} is not an int >= 0")
         # A snapshot may not be a prefix of every origin's records, say an
         # earlier one of a database that has gone on.
         db._by_origin = None
@@ -782,7 +774,7 @@ class ClusterDatabase:
         if records is None:
             records = {}
         for cd in d["clusters"]:
-            cluster = db._new_cluster(tuple(cd["uid"]))
+            cluster = db._new_cluster(_loaded_uid(cd["uid"], "cluster uid"))
             members = []
             for m in cd["members"]:
                 text, person_id = m["text"], m["person_id"]
@@ -803,7 +795,7 @@ class ClusterDatabase:
                                     "other than its members'")
             db._refresh(cluster, cd["summary_text"])
         for k, v in d.get("tombstones", []):
-            k, v = tuple(k), tuple(v)
+            k, v = _loaded_uid(k, "tombstone key"), _loaded_uid(v, "tombstone target")
             if k in db.clusters or k in db.tombstones or v not in db.clusters:
                 raise ContractError(f"snapshot tombstone {k} -> {v} is not one hop")
             db.tombstones[k] = v
@@ -886,6 +878,13 @@ class ClusterDatabase:
                 f"tombstone {absorbed} -> {survivor} is not one hop to a live cluster")
 
 
+def _loaded_uid(value, what: str) -> ClusterUid:
+    """A snapshot's ``what`` as a uid: it must list two integers."""
+    if type(value) is not list or len(value) != 2 or any(type(v) is not int for v in value):
+        raise ContractError(f"snapshot {what} {value!r} is not a list of two integers")
+    return tuple(value)
+
+
 def exchange(a: ClusterDatabase, b: ClusterDatabase,
              theta_merge: float) -> ExchangeStats:
     """Symmetric pairwise database exchange; mutates both sides.
@@ -897,7 +896,11 @@ def exchange(a: ClusterDatabase, b: ClusterDatabase,
     it is copied in under its original uid. Member union deduplicates on
     (robot_id, track_id, tick) across the whole database.
 
-    Each side sends only a delta, read from the peer's own holdings.
+    Each side sends only a delta (``_delta_for``), read from the peer's own
+    holdings: each view lists just the records of its cluster the peer lacks.
+    Results and stats equal the full-state exchange; a cluster the peer
+    resolves by uid and holds every record of is not sent, and counts as
+    merged, as the full-state exchange would recognise it and add nothing.
     Watermark invariant: a database holds, from each origin robot, a prefix
     of that origin's assignment order, which never goes back in tick; so it
     holds every record of the origin below the highest tick it holds from
@@ -906,13 +909,8 @@ def exchange(a: ClusterDatabase, b: ClusterDatabase,
     loaded by ``from_dict`` never trusts it, and an exchange in which either
     side does not trust it leaves neither trusting. Owners must be unique
     among the databases that exchange, directly or through others, as they
-    are in a run. Between trusting sides, a cluster the peer resolves by uid
-    and holds every record of is not sent (the full-state exchange would
-    recognise it and find nothing new, so it counts as merged); one it
-    resolves but lacks records of is sent with just those records, and one
-    it does not resolve is sent with just the records the peer lacks, even
-    if that is none. Otherwise, and for a peer at or near its tombstone cap,
-    the full state is sent. Results and stats equal the full-state exchange.
+    are in a run. Between trusting sides the delta looks up only records at
+    or past the peer's watermarks; otherwise it tests every held record.
     """
     if not (0.0 <= theta_merge <= 1.0):
         raise ContractError(f"theta_merge={theta_merge} outside [0, 1]")
@@ -924,9 +922,9 @@ def exchange(a: ClusterDatabase, b: ClusterDatabase,
                             f"{a.mode!r} and {b.mode!r}")
     if a._by_origin is None or b._by_origin is None:
         a._by_origin = b._by_origin = None
-    # Views instead of copies: while a absorbs, a's clusters can only gain
-    # records from b by appending, past the members a's views cover, and
-    # their summaries and embeddings are rebound, never mutated.
+    # Both deltas come before either absorbs: a's views list their records
+    # in lists of their own, and a's summaries and embeddings are rebound,
+    # never mutated, while a absorbs b's.
     views_a = a._delta_for(b)
     views_b = b._delta_for(a)
     unsent_a = len(a.clusters) - len(views_a)

@@ -29,13 +29,13 @@ LOWER_TYPES: tuple[str, ...] = ("jeans", "pants", "skirt", "shorts", "none")
 ACCESSORIES: tuple[str, ...] = ("hat", "glasses", "backpack", "bag")
 
 
-def _load_table(name: str, key: str) -> tuple[int, dict[str, str]]:
+def _load_table(name: str, key: str) -> dict[str, str]:
     raw = json.loads(resources.files("swarmreid.data").joinpath(name).read_text())
-    return int(raw["version"]), dict(raw[key])
+    return dict(raw[key])
 
 
-SYNONYM_TABLE_VERSION, SYNONYMS = _load_table("synonyms.json", "synonyms")
-CONFUSION_TABLE_VERSION, COLOR_CONFUSIONS = _load_table("color_confusion.json", "confusions")
+SYNONYMS = _load_table("synonyms.json", "synonyms")
+COLOR_CONFUSIONS = _load_table("color_confusion.json", "confusions")
 
 # Word -> garment slot ("upper"/"lower"), covering vocabulary words and their
 # synonym replacements so noisy texts still classify.

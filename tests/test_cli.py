@@ -181,6 +181,28 @@ class TestReport:
         assert err.startswith("error: ") and name in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda doc: doc.update(uid_counter="x"), "snapshot uid_counter"),
+        (lambda doc: doc["clusters"][0]["members"][0].update(person_id=None),
+         "record person_id"),
+        (lambda doc: doc.update(tombstones=[[[0], doc["clusters"][0]["uid"]]]),
+         "snapshot tombstone key"),
+        (lambda doc: doc["clusters"][0].update(uid=[0]), "snapshot cluster uid"),
+        (lambda doc: doc["clusters"][0]["members"][0].update(tick="0"), "record tick"),
+    ], ids=["uid_counter", "person_id", "tombstone_key", "cluster_uid", "tick"])
+    def test_mistyped_database_field_exits_two(self, run_dir, tmp_path, capsys,
+                                               edit, named):
+        edited = tmp_path / "run"
+        shutil.copytree(run_dir, edited)
+        path = edited / "db_robot_0.json"
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        assert main(["report", "--run", str(edited)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"db_robot_0.json: {named} " in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("refingerprint, named", [
         (False, "config.json"), (True, "metrics.json")])
     def test_edited_seed_exits_two(self, run_dir, tmp_path, capsys,

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -281,10 +282,11 @@ class TestExchange:
         with pytest.raises(AssertionError, match="beyond the cap"):
             db.check_invariants()
 
-    def test_eviction_sends_full_views(self):
+    def test_eviction_sends_every_cluster(self):
         """Robot 1 evicts the tombstone of robot 0's cluster. Robot 0 has
         nothing new for it, but must send that cluster again, as a
-        full-state exchange would: robot 1 no longer resolves its uid."""
+        full-state exchange would: robot 1 no longer resolves its uid. At its
+        cap, robot 1 gets a view of every cluster, each listing nothing."""
         a, c = (self._seeded_db(owner, [(WOMAN_TEXT, 1)]) for owner in (0, 2))
         b = ClusterDatabase(owner=1, tombstone_cap=1)
         b.assign_description(_record(WOMAN_TEXT, robot_id=1, track_id=1), 0.8)
@@ -293,11 +295,34 @@ class TestExchange:
         exchange(b, c, 0.8)
         assert list(b.tombstones) == [(2, 0)]
         assert b.record_keys() >= a.record_keys()
-        assert a._delta_for(b) == a.views()
+        assert ([(v.uid, v.members, v.n) for v in a._delta_for(b)]
+                == [(uid, [], len(c.members)) for uid, c in sorted(a.clusters.items())])
         stats = exchange(a, b, 0.8)
         assert (stats.merged_into_b, stats.copied_to_b) == (1, 0)
         assert list(b.tombstones) == [(0, 0)]
         b.check_invariants()
+
+    def test_reloaded_peer_gets_just_what_it_lacks(self):
+        """A reloaded peer does not trust its watermarks, yet a delta for it
+        lists only the record it lacks, and exchange with it equals exchange
+        with the database it was saved from."""
+        a = self._seeded_db(0, [(WOMAN_TEXT, 1), (MAN_TEXT, 2)])
+        b = self._seeded_db(1, [(GREEN_TEXT, 1), (WOMAN_TEXT, 2)])
+        exchange(a, b, 0.8)
+        b2 = ClusterDatabase.from_json(b.to_json())
+        record = _record(GREEN_TEXT, robot_id=0, tick=5, track_id=3)
+        uid, _ = a.assign_description(record, 0.8)
+        views = a._delta_for(b2)
+        assert [(v.uid, v.members, v.n) for v in views] == [
+            (uid, [record], len(a.clusters[uid].members))]
+        assert all(v.members is not a.clusters[v.uid].members for v in views)
+        assert b2._delta_for(a) == []
+        results = []
+        for peer in (b, b2):
+            a_copy, peer_copy = copy.deepcopy(a), copy.deepcopy(peer)
+            stats = exchange(a_copy, peer_copy, 0.8)
+            results.append((a_copy.to_json(), peer_copy.to_json(), stats))
+        assert results[0] == results[1]
 
     def test_identical_databases_fixed_point(self):
         a = self._seeded_db(0, [(WOMAN_TEXT, 1), (MAN_TEXT, 2)])
@@ -540,6 +565,41 @@ class TestSerialization:
             doc["tombstones"] = tombstones
             with pytest.raises(ContractError, match="not one hop"):
                 ClusterDatabase.from_dict(doc)
+
+    @pytest.mark.parametrize("value", ["x", -1, True, 1.0, None])
+    def test_uid_counter_must_be_an_int_at_least_zero(self, value):
+        doc = json.loads(self._db().to_json())
+        doc["uid_counter"] = value
+        with pytest.raises(ContractError, match="snapshot uid_counter"):
+            ClusterDatabase.from_dict(doc)
+
+    @pytest.mark.parametrize("uid", [[2], [2, 0, 1], [2, "0"], [2, True], "2,0"])
+    def test_cluster_uid_must_be_two_ints(self, uid):
+        doc = json.loads(self._db().to_json())
+        doc["clusters"][0]["uid"] = uid
+        with pytest.raises(ContractError, match="snapshot cluster uid"):
+            ClusterDatabase.from_dict(doc)
+
+    @pytest.mark.parametrize("tombstone, field", [
+        ([[1], [2, 0]], "key"), ([[1, 0.0], [2, 0]], "key"),
+        ([[1, 0], [2]], "target"), ([[1, 0], [2, 0.0]], "target")])
+    def test_tombstone_uids_must_be_two_ints(self, tombstone, field):
+        doc = json.loads(self._db().to_json())
+        doc["tombstones"] = [tombstone]
+        with pytest.raises(ContractError, match=f"snapshot tombstone {field}"):
+            ClusterDatabase.from_dict(doc)
+
+    @pytest.mark.parametrize("field, value", [
+        ("robot_id", "2"), ("robot_id", True), ("tick", "0"), ("tick", 0.0),
+        ("track_id", None), ("person_id", None), ("person_id", False),
+        ("text", 5), ("text", None)])
+    def test_member_fields_must_be_typed(self, field, value):
+        """Checked where the record is built, so even a value that equals
+        the saved one (0.0 for 0) is refused."""
+        doc = json.loads(self._db().to_json())
+        doc["clusters"][0]["members"][0][field] = value
+        with pytest.raises(ContractError, match=f"record {field}"):
+            ClusterDatabase.from_dict(doc)
 
     def test_embeddings_recomputed_not_trusted(self):
         db = self._db()

@@ -11,7 +11,7 @@ from swarmreid.language import cosine, embed, tokenize
 from swarmreid.perception import (DescriptionNoise, DescriptionRecord,
                                   canonical_description, describe,
                                   sample_attributes)
-from swarmreid.reid import (DEFAULT_TOMBSTONE_CAP, ClusterDatabase,
+from swarmreid.reid import (DEFAULT_TOMBSTONE_CAP, ClusterDatabase, ClusterView,
                             ExchangeStats, _SimilarityIndex, canonical_json,
                             exchange)
 
@@ -212,35 +212,47 @@ def _play(steps, mode, theta_local, theta_merge, check=None,
     return dbs
 
 
+def _lacking(side, peer):
+    """Uid -> the members of that cluster of ``side`` that ``peer`` lacks,
+    in member order, for every cluster in ascending uid."""
+    return {uid: [m for m in c.members if m.key not in peer._keys]
+            for uid, c in sorted(side.clusters.items())}
+
+
 def _one_sided(receiver, sender, theta_merge):
-    """``receiver`` absorbing all of ``sender``'s clusters, on deep copies.
+    """``receiver`` absorbing all of ``sender``'s clusters, on deep copies:
+    a view of every cluster, ascending uid, listing the members the receiver
+    lacks.
 
     Returns the receiver's snapshot and its (merged, copied, added) counts.
     """
     receiver, sender = copy.deepcopy(receiver), copy.deepcopy(sender)
-    counts = receiver._absorb(sender.views(), theta_merge)
+    full = [ClusterView(uid, listed, len(sender.clusters[uid].members),
+                        sender.clusters[uid].summary_text,
+                        sender.clusters[uid].embedding)
+            for uid, listed in _lacking(sender, receiver).items()]
+    counts = receiver._absorb(full, theta_merge)
     return receiver.to_json(), counts
 
 
 def _assert_full_state(a, b, theta_merge):
     """``exchange`` on copies of ``a`` and ``b`` equals full-state absorption
-    in both directions, snapshots and stats alike; and between sides that
-    trust their watermarks, each view carries exactly the records of its
-    cluster the peer lacks, in member order. A cluster goes when the peer
-    lacks any of its records or does not resolve its uid, and a peer at or
-    near its tombstone cap gets the full state instead."""
-    if a._by_origin is not None and b._by_origin is not None:
-        for side, peer in ((a, b), (b, a)):
-            lacking = {uid: [m for m in c.members if m.key not in peer._keys]
-                       for uid, c in sorted(side.clusters.items())}
-            sent = [uid for uid, listed in lacking.items()
-                    if listed or peer._resolve_uid(uid) is None]
-            if 0 < peer.tombstone_cap <= len(peer.tombstones) + len(sent):
-                expected = [(v.uid, v.members, v.n) for v in side.views()]
-            else:
-                expected = [(uid, lacking[uid], len(side.clusters[uid].members))
-                            for uid in sent]
-            assert [(v.uid, v.members, v.n) for v in side._delta_for(peer)] == expected
+    in both directions, snapshots and stats alike; and, whether or not the
+    sides trust their watermarks, each view carries exactly the records of
+    its cluster the peer lacks, in member order. A cluster goes when the
+    peer lacks any of its records or does not resolve its uid, and a peer at
+    or near its tombstone cap gets a view of every cluster."""
+    for side, peer in ((a, b), (b, a)):
+        lacking = _lacking(side, peer)
+        sent = [uid for uid, listed in lacking.items()
+                if listed or peer._resolve_uid(uid) is None]
+        if 0 < peer.tombstone_cap <= len(peer.tombstones) + len(sent):
+            sent = list(lacking)
+        expected = [(uid, lacking[uid], len(side.clusters[uid].members))
+                    for uid in sent]
+        views = side._delta_for(peer)
+        assert [(v.uid, v.members, v.n) for v in views] == expected
+        assert all(v.members is not side.clusters[v.uid].members for v in views)
     json_a, counts_a = _one_sided(a, b, theta_merge)
     json_b, counts_b = _one_sided(b, a, theta_merge)
     a_copy, b_copy = copy.deepcopy(a), copy.deepcopy(b)
