@@ -14,17 +14,16 @@ instead of re-running similarity matching. A tombstone names a live cluster,
 so every redirect is one hop; beyond the cap the oldest is evicted.
 
 Exchange is delta-state anti-entropy: each view lists just the records of its
-cluster that the peer lacks, in member order. Owners are unique within a
-swarm, each robot assigns its own records in tick order, and exchange leaves
-both sides with the union of what they held; so the records a database holds
-from one origin robot are a prefix of that origin's assignment order, and it
-holds every record of the origin below the highest tick it holds from it.
-While both sides know this holds, the delta reads only each origin's records
-at or past the peer's highest tick from it; otherwise it tests every held
-record against the peer's key index. Each cluster whose uid the peer does not
-resolve is sent as well, even with no such record, as the peer may match it
-by similarity and tombstone it; a peer at or near its tombstone cap gets a
-view of every cluster. Nothing is remembered per peer.
+cluster that the peer lacks, in member order. It rests on the watermark
+contract: owners are unique within a swarm, a database assigns only its
+owner's records, never below its latest tick, and exchange leaves both sides
+with the union of what they held. So a database holds a prefix of each
+origin robot's assignment order, and the delta reads only each origin's
+records at or past the peer's highest tick from it. A loaded database cannot
+know that it holds such prefixes, so it does not exchange. Each cluster whose
+uid the peer does not resolve is sent as well, even with no such record, as
+the peer may match it by similarity and tombstone it; a peer at or near its
+tombstone cap gets a view of every cluster. Nothing is remembered per peer.
 
 Exchange passes records by reference, so a run's databases share one record
 object per record; databases loaded inside one ``shared_records`` scope share
@@ -408,11 +407,8 @@ class _SimilarityIndex:
 
 
 class ClusterDatabase:
-    """One robot's evolving clustering of description records.
-
-    ``owner`` must be unique among the databases that exchange, directly or
-    through others: the delta exchange relies on it (see ``exchange``).
-    """
+    """One robot's evolving clustering of description records; ``owner``
+    must be unique among the databases that exchange (see ``exchange``)."""
 
     def __init__(self, owner: int, mode: str = "text",
                  tombstone_cap: int = DEFAULT_TOMBSTONE_CAP,
@@ -433,9 +429,8 @@ class ClusterDatabase:
         # (robot_id, track_id) -> lowest uid of a cluster holding that track
         self._tracks: dict[tuple[int, int], ClusterUid] = {}
         self._index = _SimilarityIndex()
-        # origin robot id -> log of the records held from it; None once the
-        # watermark invariant is not known to hold (see exchange), so a
-        # loaded database builds none
+        # origin robot id -> log of the records held from it; None only in a
+        # database loaded by from_dict, which builds none and does not exchange
         self._by_origin: dict[int, _OriginLog] | None = {}
 
     # ---------- internals ----------
@@ -450,7 +445,7 @@ class ClusterDatabase:
     def _append(self, cluster: Cluster, records: Sequence[DescriptionRecord]
                 ) -> set[tuple[int, int]]:
         """Add records not held yet to ``cluster``, in member order, indexed
-        by key, track and, while the watermarks are trusted, origin; returns
+        by key, track and, unless the database was loaded, origin; returns
         their tracks.
 
         One call takes a whole batch, as a loaded cluster is: each record
@@ -565,7 +560,10 @@ class ClusterDatabase:
         it founds a new singleton cluster. A cluster vector bitwise identical
         to the record's scores exactly 1.0, so ``theta_local=1.0`` joins
         identical descriptions; ``query`` scores stay the raw clamped dot
-        product.
+        product. A record of a robot other than the owner raises
+        ContractError before any index changes, as does, unless the
+        database was loaded, one of a tick below the owner's latest: the
+        watermark contract (see ``exchange``).
         """
         if not (0.0 <= theta_local <= 1.0):
             raise ContractError(f"theta_local={theta_local} outside [0, 1]")
@@ -573,11 +571,12 @@ class ClusterDatabase:
             raise EmptyDescriptionError("record has no tokens")
         if record.key in self._keys:
             raise ContractError(f"record {record.key} already assigned")
-        if self._by_origin is not None:
-            own = self._by_origin.get(self.owner)
-            if record.robot_id != self.owner or (own is not None
-                                                 and record.tick < own.ticks[-1]):
-                self._by_origin = None
+        if record.robot_id != self.owner:
+            raise ContractError(f"record {record.key} is not of owner {self.owner}")
+        own = None if self._by_origin is None else self._by_origin.get(self.owner)
+        if own is not None and record.tick < own.ticks[-1]:
+            raise ContractError(f"record {record.key} is below the latest tick "
+                                f"{own.ticks[-1]} of owner {self.owner}")
 
         target = self._tracks.get(record.track)
         if target is None:
@@ -637,30 +636,22 @@ class ClusterDatabase:
         cluster's summary when the peer lacks every member. So a cluster the
         peer resolves and lacks nothing of is not sent, and one it does not
         resolve is sent even with no record, as the peer may tombstone it.
-        When both sides trust their watermarks, only each origin's records
-        from the peer's highest tick from it on are looked up, as the peer
-        holds every earlier one; otherwise every held record is. Only
-        eviction un-resolves a uid, so a peer whose tombstones could reach
-        its cap while absorbing gets a view of every cluster.
+        By the watermark contract only each origin's records from the peer's
+        highest tick from it on are looked up. Only eviction un-resolves a
+        uid, so a peer whose tombstones could reach its cap while absorbing
+        gets a view of every cluster.
         """
-        by_origin, peer_origins = self._by_origin, peer._by_origin
         clusters, keys, peer_keys = self.clusters, self._keys, peer._keys
         # Tombstones name live clusters, so every tombstoned uid resolves.
         unresolved = clusters.keys() - peer.clusters.keys() - peer.tombstones.keys()
         lacking: dict[ClusterUid, list[tuple[int, DescriptionRecord]]] = {}
-        if by_origin is None or peer_origins is None:
-            for uid, c in clusters.items():
-                listed = [(i, m) for i, m in enumerate(c.members) if m.key not in peer_keys]
-                if listed:
-                    lacking[uid] = listed
-        else:
-            for origin, log in by_origin.items():
-                peer_log = peer_origins.get(origin)
-                # Inclusive: the peer may hold only some records of that tick.
-                start = 0 if peer_log is None else bisect_left(log.ticks, peer_log.ticks[-1])
-                for i, record in zip(log.indexes[start:], log.records[start:]):
-                    if record.key not in peer_keys:
-                        lacking.setdefault(keys[record.key], []).append((i, record))
+        for origin, log in self._by_origin.items():
+            peer_log = peer._by_origin.get(origin)
+            # Inclusive: the peer may hold only some records of that tick.
+            start = 0 if peer_log is None else bisect_left(log.ticks, peer_log.ticks[-1])
+            for i, record in zip(log.indexes[start:], log.records[start:]):
+                if record.key not in peer_keys:
+                    lacking.setdefault(keys[record.key], []).append((i, record))
         sent = lacking.keys() | unresolved
         if 0 < peer.tombstone_cap <= len(peer.tombstones) + len(sent):
             sent = clusters.keys()
@@ -760,15 +751,14 @@ class ClusterDatabase:
 
     @classmethod
     def from_dict(cls, d: dict, ops: LanguageOps = REFERENCE_OPS) -> "ClusterDatabase":
-        if d.get("schema_version") != SCHEMA_VERSION:
-            raise ContractError(f"unsupported snapshot schema {d.get('schema_version')!r}")
-        db = cls(owner=d["owner"], mode=d["mode"],
-                 tombstone_cap=d.get("tombstone_cap", DEFAULT_TOMBSTONE_CAP), ops=ops)
-        db.uid_counter = d["uid_counter"]
-        if type(db.uid_counter) is not int or db.uid_counter < 0:
-            raise ContractError(f"snapshot uid_counter {db.uid_counter!r} is not an int >= 0")
-        # A snapshot may not be a prefix of every origin's records, say an
-        # earlier one of a database that has gone on.
+        if _loaded_int(d.get("schema_version"), "schema_version") != SCHEMA_VERSION:
+            raise ContractError(f"unsupported snapshot schema_version {d['schema_version']}")
+        db = cls(owner=_loaded_int(d["owner"], "owner"), mode=d["mode"],
+                 tombstone_cap=_loaded_int(d.get("tombstone_cap", DEFAULT_TOMBSTONE_CAP),
+                                           "tombstone_cap", least=0), ops=ops)
+        db.uid_counter = _loaded_int(d["uid_counter"], "uid_counter", least=0)
+        # A snapshot need not hold a prefix of every origin's records, say an
+        # earlier one of a database that has gone on: no origin logs, no exchange.
         db._by_origin = None
         records = _loaded_records.get()
         if records is None:
@@ -878,6 +868,14 @@ class ClusterDatabase:
                 f"tombstone {absorbed} -> {survivor} is not one hop to a live cluster")
 
 
+def _loaded_int(value, what: str, least: int | None = None) -> int:
+    """A snapshot's ``what``: an int, not a bool, and at least ``least``."""
+    if type(value) is not int or (least is not None and value < least):
+        raise ContractError(f"snapshot {what} {value!r} is not an int"
+                            + ("" if least is None else f" >= {least}"))
+    return value
+
+
 def _loaded_uid(value, what: str) -> ClusterUid:
     """A snapshot's ``what`` as a uid: it must list two integers."""
     if type(value) is not list or len(value) != 2 or any(type(v) is not int for v in value):
@@ -901,16 +899,13 @@ def exchange(a: ClusterDatabase, b: ClusterDatabase,
     Results and stats equal the full-state exchange; a cluster the peer
     resolves by uid and holds every record of is not sent, and counts as
     merged, as the full-state exchange would recognise it and add nothing.
-    Watermark invariant: a database holds, from each origin robot, a prefix
+    Watermark contract: a database holds, from each origin robot, a prefix
     of that origin's assignment order, which never goes back in tick; so it
     holds every record of the origin below the highest tick it holds from
-    it. A database built by the constructor trusts the invariant until it
-    assigns a record of another robot or of a tick below its own latest. One
-    loaded by ``from_dict`` never trusts it, and an exchange in which either
-    side does not trust it leaves neither trusting. Owners must be unique
-    among the databases that exchange, directly or through others, as they
-    are in a run. Between trusting sides the delta looks up only records at
-    or past the peer's watermarks; otherwise it tests every held record.
+    it. ``assign_description`` enforces this, given owners unique among the
+    databases that exchange, directly or through others, as in a run. One
+    loaded by ``from_dict`` cannot know it holds such prefixes, so exchange
+    with it on either side raises ContractError and changes neither side.
     """
     if not (0.0 <= theta_merge <= 1.0):
         raise ContractError(f"theta_merge={theta_merge} outside [0, 1]")
@@ -920,8 +915,10 @@ def exchange(a: ClusterDatabase, b: ClusterDatabase,
         # Views carry the sender's embeddings, which only match in one mode.
         raise ContractError(f"exchange requires one matching mode, got "
                             f"{a.mode!r} and {b.mode!r}")
-    if a._by_origin is None or b._by_origin is None:
-        a._by_origin = b._by_origin = None
+    loaded = [db.owner for db in (a, b) if db._by_origin is None]
+    if loaded:
+        raise ContractError(f"database of owner {loaded[0]} was loaded by from_dict "
+                            "and does not exchange")
     # Both deltas come before either absorbs: a's views list their records
     # in lists of their own, and a's summaries and embeddings are rebound,
     # never mutated, while a absorbs b's.

@@ -33,6 +33,7 @@ _RANGE_MARGIN = 1e-9
 # the rounding of the product with the heading and of the exact bearing
 # test in visible_people, a few ulps of the distance.
 _CONE_MARGIN = 1e-9
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -470,7 +471,10 @@ def sensing_candidates(robots: Sequence[RobotState],
     ddx = people_xy[0] - rx
     ddy = people_xy[1] - ry
     squared = ddx * ddx + ddy * ddy
-    near = (squared <= reach) & (ddx * cos_h + ddy * sin_h >= np.sqrt(squared) * cos_fov)
+    in_cone = ddx * cos_h + ddy * sin_h >= np.sqrt(squared) * cos_fov
+    # Below the smallest normal float the squared distance has lost the
+    # offset (it reads 0 for a nonzero one), so the cone test cannot refuse.
+    near = (squared <= reach) & (in_cone | (squared < _TINY))
     return [row.nonzero()[0].tolist() for row in near]
 
 

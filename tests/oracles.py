@@ -208,3 +208,28 @@ def stacked_top(uids, rows, vec, k):
     sims = np.stack(rows) @ vec
     kth = sorted(sims, reverse=True)[k - 1]
     return [uid for uid, s in zip(uids, sims) if s >= kth - 1e-9]
+
+
+def oracle_delta(side, peer):
+    """What ``side`` must send ``peer`` in an exchange, found by testing
+    every record ``side`` holds against what ``peer`` holds: as (uid,
+    records the peer lacks in member order, member count), ascending uid.
+
+    A cluster goes when the peer lacks any of its records or does not
+    resolve its uid (directly or by a one-hop tombstone); a peer whose
+    tombstones could reach its cap while absorbing gets every cluster.
+    """
+    held = set()
+    for c in peer.clusters.values():
+        held.update(m.key for m in c.members)
+    every, sent = [], []
+    for uid in sorted(side.clusters):
+        c = side.clusters[uid]
+        lacking = [m for m in c.members if m.key not in held]
+        every.append((uid, lacking, len(c.members)))
+        resolved = peer.tombstones.get(uid, uid) in peer.clusters
+        if lacking or not resolved:
+            sent.append(every[-1])
+    if 0 < peer.tombstone_cap <= len(peer.tombstones) + len(sent):
+        return every
+    return sent

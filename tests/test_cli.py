@@ -189,7 +189,13 @@ class TestReport:
          "snapshot tombstone key"),
         (lambda doc: doc["clusters"][0].update(uid=[0]), "snapshot cluster uid"),
         (lambda doc: doc["clusters"][0]["members"][0].update(tick="0"), "record tick"),
-    ], ids=["uid_counter", "person_id", "tombstone_key", "cluster_uid", "tick"])
+        # Each of these compares equal to the saved value (True == 1,
+        # False == 0) or passes a bare comparison (2.5 >= 0).
+        (lambda doc: doc.update(schema_version=True), "snapshot schema_version"),
+        (lambda doc: doc.update(owner=False), "snapshot owner"),
+        (lambda doc: doc.update(tombstone_cap=2.5), "snapshot tombstone_cap"),
+    ], ids=["uid_counter", "person_id", "tombstone_key", "cluster_uid", "tick",
+            "schema_version", "owner", "tombstone_cap"])
     def test_mistyped_database_field_exits_two(self, run_dir, tmp_path, capsys,
                                                edit, named):
         edited = tmp_path / "run"

@@ -1,5 +1,5 @@
-import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -254,20 +254,39 @@ class TestExchange:
         with pytest.raises(AssertionError, match="is not member"):
             db.check_invariants()
 
-    def test_foreign_or_earlier_record_stops_trusting_watermarks(self):
-        own = self._seeded_db(0, [(WOMAN_TEXT, 1)] * 2)
-        own.assign_description(_record(MAN_TEXT, robot_id=0, tick=1, track_id=2), 0.8)
-        assert own._by_origin is not None
-        own.assign_description(_record(MAN_TEXT, robot_id=0, tick=0, track_id=3), 0.8)
-        assert own._by_origin is None
-        foreign = self._seeded_db(1, [(WOMAN_TEXT, 1)])
-        foreign.assign_description(_record(MAN_TEXT, robot_id=0, tick=5), 0.8)
-        assert foreign._by_origin is None
-        peer = self._seeded_db(2, [(GREEN_TEXT, 1)])
-        exchange(peer, foreign, 0.8)
-        assert peer._by_origin is None
-        for db in (own, foreign, peer):
-            db.check_invariants()
+    @pytest.mark.parametrize("robot_id, tick, named", [
+        (1, 5, "is not of owner 0"), (0, 0, "is below the latest tick 1 of owner 0")],
+        ids=["foreign", "earlier"])
+    def test_foreign_or_earlier_record_breaks_the_contract(self, robot_id, tick, named):
+        """A record of another robot, or of a tick below the owner's latest,
+        is refused before any index changes."""
+        db = self._seeded_db(0, [(WOMAN_TEXT, 1)] * 2)
+        before = db.record_count(), db.to_json()
+        record = _record(MAN_TEXT, robot_id=robot_id, tick=tick, track_id=2)
+        with pytest.raises(ContractError, match=re.escape(f"record {record.key} {named}")):
+            db.assign_description(record, 0.8)
+        assert (db.record_count(), db.to_json()) == before
+        db.check_invariants()
+
+    def test_second_record_at_the_latest_tick_is_accepted(self):
+        db = self._seeded_db(0, [(WOMAN_TEXT, 1)] * 2)
+        db.assign_description(_record(MAN_TEXT, tick=1, track_id=2), 0.8)
+        assert db.record_count() == 3
+        assert list(db._by_origin[0].ticks) == [0, 1, 1]
+        db.check_invariants()
+
+    @pytest.mark.parametrize("loaded_side", [0, 1])
+    def test_loaded_database_does_not_exchange(self, loaded_side):
+        """A database loaded by from_dict cannot know it holds a prefix of
+        every origin's records: exchange with it raises and changes neither
+        side."""
+        sides = [self._seeded_db(0, [(WOMAN_TEXT, 1), (MAN_TEXT, 2)]),
+                 self._seeded_db(1, [(GREEN_TEXT, 1)])]
+        sides[loaded_side] = ClusterDatabase.from_json(sides[loaded_side].to_json())
+        before = [db.to_json() for db in sides]
+        with pytest.raises(ContractError, match=f"owner {loaded_side} was loaded"):
+            exchange(*sides, 0.8)
+        assert [db.to_json() for db in sides] == before
 
     def test_invariants_check_tombstones(self):
         db = self._seeded_db(0, [(WOMAN_TEXT, 1), (MAN_TEXT, 2)])
@@ -302,33 +321,12 @@ class TestExchange:
         assert list(b.tombstones) == [(0, 0)]
         b.check_invariants()
 
-    def test_reloaded_peer_gets_just_what_it_lacks(self):
-        """A reloaded peer does not trust its watermarks, yet a delta for it
-        lists only the record it lacks, and exchange with it equals exchange
-        with the database it was saved from."""
-        a = self._seeded_db(0, [(WOMAN_TEXT, 1), (MAN_TEXT, 2)])
-        b = self._seeded_db(1, [(GREEN_TEXT, 1), (WOMAN_TEXT, 2)])
-        exchange(a, b, 0.8)
-        b2 = ClusterDatabase.from_json(b.to_json())
-        record = _record(GREEN_TEXT, robot_id=0, tick=5, track_id=3)
-        uid, _ = a.assign_description(record, 0.8)
-        views = a._delta_for(b2)
-        assert [(v.uid, v.members, v.n) for v in views] == [
-            (uid, [record], len(a.clusters[uid].members))]
-        assert all(v.members is not a.clusters[v.uid].members for v in views)
-        assert b2._delta_for(a) == []
-        results = []
-        for peer in (b, b2):
-            a_copy, peer_copy = copy.deepcopy(a), copy.deepcopy(peer)
-            stats = exchange(a_copy, peer_copy, 0.8)
-            results.append((a_copy.to_json(), peer_copy.to_json(), stats))
-        assert results[0] == results[1]
-
     def test_identical_databases_fixed_point(self):
         a = self._seeded_db(0, [(WOMAN_TEXT, 1), (MAN_TEXT, 2)])
-        b = ClusterDatabase.from_json(a.to_json())
-        b.owner = 1  # same content, different owner
-        before_a, before_b = a.to_json(), b.to_json()
+        b = ClusterDatabase(owner=1)
+        exchange(a, b, 0.8)  # same content, different owner
+        assert b.clusters.keys() == a.clusters.keys()
+        assert b.record_keys() == a.record_keys()
         exchange(a, b, 0.8)
         after_first_a, after_first_b = a.to_json(), b.to_json()
         exchange(a, b, 0.8)
@@ -426,23 +424,29 @@ class TestQuery:
             db.query("a woman", k=0)
 
     def test_samples_most_recent_first(self):
-        db = ClusterDatabase(owner=0)
-        for tick in (3, 9, 1, 7):
-            db.assign_description(
-                _record(WOMAN_TEXT, tick=tick, track_id=1), 0.8)
+        # Members listed out of tick order, as a merge can leave them.
+        db = ClusterDatabase.from_dict({
+            "schema_version": SCHEMA_VERSION, "owner": 0, "mode": "text",
+            "uid_counter": 1, "tombstones": [], "clusters": [
+                {"uid": [0, 0], "summary_text": WOMAN_TEXT, "track_ids": [[0, 1]],
+                 "members": [{"text": WOMAN_TEXT, "robot_id": 0, "tick": tick,
+                              "track_id": 1, "person_id": 0}
+                             for tick in (3, 9, 1, 7)]}]})
+        db.check_invariants()
         hits = db.query(WOMAN_TEXT, k=1)
         assert [s.tick for s in hits[0].samples] == [9, 7, 3]
 
     def test_samples_order_shared_ticks_after_exchange_copy_and_reload(self):
-        # Records share tick 5 across robots and tracks and reach each side
-        # out of tick order through a merge; robot 2 then takes a verbatim
-        # copy. Samples order by (-tick, robot_id, track_id).
+        # Records share tick 5 across robots and tracks; each robot assigns
+        # in tick order, but a merge leaves members out of tick order on
+        # both sides, and robot 2 then takes a verbatim copy. Samples order
+        # by (-tick, robot_id, track_id).
         a = ClusterDatabase(owner=0)
         b = ClusterDatabase(owner=1)
         c = ClusterDatabase(owner=2)
         for track_id in (2, 1, 3):
             a.assign_description(_record(WOMAN_TEXT, tick=5, track_id=track_id), 0.8)
-        for track_id, tick in ((0, 9), (3, 2), (1, 5)):
+        for track_id, tick in ((3, 2), (1, 5), (0, 9)):
             b.assign_description(
                 _record(WOMAN_TEXT, robot_id=1, tick=tick, track_id=track_id), 0.8)
         assert exchange(a, b, 0.8).merged_into_a == 1

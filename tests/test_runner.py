@@ -387,6 +387,8 @@ class TestSharedVectorTable:
         mode, whose clusters each bind a new mean on every append, never
         holds more slots than index rows. Dropping both runs frees every
         slot they took."""
+        # Cyclic garbage of earlier tests would otherwise be freed mid-test.
+        gc.collect()
         before = _TABLE.live()
         text = run_experiment(_swarm16("text"))
         vectors = {id(c.embedding) for db in text.databases for c in db.clusters.values()}

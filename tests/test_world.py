@@ -314,6 +314,10 @@ class TestSensingCandidates:
     # A half angle of pi: the cone test keeps everyone, behind the robot too.
     @example(pos=(1.0, -2.0), heading=2.0, fov=math.pi, sensing=3.0,
              extra=[(1.0 - 2.9 * math.cos(2.0), -2.0 - 2.9 * math.sin(2.0))])
+    # A person at a subnormal offset from the robot, whose squared distance
+    # underflows to 0 though the bearing test in visible_people keeps them.
+    @example(pos=(0.0, 2.225073858507203e-309), heading=math.pi / 4, fov=3.0,
+             sensing=1.0, extra=[(0.0, 0.0)])
     def test_prefiltered_visibility_equals_full(self, pos, heading, fov, sensing, extra):
         robot = _robot(0, pos, heading=heading, sensing=sensing, fov=fov)
         rx, ry = pos
