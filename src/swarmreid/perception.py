@@ -71,8 +71,8 @@ class DescriptionRecord:
     track_id: int
     person_id: int
     # Dedup identity (robot_id, track_id, tick) and track (robot_id,
-    # track_id), built once so that every database's key and track indexes
-    # share one tuple per record.
+    # track_id), built once: exchange and loading compare the keys of many
+    # records, and the owner's track index keys its entries by these tuples.
     key: tuple[int, int, int] = field(init=False, repr=False, compare=False)
     track: tuple[int, int] = field(init=False, repr=False, compare=False)
 

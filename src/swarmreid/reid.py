@@ -18,12 +18,13 @@ cluster that the peer lacks, in member order. It rests on the watermark
 contract: owners are unique within a swarm, a database assigns only its
 owner's records, never below its latest tick, and exchange leaves both sides
 with the union of what they held. So a database holds a prefix of each
-origin robot's assignment order, and the delta reads only each origin's
-records at or past the peer's highest tick from it. A loaded database cannot
-know that it holds such prefixes, so it does not exchange. Each cluster whose
-uid the peer does not resolve is sent as well, even with no such record, as
-the peer may match it by similarity and tombstone it; a peer at or near its
-tombstone cap gets a view of every cluster. Nothing is remembered per peer.
+origin robot's assignment order, and its highest tick from an origin and
+the records its log lists at that tick say what it holds from it. A loaded
+database cannot know that it holds such prefixes, so it is read-only. Each
+cluster whose uid the peer does not resolve is sent as well, even with no
+such record, as the peer may match it by similarity and tombstone it; a peer
+at or near its tombstone cap gets a view of every cluster. Nothing is
+remembered per peer.
 
 Exchange passes records by reference, so a run's databases share one record
 object per record; databases loaded inside one ``shared_records`` scope share
@@ -145,25 +146,26 @@ class ClusterView(NamedTuple):
 
 class _OriginLog(NamedTuple):
     """The records a database holds from one origin robot, sorted by tick,
-    as three parallel columns: no tuple per record."""
+    as four parallel columns: no tuple per record."""
 
     ticks: array
+    # uid of each record's cluster, which a record never leaves
+    uids: list[ClusterUid]
     # index of each record in its cluster's member list
     indexes: array
     records: list[DescriptionRecord]
 
-    def add(self, index: int, record: DescriptionRecord) -> None:
+    def add(self, uid: ClusterUid, index: int, record: DescriptionRecord) -> None:
         """Insert after every held record of the same or an earlier tick."""
-        ticks, tick = self.ticks, record.tick
-        if not ticks or ticks[-1] <= tick:
-            ticks.append(tick)
-            self.indexes.append(index)
-            self.records.append(record)
-        else:
-            at = bisect_right(ticks, tick)
-            ticks.insert(at, tick)
-            self.indexes.insert(at, index)
-            self.records.insert(at, record)
+        at = bisect_right(self.ticks, record.tick)
+        self.ticks.insert(at, record.tick)
+        self.uids.insert(at, uid)
+        self.indexes.insert(at, index)
+        self.records.insert(at, record)
+
+    def latest(self) -> set[tuple[int, int, int]]:
+        """Keys of the records at the highest tick held from the origin."""
+        return {r.key for r in self.records[bisect_left(self.ticks, self.ticks[-1]):]}
 
 
 _first = itemgetter(0)
@@ -424,13 +426,13 @@ class ClusterDatabase:
         self.tombstones: dict[ClusterUid, ClusterUid] = {}  # oldest first
         self.tombstone_cap = tombstone_cap
         self.ops = ops
-        # record key -> cluster uid, of every record held
-        self._keys: dict[tuple[int, int, int], ClusterUid] = {}
-        # (robot_id, track_id) -> lowest uid of a cluster holding that track
+        # (owner, track_id) -> uid of the cluster that the track's first
+        # record joined, which holds every record of the track: no peer holds
+        # an owner's record the owner lacks, so none arrives by exchange
         self._tracks: dict[tuple[int, int], ClusterUid] = {}
         self._index = _SimilarityIndex()
         # origin robot id -> log of the records held from it; None only in a
-        # database loaded by from_dict, which builds none and does not exchange
+        # database loaded by from_dict, which builds none and is read-only
         self._by_origin: dict[int, _OriginLog] | None = {}
 
     # ---------- internals ----------
@@ -442,32 +444,15 @@ class ClusterDatabase:
         self.clusters[uid] = cluster
         return cluster
 
-    def _append(self, cluster: Cluster, records: Sequence[DescriptionRecord]
-                ) -> set[tuple[int, int]]:
-        """Add records not held yet to ``cluster``, in member order, indexed
-        by key, track and, unless the database was loaded, origin; returns
-        their tracks.
+    def _append(self, cluster: Cluster, records: Sequence[DescriptionRecord]) -> None:
+        """Add records not held yet to ``cluster``, in member order, logged
+        by origin unless the database was loaded.
 
-        One call takes a whole batch, as a loaded cluster is: each record
-        takes one key-index update, and the track index, the samples and
-        the running sum are brought up to date once. A record held already,
-        here or in another cluster, or listed twice raises ContractError and
-        leaves the indexes inconsistent: live callers check first, and a
-        snapshot that repeats a record is not loaded.
+        One call takes a whole batch, as a loaded cluster is: the samples
+        and the running sum are brought up to date once. Callers pass no
+        record held already: ``assign_description`` and ``from_dict`` refuse
+        a repeated one, and a view lists only records the receiver lacks.
         """
-        uid = cluster.uid
-        keys, track_index = self._keys, self._tracks
-        held = len(keys)
-        tracks = set()
-        for record in records:
-            keys[record.key] = uid
-            tracks.add(record.track)
-        if len(keys) != held + len(records):
-            raise ContractError(f"records added to cluster {uid} repeat a record "
-                                "or one held already")
-        for track in tracks:
-            if track_index.setdefault(track, uid) > uid:
-                track_index[track] = uid
         if cluster.embedding_sum is not None:
             total = cluster.embedding_sum
             for record in records:
@@ -476,12 +461,12 @@ class ClusterDatabase:
         members = cluster.members
         by_origin = self._by_origin
         if by_origin is not None:
-            index = len(members)
+            uid, index = cluster.uid, len(members)
             for record in records:
                 log = by_origin.get(record.robot_id)
                 if log is None:
-                    log = by_origin[record.robot_id] = _OriginLog(array("q"), array("q"), [])
-                log.add(index, record)
+                    log = by_origin[record.robot_id] = _OriginLog(array("q"), [], array("q"), [])
+                log.add(uid, index, record)
                 index += 1
         members.extend(records)
         samples = cluster.samples
@@ -489,7 +474,6 @@ class ClusterDatabase:
             cluster.samples = (records[0], *samples[:2])
         else:
             cluster.samples = tuple(sorted((*samples, *records), key=_sample_order)[:3])
-        return tracks
 
     def _refresh(self, cluster: Cluster, summary_text: str) -> None:
         """Set the summary, the embedding and its index row after appends.
@@ -560,35 +544,38 @@ class ClusterDatabase:
         it founds a new singleton cluster. A cluster vector bitwise identical
         to the record's scores exactly 1.0, so ``theta_local=1.0`` joins
         identical descriptions; ``query`` scores stay the raw clamped dot
-        product. A record of a robot other than the owner raises
-        ContractError before any index changes, as does, unless the
-        database was loaded, one of a tick below the owner's latest: the
+        product. ContractError is raised before anything changes in a loaded
+        database, which is read-only, and for a record of another robot than
+        the owner, below the owner's latest tick or assigned already: the
         watermark contract (see ``exchange``).
         """
         if not (0.0 <= theta_local <= 1.0):
             raise ContractError(f"theta_local={theta_local} outside [0, 1]")
         if not record.tokens:
             raise EmptyDescriptionError("record has no tokens")
-        if record.key in self._keys:
-            raise ContractError(f"record {record.key} already assigned")
+        if self._by_origin is None:
+            raise ContractError(f"database of owner {self.owner} was loaded by "
+                                "from_dict and is read-only")
         if record.robot_id != self.owner:
             raise ContractError(f"record {record.key} is not of owner {self.owner}")
-        own = None if self._by_origin is None else self._by_origin.get(self.owner)
-        if own is not None and record.tick < own.ticks[-1]:
-            raise ContractError(f"record {record.key} is below the latest tick "
-                                f"{own.ticks[-1]} of owner {self.owner}")
+        own = self._by_origin.get(self.owner)
+        if own is not None:
+            if record.tick < own.ticks[-1]:
+                raise ContractError(f"record {record.key} is below the latest tick "
+                                    f"{own.ticks[-1]} of owner {self.owner}")
+            if record.key in own.latest():
+                raise ContractError(f"record {record.key} already assigned")
 
         target = self._tracks.get(record.track)
         if target is None:
-            vec = self.ops.embed(record.tokens)
-            best = self._index.best(vec)
+            best = self._index.best(self.ops.embed(record.tokens))
             if best is not None and best[1] >= theta_local:
-                target = best[0]
+                target = self._tracks[record.track] = best[0]
         if target is not None:
             self._add_members(self.clusters[target], [record])
             return target, False
 
-        uid = (self.owner, self.uid_counter)
+        uid = self._tracks[record.track] = (self.owner, self.uid_counter)
         self.uid_counter += 1
         self._add_members(self._new_cluster(uid), [record])
         return uid, True
@@ -620,10 +607,10 @@ class ClusterDatabase:
                 for cluster, score in scored[:k]]
 
     def record_count(self) -> int:
-        return len(self._keys)
+        return sum(len(c.members) for c in self.clusters.values())
 
     def record_keys(self) -> set[tuple[int, int, int]]:
-        return set(self._keys)
+        return {m.key for c in self.clusters.values() for m in c.members}
 
     def _delta_for(self, peer: "ClusterDatabase") -> list[ClusterView]:
         """Views to send ``peer``, ascending uid: those a full-state exchange
@@ -636,22 +623,25 @@ class ClusterDatabase:
         cluster's summary when the peer lacks every member. So a cluster the
         peer resolves and lacks nothing of is not sent, and one it does not
         resolve is sent even with no record, as the peer may tombstone it.
-        By the watermark contract only each origin's records from the peer's
-        highest tick from it on are looked up. Only eviction un-resolves a
-        uid, so a peer whose tombstones could reach its cap while absorbing
-        gets a view of every cluster.
+        By the watermark contract the peer holds every record of an origin
+        below its highest tick from it, and at that tick those its log
+        lists. Only eviction un-resolves a uid, so a peer whose tombstones
+        could reach its cap while absorbing gets a view of every cluster.
         """
-        clusters, keys, peer_keys = self.clusters, self._keys, peer._keys
+        clusters = self.clusters
         # Tombstones name live clusters, so every tombstoned uid resolves.
         unresolved = clusters.keys() - peer.clusters.keys() - peer.tombstones.keys()
         lacking: dict[ClusterUid, list[tuple[int, DescriptionRecord]]] = {}
         for origin, log in self._by_origin.items():
             peer_log = peer._by_origin.get(origin)
-            # Inclusive: the peer may hold only some records of that tick.
-            start = 0 if peer_log is None else bisect_left(log.ticks, peer_log.ticks[-1])
-            for i, record in zip(log.indexes[start:], log.records[start:]):
-                if record.key not in peer_keys:
-                    lacking.setdefault(keys[record.key], []).append((i, record))
+            start, listed = 0, ()
+            if peer_log is not None:
+                start = bisect_left(log.ticks, peer_log.ticks[-1])
+                listed = peer_log.latest()
+            for uid, i, record in zip(log.uids[start:], log.indexes[start:],
+                                      log.records[start:]):
+                if record.key not in listed:
+                    lacking.setdefault(uid, []).append((i, record))
         sent = lacking.keys() | unresolved
         if 0 < peer.tombstone_cap <= len(peer.tombstones) + len(sent):
             sent = clusters.keys()
@@ -758,31 +748,45 @@ class ClusterDatabase:
                                            "tombstone_cap", least=0), ops=ops)
         db.uid_counter = _loaded_int(d["uid_counter"], "uid_counter", least=0)
         # A snapshot need not hold a prefix of every origin's records, say an
-        # earlier one of a database that has gone on: no origin logs, no exchange.
+        # earlier one of a database that has gone on: no origin logs, read-only.
         db._by_origin = None
         records = _loaded_records.get()
         if records is None:
             records = {}
+        # Keys of the members so far, to refuse a record listed twice.
+        held: set[tuple[int, int, int]] = set()
+        listed = 0
         for cd in d["clusters"]:
             cluster = db._new_cluster(_loaded_uid(cd["uid"], "cluster uid"))
             members = []
             for m in cd["members"]:
                 text, person_id = m["text"], m["person_id"]
-                record = records.get((m["robot_id"], m["track_id"], m["tick"]))
+                robot_id, track_id, tick = m["robot_id"], m["track_id"], m["tick"]
+                record = records.get((robot_id, track_id, tick))
+                # A reused record skips create's checks, and a float or a
+                # bool finds the record of the int it equals: the ints are
+                # checked by exact type first.
                 if (record is None or record.text != text
-                        or record.person_id != person_id):
+                        or record.person_id != person_id
+                        or not (type(robot_id) is type(track_id) is type(tick)
+                                is type(person_id) is int)):
                     record = DescriptionRecord.create(
-                        text=text, robot_id=m["robot_id"], tick=m["tick"],
-                        track_id=m["track_id"], person_id=person_id,
+                        text=text, robot_id=robot_id, tick=tick,
+                        track_id=track_id, person_id=person_id,
                     )
                     # Keyed by the record's own key tuple, so the table
                     # holds no tuple the records do not already hold.
                     records.setdefault(record.key, record)
                 members.append(record)
-            tracks = db._append(cluster, members)
-            if tracks != {tuple(t) for t in cd["track_ids"]}:
+                held.add(record.key)
+            listed += len(members)
+            if len(held) != listed:
+                raise ContractError(f"snapshot cluster {cluster.uid} members repeat a "
+                                    "record or one held already")
+            if {m.track for m in members} != {tuple(t) for t in cd["track_ids"]}:
                 raise ContractError(f"snapshot cluster {cluster.uid} lists tracks "
                                     "other than its members'")
+            db._append(cluster, members)
             db._refresh(cluster, cd["summary_text"])
         for k, v in d.get("tombstones", []):
             k, v = _loaded_uid(k, "tombstone key"), _loaded_uid(v, "tombstone target")
@@ -801,14 +805,13 @@ class ClusterDatabase:
 
     def check_invariants(self) -> None:
         """Raise AssertionError if any structural invariant is violated."""
-        keys = self._keys
+        keys = set()
         held = 0
         tracks: dict = {}
         for uid, c in self.clusters.items():
             assert c.uid == uid
             assert c.members, f"cluster {uid} has no members"
-            for m in c.members:
-                assert keys.get(m.key) == uid, f"key index puts {m.key} outside {uid}"
+            keys.update(m.key for m in c.members)
             held += len(c.members)
             expected = self.ops.summarize(c.members)
             assert c.summary_text == expected, (
@@ -832,25 +835,27 @@ class ClusterDatabase:
                 tracks[m.track] = min(tracks.get(m.track, uid), uid)
             if uid[0] == self.owner:
                 assert uid[1] < self.uid_counter, f"uid {uid} beyond counter"
-        assert len(keys) == held, "key index lists records of no cluster"
-        if self._by_origin is not None:
+        assert len(keys) == held, "a record is held twice"
+        live = self._by_origin is not None
+        if live:
             # Each origin's log holds exactly the held records of that
             # origin, by identity and once each, sorted by tick.
-            listed = 0
-            for origin, (ticks, indexes, records) in self._by_origin.items():
-                assert len(ticks) == len(indexes) == len(records), (
+            places = []
+            for origin, (ticks, uids, indexes, records) in self._by_origin.items():
+                assert len(ticks) == len(uids) == len(indexes) == len(records), (
                     f"columns of origin {origin} differ in length")
                 assert list(ticks) == sorted(ticks), f"records of origin {origin} not tick-sorted"
-                for tick, i, m in zip(ticks, indexes, records):
-                    c = self.clusters.get(keys.get(m.key))
+                for tick, uid, i, m in zip(ticks, uids, indexes, records):
+                    c = self.clusters.get(uid)
                     assert (c is not None and m.robot_id == origin and m.tick == tick
                             and i < len(c.members) and c.members[i] is m), (
-                        f"origin entry of {m.key} is not member {i} of its cluster")
-                assert len({m.key for m in records}) == len(records), (
-                    f"origin log of {origin} repeats a record")
-                listed += len(records)
-            assert listed == held, "origin logs miss held records"
-        assert tracks == self._tracks
+                        f"origin entry of {m.key} is not member {i} of cluster {uid}")
+                    places.append((uid, i))
+            assert len(set(places)) == len(places) == held, (
+                "origin logs miss or repeat held records")
+        # A live database indexes its owner's tracks, a loaded one none.
+        owned = {track: uid for track, uid in tracks.items() if live and track[0] == self.owner}
+        assert self._tracks == owned, "track index differs from the owner's tracks"
         index = self._index
         assert index._rows == {uid: i for i, uid in enumerate(index._uids)}
         assert index._rows.keys() == self.clusters.keys(), (

@@ -23,6 +23,17 @@ _DROP_A_KEY = {
 }
 
 
+def _retyped_shared(name, retype):
+    """An edit of db_robot_2.json: robot 0's first record of its track 1 gets
+    ``retype`` of its ``name``. Robot 2 holds that record only by exchange,
+    so db_robot_0.json, loaded first, holds it too."""
+    def edit(doc):
+        member = next(m for c in doc["clusters"] for m in c["members"]
+                      if (m["robot_id"], m["track_id"]) == (0, 1))
+        member[name] = retype(member[name])
+    return edit
+
+
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "run"
@@ -181,32 +192,39 @@ class TestReport:
         assert err.startswith("error: ") and name in err
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("edit, named", [
-        (lambda doc: doc.update(uid_counter="x"), "snapshot uid_counter"),
-        (lambda doc: doc["clusters"][0]["members"][0].update(person_id=None),
+    @pytest.mark.parametrize("robot, edit, named", [
+        (0, lambda doc: doc.update(uid_counter="x"), "snapshot uid_counter"),
+        (0, lambda doc: doc["clusters"][0]["members"][0].update(person_id=None),
          "record person_id"),
-        (lambda doc: doc.update(tombstones=[[[0], doc["clusters"][0]["uid"]]]),
+        (0, lambda doc: doc.update(tombstones=[[[0], doc["clusters"][0]["uid"]]]),
          "snapshot tombstone key"),
-        (lambda doc: doc["clusters"][0].update(uid=[0]), "snapshot cluster uid"),
-        (lambda doc: doc["clusters"][0]["members"][0].update(tick="0"), "record tick"),
+        (0, lambda doc: doc["clusters"][0].update(uid=[0]), "snapshot cluster uid"),
+        (0, lambda doc: doc["clusters"][0]["members"][0].update(tick="0"), "record tick"),
         # Each of these compares equal to the saved value (True == 1,
         # False == 0) or passes a bare comparison (2.5 >= 0).
-        (lambda doc: doc.update(schema_version=True), "snapshot schema_version"),
-        (lambda doc: doc.update(owner=False), "snapshot owner"),
-        (lambda doc: doc.update(tombstone_cap=2.5), "snapshot tombstone_cap"),
+        (0, lambda doc: doc.update(schema_version=True), "snapshot schema_version"),
+        (0, lambda doc: doc.update(owner=False), "snapshot owner"),
+        (0, lambda doc: doc.update(tombstone_cap=2.5), "snapshot tombstone_cap"),
+        # A member of a record loaded from db_robot_0.json before, its field
+        # retyped to a value equal to the saved one.
+        (2, _retyped_shared("tick", float), "record tick"),
+        (2, _retyped_shared("robot_id", bool), "record robot_id"),
+        (2, _retyped_shared("track_id", bool), "record track_id"),
+        (2, _retyped_shared("person_id", float), "record person_id"),
     ], ids=["uid_counter", "person_id", "tombstone_key", "cluster_uid", "tick",
-            "schema_version", "owner", "tombstone_cap"])
+            "schema_version", "owner", "tombstone_cap", "shared_tick",
+            "shared_robot_id", "shared_track_id", "shared_person_id"])
     def test_mistyped_database_field_exits_two(self, run_dir, tmp_path, capsys,
-                                               edit, named):
+                                               robot, edit, named):
         edited = tmp_path / "run"
         shutil.copytree(run_dir, edited)
-        path = edited / "db_robot_0.json"
+        path = edited / f"db_robot_{robot}.json"
         doc = json.loads(path.read_text())
         edit(doc)
         path.write_text(json.dumps(doc))
         assert main(["report", "--run", str(edited)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"db_robot_0.json: {named} " in err
+        assert err.startswith("error: ") and f"db_robot_{robot}.json: {named} " in err
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("refingerprint, named", [

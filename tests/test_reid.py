@@ -228,8 +228,9 @@ class TestExchange:
         a.check_invariants()
 
     def test_invariants_check_watermark_index(self):
-        # The delta reads each origin's tick-sorted records and orders a
-        # cluster's records by their member index, so both must be exact.
+        # The delta reads each origin's tick-sorted records, groups them by
+        # cluster uid and orders a cluster's records by their member index,
+        # so all three must be exact.
         db = self._seeded_db(0, [(WOMAN_TEXT, 1), (MAN_TEXT, 2)] * 2)
         db.check_invariants()
         log = db._by_origin[0]
@@ -253,16 +254,26 @@ class TestExchange:
         log.indexes[0] += 1
         with pytest.raises(AssertionError, match="is not member"):
             db.check_invariants()
+        restore()
+        log.uids[0] = log.uids[1]
+        with pytest.raises(AssertionError, match="is not member 0 of cluster"):
+            db.check_invariants()
+        restore()
+        db._tracks[(0, 1)] = (0, 1)
+        with pytest.raises(AssertionError, match="track index differs"):
+            db.check_invariants()
 
-    @pytest.mark.parametrize("robot_id, tick, named", [
-        (1, 5, "is not of owner 0"), (0, 0, "is below the latest tick 1 of owner 0")],
-        ids=["foreign", "earlier"])
-    def test_foreign_or_earlier_record_breaks_the_contract(self, robot_id, tick, named):
-        """A record of another robot, or of a tick below the owner's latest,
-        is refused before any index changes."""
+    @pytest.mark.parametrize("robot_id, tick, track_id, named", [
+        (1, 5, 2, "is not of owner 0"), (0, 0, 2, "is below the latest tick 1 of owner 0"),
+        (0, 1, 1, "already assigned")],
+        ids=["foreign", "earlier", "repeated"])
+    def test_foreign_or_earlier_record_breaks_the_contract(self, robot_id, tick, track_id,
+                                                           named):
+        """A record of another robot, of a tick below the owner's latest, or
+        assigned already is refused before any index changes."""
         db = self._seeded_db(0, [(WOMAN_TEXT, 1)] * 2)
         before = db.record_count(), db.to_json()
-        record = _record(MAN_TEXT, robot_id=robot_id, tick=tick, track_id=2)
+        record = _record(MAN_TEXT, robot_id=robot_id, tick=tick, track_id=track_id)
         with pytest.raises(ContractError, match=re.escape(f"record {record.key} {named}")):
             db.assign_description(record, 0.8)
         assert (db.record_count(), db.to_json()) == before
@@ -287,6 +298,17 @@ class TestExchange:
         with pytest.raises(ContractError, match=f"owner {loaded_side} was loaded"):
             exchange(*sides, 0.8)
         assert [db.to_json() for db in sides] == before
+
+    def test_loaded_database_assigns_nothing(self):
+        """A database loaded by from_dict is read-only: a record continuing
+        a saved track, or founding one, is refused before anything changes."""
+        db = ClusterDatabase.from_json(self._seeded_db(0, [(WOMAN_TEXT, 1)]).to_json())
+        before = db.to_json()
+        for track_id in (1, 2):
+            with pytest.raises(ContractError, match="owner 0 was loaded"):
+                db.assign_description(_record(MAN_TEXT, tick=1, track_id=track_id), 0.8)
+        assert db.to_json() == before
+        db.check_invariants()
 
     def test_invariants_check_tombstones(self):
         db = self._seeded_db(0, [(WOMAN_TEXT, 1), (MAN_TEXT, 2)])

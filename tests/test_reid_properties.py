@@ -292,8 +292,8 @@ class TestIncrementalState:
 
     @given(steps=_steps, mode=_mode, theta_local=_theta, theta_merge=_theta)
     # Robot 1's track 0 reaches robot 0 first inside a copy of robot 2's
-    # cluster (2, 0), later also inside robot 0's own cluster (0, 0): the
-    # track index must move to the lower uid.
+    # cluster (2, 0), later also inside robot 0's own cluster (0, 0): a
+    # received track is not indexed, only the owner's own.
     @example(steps=[(2, 2, 2), (2, 4, 2), (2, 2, 0), (1, 0, 0), (2, 1), (1, 0, 0),
                     (0, 2), (0, 0, 1), (1, 0)],
              mode="text", theta_local=0.56, theta_merge=0.2)
@@ -306,7 +306,8 @@ class TestIncrementalState:
             for uid in sorted(db.clusters):
                 c = db.clusters[uid]
                 for m in c.members:
-                    tracks.setdefault((m.robot_id, m.track_id), uid)
+                    if m.robot_id == db.owner:
+                        tracks.setdefault((m.robot_id, m.track_id), uid)
                 expected = embed(tokenize(c.summary_text))
                 if mode == "vector-baseline":
                     mean = np.stack([embed(m.tokens) for m in c.members]).mean(axis=0)

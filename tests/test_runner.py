@@ -336,8 +336,7 @@ class TestLoadSharesRecords:
 def _rebuilt_state(db):
     """What loading rebuilds besides the saved fields, by value."""
     return {
-        "keys": db._keys,
-        "tracks": db._tracks,
+        "keys": db.record_keys(),
         "samples": {uid: [m.key for m in c.samples] for uid, c in db.clusters.items()},
         "vectors": {uid: c.embedding.tobytes() for uid, c in db.clusters.items()},
         "sums": {uid: None if c.embedding_sum is None else c.embedding_sum.tobytes()
