@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -173,7 +174,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flushed here, so that a reader gone before the last output is met
+        # below, not by the interpreter's flush at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early, as ``| head`` does: end quietly.
+        # Pointing stdout at devnull keeps the flush at exit from raising
+        # again (see the note on SIGPIPE in Python's signal docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     # An OSError is a path that cannot be read or written as asked.
     except (ConfigError, ContractError, ProviderError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ import re
 from collections import Counter
 from functools import lru_cache
 from operator import attrgetter
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -135,9 +135,9 @@ class SlotTally:
 
     __slots__ = ("n", "votes", "accessories", "_totals", "_leaders")
 
-    def __init__(self, members: Iterable[Any] = ()) -> None:
-        """Tally ``members``: texts, or objects with ``.text``. Each distinct
-        text is parsed once and votes with its multiplicity."""
+    def __init__(self, texts: Iterable[str] = ()) -> None:
+        """Tally member ``texts``. Each distinct text is parsed once and
+        votes with its multiplicity."""
         self.n = 0
         # (slot index in _VOTED_SLOTS, value) -> votes
         self.votes: dict[tuple[int, str], int] = {}
@@ -145,8 +145,7 @@ class SlotTally:
         self._totals = [0] * len(_VOTED_SLOTS)
         # per slot, (votes, value) of the leader
         self._leaders: list[tuple[int, str] | None] = [None] * len(_VOTED_SLOTS)
-        for text, k in Counter(m if isinstance(m, str) else m.text
-                               for m in members).items():
+        for text, k in Counter(texts).items():
             self.add(text, k)
 
     def add(self, text: str, k: int = 1) -> None:
@@ -184,7 +183,7 @@ class SlotTally:
                    for name in self.__slots__)
 
 
-def summarize(members: Iterable[Any]) -> str:
+def summarize(texts: Iterable[str]) -> str:
     """Render a consensus description for a cluster's member texts.
 
     Per template slot, take the most frequent value among the member texts
@@ -193,11 +192,9 @@ def summarize(members: Iterable[Any]) -> str:
     of texts, so it is invariant under member permutation and duplication;
     each distinct text is parsed once and votes with its multiplicity.
 
-    Accepts DescriptionRecord-like objects (anything with ``.text``) or raw
-    strings. A ``SlotTally`` fed the same members in any batches renders the
-    same text.
+    A ``SlotTally`` fed the same texts in any batches renders the same text.
     """
-    return SlotTally(members).render()
+    return SlotTally(texts).render()
 
 
 def vocabulary_words() -> list[str]:

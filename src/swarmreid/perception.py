@@ -6,12 +6,14 @@ and a per-tick breakage probability; captioner imperfection by attribute
 dropout, synonym substitution, and adjacent-color confusion.
 
 Each record carries the ground-truth ``person_id`` sealed inside purely so
-evaluation can score the run later; no algorithmic path reads it.
+evaluation can score the run and a snapshot can keep it. Summarizers see
+only member texts, so no algorithmic path reads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import language, vocab
 from .errors import ContractError, EmptyDescriptionError
@@ -60,8 +62,7 @@ class DescriptionNoise:
 NO_NOISE = DescriptionNoise()
 
 
-@dataclass(frozen=True, slots=True)
-class DescriptionRecord:
+class DescriptionRecord(NamedTuple):
     """One emitted description, stamped with who/when/which track."""
 
     text: str
@@ -73,19 +74,15 @@ class DescriptionRecord:
     # Dedup identity (robot_id, track_id, tick) and track (robot_id,
     # track_id), built once: exchange and loading compare the keys of many
     # records, and the owner's track index keys its entries by these tuples.
-    key: tuple[int, int, int] = field(init=False, repr=False, compare=False)
-    track: tuple[int, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "key", (self.robot_id, self.track_id, self.tick))
-        object.__setattr__(self, "track", (self.robot_id, self.track_id))
+    key: tuple[int, int, int]
+    track: tuple[int, int]
 
     @classmethod
     def create(cls, text: str, robot_id: int, tick: int, track_id: int,
                person_id: int) -> "DescriptionRecord":
-        """The record of ``text``, a str; the ids and the tick must be ints,
-        not bools. Loading a snapshot builds its members here, so this is
-        where their fields are checked."""
+        """The record of ``text``, a str, and the one way to build one; the
+        ids and the tick must be ints, not bools. Loading a snapshot builds
+        its members here, so this is where their fields are checked."""
         if type(text) is not str:
             raise ContractError(f"record text {text!r} is not a string")
         for name, value in (("robot_id", robot_id), ("tick", tick),
@@ -95,8 +92,8 @@ class DescriptionRecord:
         tokens = language.cached_tokens(text)
         if not tokens:
             raise EmptyDescriptionError(f"description {text!r} has no usable tokens")
-        return cls(text=text, tokens=tokens, robot_id=robot_id, tick=tick,
-                   track_id=track_id, person_id=person_id)
+        return cls(text, tokens, robot_id, tick, track_id, person_id,
+                   (robot_id, track_id, tick), (robot_id, track_id))
 
 
 class TrackTable:

@@ -24,7 +24,7 @@ import socket
 import subprocess
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -177,7 +177,7 @@ def _http_complete(reply: bytes) -> bool:
     server that keeps the connection open cannot hold the request. A length
     too long to be met is left to end of stream and ``MAX_REPLY_BYTES``."""
     head, sep, body = reply.partition(b"\r\n\r\n")
-    length = re.search(rb"(?im)^content-length:[ \t]*(\d{1,15})[ \t]*$", head)
+    length = re.search(rb"(?im)^content-length:[ \t]*(\d{1,15})[ \t]*\r?$", head)
     return bool(sep and length) and len(body) >= int(length[1])
 
 
@@ -306,8 +306,7 @@ def resolve_providers(cfg: ProvidersConfig) -> Iterator[ResolvedProviders]:
             cache[key] = vec
             return vec
 
-        def summarize_fn(members: Iterable) -> str:
-            texts = [m if isinstance(m, str) else m.text for m in members]
+        def summarize_fn(texts: list[str]) -> str:
             if not texts:
                 return REFERENCE_OPS.summarize(texts)  # raises EmptyClusterError
             resp = summarizer.request({"v": PROTOCOL_VERSION, "op": "summarize", "texts": texts})

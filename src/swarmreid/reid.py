@@ -44,7 +44,7 @@ from copy import deepcopy
 from dataclasses import dataclass, field
 from itertools import count
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -89,10 +89,11 @@ class LanguageOps:
     """Embedding/summarization implementations a database should use.
 
     The reference functions are the default; remote providers plug in here.
+    A summarizer gets a cluster's member texts only, in member order.
     """
 
     embed: Callable[[Sequence[str]], np.ndarray] = embed
-    summarize: Callable[[Iterable], str] = summarize
+    summarize: Callable[[list[str]], str] = summarize
 
 
 REFERENCE_OPS = LanguageOps()
@@ -449,9 +450,10 @@ class ClusterDatabase:
         by origin unless the database was loaded.
 
         One call takes a whole batch, as a loaded cluster is: the samples
-        and the running sum are brought up to date once. Callers pass no
-        record held already: ``assign_description`` and ``from_dict`` refuse
-        a repeated one, and a view lists only records the receiver lacks.
+        and the running sum are brought up to date once. Its one caller,
+        ``_add_members``, passes no record held already: ``from_dict`` and
+        ``assign_description`` refuse a repeated one, and a view lists only
+        records the receiver lacks.
         """
         if cluster.embedding_sum is not None:
             total = cluster.embedding_sum
@@ -511,8 +513,8 @@ class ClusterDatabase:
 
     def _add_members(self, cluster: Cluster, records: Sequence[DescriptionRecord],
                      summary_text: str | None = None) -> None:
-        """Append records not held yet and refresh. A given ``summary_text``
-        is the resulting summary: no summarizer runs."""
+        """The one way into a cluster: append records not held yet, then
+        refresh, with a given ``summary_text`` instead of a summarizer's."""
         self._append(cluster, records)
         if summary_text is None:
             summary_text = self._summary(cluster, len(records))
@@ -520,12 +522,12 @@ class ClusterDatabase:
 
     def _summary(self, cluster: Cluster, added: int) -> str:
         """Summary after the last ``added`` appends. The reference summarizer
-        folds only those into the cluster's tally; any other gets every
-        member."""
+        folds only their texts into the cluster's tally; any other gets every
+        member's text."""
         if self.ops.summarize is not summarize:
-            return self.ops.summarize(cluster.members)
+            return self.ops.summarize([m.text for m in cluster.members])
         if cluster.tally is None:
-            cluster.tally = SlotTally(cluster.members)
+            cluster.tally = SlotTally([m.text for m in cluster.members])
         else:
             for m in cluster.members[-added:]:
                 cluster.tally.add(m.text)
@@ -786,8 +788,10 @@ class ClusterDatabase:
             if {m.track for m in members} != {tuple(t) for t in cd["track_ids"]}:
                 raise ContractError(f"snapshot cluster {cluster.uid} lists tracks "
                                     "other than its members'")
-            db._append(cluster, members)
-            db._refresh(cluster, cd["summary_text"])
+            summary = cd["summary_text"]
+            if type(summary) is not str:
+                raise ContractError(f"snapshot summary_text {summary!r} is not a string")
+            db._add_members(cluster, members, summary)
         for k, v in d.get("tombstones", []):
             k, v = _loaded_uid(k, "tombstone key"), _loaded_uid(v, "tombstone target")
             if k in db.clusters or k in db.tombstones or v not in db.clusters:
@@ -813,11 +817,12 @@ class ClusterDatabase:
             assert c.members, f"cluster {uid} has no members"
             keys.update(m.key for m in c.members)
             held += len(c.members)
-            expected = self.ops.summarize(c.members)
+            texts = [m.text for m in c.members]
+            expected = self.ops.summarize(texts)
             assert c.summary_text == expected, (
                 f"stale summary in {uid}: {c.summary_text!r} != {expected!r}"
             )
-            assert c.tally is None or c.tally == SlotTally(c.members), (
+            assert c.tally is None or c.tally == SlotTally(texts), (
                 f"tally of {uid} differs from its members'")
             assert c.samples == tuple(sorted(c.members, key=_sample_order)[:3]), (
                 f"samples of {uid} are not its first members in query order")

@@ -34,6 +34,16 @@ def _retyped_shared(name, retype):
     return edit
 
 
+def _package_env():
+    """The environment with the package under test first on PYTHONPATH,
+    whatever the working directory."""
+    env = dict(os.environ)
+    package_root = str(Path(swarmreid.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    return env
+
+
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "run"
@@ -200,6 +210,7 @@ class TestReport:
          "snapshot tombstone key"),
         (0, lambda doc: doc["clusters"][0].update(uid=[0]), "snapshot cluster uid"),
         (0, lambda doc: doc["clusters"][0]["members"][0].update(tick="0"), "record tick"),
+        (0, lambda doc: doc["clusters"][0].update(summary_text=None), "snapshot summary_text"),
         # Each of these compares equal to the saved value (True == 1,
         # False == 0) or passes a bare comparison (2.5 >= 0).
         (0, lambda doc: doc.update(schema_version=True), "snapshot schema_version"),
@@ -212,7 +223,7 @@ class TestReport:
         (2, _retyped_shared("track_id", bool), "record track_id"),
         (2, _retyped_shared("person_id", float), "record person_id"),
     ], ids=["uid_counter", "person_id", "tombstone_key", "cluster_uid", "tick",
-            "schema_version", "owner", "tombstone_cap", "shared_tick",
+            "summary_text", "schema_version", "owner", "tombstone_cap", "shared_tick",
             "shared_robot_id", "shared_track_id", "shared_person_id"])
     def test_mistyped_database_field_exits_two(self, run_dir, tmp_path, capsys,
                                                robot, edit, named):
@@ -255,6 +266,23 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "events.ndjson" in err
         assert err.count("\n") == 1
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("command", [
+        ["query", "--robot", "all", "a woman wearing a red shirt"], ["report"]])
+    def test_reader_gone_ends_quietly_with_one(self, run_dir, command):
+        """A reader that closes stdout before the output ends, as ``| head``
+        does, ends the command with exit 1 and nothing on stderr."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "swarmreid", *command, "--run", str(run_dir)],
+                stdout=write_end, stderr=subprocess.PIPE, env=_package_env(), timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 class TestSweep:
@@ -350,15 +378,10 @@ class TestEntryPoints:
         installed = shutil.which("swarmreid")
         if installed:
             commands["installed"] = [installed]
-        # Put the package under test first, whatever the working directory.
-        package_root = str(Path(swarmreid.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (package_root, env.get("PYTHONPATH")) if p)
         for name, cmd in commands.items():
             proc = subprocess.run(
                 [*cmd, "run", "--out", str(tmp_path / name), *_RUN_ARGS],
-                capture_output=True, text=True, env=env, cwd=tmp_path)
+                capture_output=True, text=True, env=_package_env(), cwd=tmp_path)
             assert proc.returncode == 0, f"{name}: {proc.stderr}"
         expected = sorted(p.name for p in (tmp_path / "module").iterdir())
         assert "metrics.json" in expected

@@ -174,15 +174,6 @@ class TestSummarize:
         ] * 2
         assert "with hat" in summarize(members)
 
-    def test_accepts_record_like_objects(self):
-        class R:
-            def __init__(self, text):
-                self.text = text
-
-        assert summarize([R("a man wearing a blue shirt and gray pants")]) == (
-            "a man wearing a blue shirt and gray pants"
-        )
-
 
 def _template_text(draw_tuple):
     noun, uc, ut, lc, lt, accs, hair = draw_tuple

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import itertools
 import pickle
 
@@ -104,7 +103,7 @@ class TestDescriptionRecord:
         r = DescriptionRecord.create(text="a man wearing a blue shirt",
                                      robot_id=2, tick=5, track_id=4, person_id=1)
         assert not hasattr(r, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             r.tick = 6
         for twin in (copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
             assert twin == r and twin is not r

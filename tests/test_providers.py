@@ -184,13 +184,17 @@ class TestMisbehavingSubprocess:
 
 
 class _Handler(BaseHTTPRequestHandler):
+    # Whether Content-Length comes before Content-Type, not last.
+    length_first = False
+
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         request = json.loads(self.rfile.read(length))
         body = json.dumps(handle_request(request)).encode("utf-8")
         self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        headers = [("Content-Type", "application/json"), ("Content-Length", str(len(body)))]
+        for name, value in reversed(headers) if self.length_first else headers:
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
@@ -421,9 +425,12 @@ class TestHttpProvider:
             {"v": 1, "op": "embed", "tokens": tokens})["vector"]
         assert np.allclose(vec, embed(tokens))
 
-    def test_keep_alive_server_is_answered_at_content_length(self):
+    @pytest.mark.parametrize("length_first", [False, True],
+                             ids=["length_last", "length_first"])
+    def test_keep_alive_server_is_answered_at_content_length(self, length_first):
         tokens = ["red", "shirt"]
-        with _serving(_KeepAliveHandler) as url:
+        handler = type("Handler", (_KeepAliveHandler,), {"length_first": length_first})
+        with _serving(handler) as url:
             started = time.monotonic()
             vec = HttpProvider(url + "/", timeout=5.0).request(
                 {"v": 1, "op": "embed", "tokens": tokens})["vector"]

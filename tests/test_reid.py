@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from swarmreid.errors import ContractError, EmptyDescriptionError
-from swarmreid.language import EMBEDDING_DIM, cached_tokens, cosine, embed, tokenize
+from swarmreid.language import (EMBEDDING_DIM, cached_tokens, cosine, embed, summarize,
+                                tokenize)
 from swarmreid.perception import DescriptionRecord, canonical_description, sample_attributes
 from swarmreid.reid import (_TABLE, SCHEMA_VERSION, ClusterDatabase, LanguageOps,
                             _SimilarityIndex, canonical_json, exchange)
@@ -92,31 +93,54 @@ class TestAssign:
 class TestSummarizerOps:
     def test_other_summarizer_sees_every_member_list(self):
         """Only the reference summarizer is served from the cluster's slot
-        tally; any other gets the whole member list on every append, and its
-        text becomes the summary."""
+        tally; any other gets the whole list of member texts on every
+        append, and its text becomes the summary."""
         calls = []
 
-        def count_members(members):
-            calls.append([m.key for m in members])
-            return f"cluster of {len(members)}"
+        def count_members(texts):
+            calls.append(list(texts))
+            return f"cluster of {len(texts)}"
 
         ops = LanguageOps(summarize=count_members)
         a = ClusterDatabase(owner=0, ops=ops)
         b = ClusterDatabase(owner=1, ops=ops)
+        woman = [WOMAN_TEXT, WOMAN_TEXT + ", with hat"]
+        man = [MAN_TEXT, MAN_TEXT + ", with glasses"]
         for tick in range(2):
-            a.assign_description(_record(WOMAN_TEXT, tick=tick, track_id=1), 0.8)
-        b.assign_description(_record(MAN_TEXT, robot_id=1, track_id=1), 0.8)
-        assert calls == [[(0, 1, 0)], [(0, 1, 0), (0, 1, 1)], [(1, 1, 0)]]
+            a.assign_description(_record(woman[tick], tick=tick, track_id=1), 0.8)
+        b.assign_description(_record(man[0], robot_id=1, track_id=1), 0.8)
+        assert calls == [woman[:1], woman, man[:1]]
         exchange(a, b, 1.0)  # verbatim copies: summaries travel as they are
         assert len(calls) == 3
-        b.assign_description(_record(MAN_TEXT, robot_id=1, tick=1, track_id=1), 0.8)
+        b.assign_description(_record(man[1], robot_id=1, tick=1, track_id=1), 0.8)
         exchange(a, b, 1.0)
-        assert calls[3:] == [[(1, 1, 0), (1, 1, 1)]] * 2
+        assert calls[3:] == [man] * 2
         assert a.clusters[(1, 0)].summary_text == "cluster of 2"
         assert a.clusters[(0, 0)].summary_text == "cluster of 2"
         for db in (a, b):
             db.check_invariants()
             assert all(c.tally is None for c in db.clusters.values())
+
+    def test_summarizer_is_given_texts_only(self):
+        """No summarizer sees a record, and so no sealed person id: the
+        appends of assignment and of exchange both hand it member texts."""
+        kinds = []
+
+        def typed_summarize(texts):
+            kinds.append({type(t) for t in texts})
+            return summarize(texts)
+
+        ops = LanguageOps(summarize=typed_summarize)
+        a = ClusterDatabase(owner=0, ops=ops)
+        b = ClusterDatabase(owner=1, ops=ops)
+        a.assign_description(_record(WOMAN_TEXT, track_id=1), 0.8)
+        b.assign_description(_record(MAN_TEXT, robot_id=1, track_id=1), 0.8)
+        exchange(a, b, 0.8)
+        b.assign_description(_record(MAN_TEXT, robot_id=1, tick=1, track_id=1), 0.8)
+        assigned = len(kinds)
+        exchange(a, b, 0.8)  # a appends b's new record to its copy of (1, 0)
+        assert len(kinds) == assigned + 1
+        assert kinds == [{str}] * len(kinds)
 
 
 class TestTextModeEmbeds:
