@@ -40,9 +40,17 @@ def cached_tokens(text: str) -> tuple[str, ...]:
 
     For program-made texts (descriptions and summaries), which repeat
     heavily, so equal texts share one tuple. Free-form user text such as a
-    query goes through ``tokenize`` instead, or the cache would grow without
-    bound.
+    query goes through ``query_tokens`` instead, or this cache would grow
+    without bound.
     """
+    return tuple(tokenize(text))
+
+
+@lru_cache(maxsize=64)
+def query_tokens(text: str) -> tuple[str, ...]:
+    """``tokenize`` as a tuple for free-form text such as a query, cached
+    for the last 64 texts: a text asked of every robot's database is split
+    once, and ``embed``'s cache then hands each database one vector object."""
     return tuple(tokenize(text))
 
 

@@ -187,9 +187,10 @@ class HttpProvider(_Transport):
     Each request is one HTTP/1.0 exchange on its own connection. Connecting,
     the TLS handshake, sending, and every read of the reply (at most
     ``MAX_REPLY_BYTES``, head included) wait only the time left to one
-    deadline ``timeout`` seconds after the request starts; name resolution
-    is not bounded, and each address a name resolves to may take the time
-    left. Redirects are not followed and proxies are not used.
+    deadline ``timeout`` seconds after the request starts. The addresses a
+    name resolves to are tried in turn, each connect given only the time
+    left, so together they end by the deadline; name resolution itself is
+    not bounded. Redirects are not followed and proxies are not used.
     """
 
     _unit = "body"
@@ -214,12 +215,33 @@ class HttpProvider(_Transport):
 
             self._tls = ssl.create_default_context()
 
+    def _connect(self, deadline: float) -> socket.socket:
+        """A socket connected to the first address of the host that accepts
+        in the time left to ``deadline``; the last address's error if none
+        does."""
+        host, port = self._address
+        error = OSError(f"{host} resolved to no address")
+        for family, kind, proto, _, address in socket.getaddrinfo(
+                host, port, type=socket.SOCK_STREAM):
+            left = _time_left(deadline)
+            sock = None
+            try:
+                sock = socket.socket(family, kind, proto)
+                sock.settimeout(left)
+                sock.connect(address)
+                return sock
+            except OSError as exc:
+                if sock is not None:
+                    sock.close()
+                error = exc
+        raise error
+
     def _exchange(self, data: bytes, deadline: float) -> bytes:
         def recv(seconds: float) -> bytes:
             sock.settimeout(seconds)
             return sock.recv(65536)
 
-        sock = socket.create_connection(self._address, timeout=_time_left(deadline))
+        sock = self._connect(deadline)
         try:
             if self._tls is not None:
                 sock.settimeout(_time_left(deadline))

@@ -51,7 +51,7 @@ import numpy as np
 from . import language
 from .errors import ContractError, EmptyDescriptionError
 from .language import (EMBEDDING_DIM, SlotTally, cached_tokens, cosine, embed,
-                       summarize, tokenize)
+                       query_tokens, summarize, tokenize)
 from .perception import DescriptionRecord
 
 ClusterUid = tuple[int, int]
@@ -172,8 +172,7 @@ class _OriginLog(NamedTuple):
 _first = itemgetter(0)
 
 
-@dataclass(frozen=True)
-class QueryHit:
+class QueryHit(NamedTuple):
     uid: ClusterUid
     score: float
     summary_text: str
@@ -217,8 +216,10 @@ class _VectorTable:
 
     The table also owns what ``_SimilarityIndex`` multiplies: one scratch
     matrix for ``best``, holding the rows of the index whose serial is
-    ``owner``, and the product of the last query vector with every slot for
-    ``top``, kept until a slot is written (``version``).
+    ``owner``. For the last query vector object it keeps, until a slot is
+    written (``version``), the product with every slot for ``top`` and the
+    exact scores taken so far, so every database asked the same query
+    shares them.
     """
 
     def __init__(self, dim: int) -> None:
@@ -231,7 +232,13 @@ class _VectorTable:
         self._free: list[int] = []
         self.scratch = np.zeros((16, dim), dtype=np.float64)
         self.owner = -1
-        self._product: tuple[np.ndarray, int, np.ndarray] | None = None
+        # The last query vector and the version its product and scores
+        # were taken at; a freed slot's score is unreachable until the slot
+        # is rewritten, which bumps the version.
+        self._query: np.ndarray | None = None
+        self._query_version = -1
+        self._product: np.ndarray | None = None
+        self._scores: dict[int, float] = {}
         self.indexes: weakref.WeakSet[_SimilarityIndex] = weakref.WeakSet()
 
     def take(self, vec: np.ndarray) -> int:
@@ -277,17 +284,39 @@ class _VectorTable:
         np.take(self.mat, slots, axis=0, out=self.scratch[:n], mode="clip")
         self.owner = owner
 
+    def _ask(self, vec: np.ndarray) -> None:
+        """Drop the product and scores unless taken for ``vec`` at this
+        version."""
+        if self._query is not vec or self._query_version != self.version:
+            self._query, self._query_version = vec, self.version
+            self._product, self._scores = None, {}
+
     def products(self, vec: np.ndarray) -> np.ndarray:
         """Every slot's product with ``vec``, by slot; one product per
         query vector object while no slot is written."""
-        product = self._product
-        if product is None or product[0] is not vec or product[1] != self.version:
-            product = self._product = (vec, self.version, self.mat[:self.size] @ vec)
-        return product[2]
+        self._ask(vec)
+        if self._product is None:
+            self._product = self.mat[:self.size] @ vec
+        return self._product
+
+    def scores(self, vec: np.ndarray, slots: list[int]) -> list[float]:
+        """``cosine(vec, vectors[slot])`` of each of ``slots``, taken once
+        per slot per query vector object while no slot is written. Never
+        read from the product, whose summation order differs."""
+        self._ask(vec)
+        known, vectors = self._scores, self.vectors
+        out = []
+        for slot in slots:
+            score = known.get(slot)
+            if score is None:
+                score = known[slot] = cosine(vec, vectors[slot])
+            out.append(score)
+        return out
 
     def check(self) -> None:
         """Raise AssertionError unless the counts equal the rows of the live
-        indexes naming each slot, and an owned scratch holds its rows."""
+        indexes naming each slot, an owned scratch holds its rows, and every
+        current score of a live slot is its ``cosine`` bit for bit."""
         counts = np.zeros(self.size, dtype=np.int64)
         for index in list(self.indexes):
             slots = index._slots[:len(index._uids)]
@@ -299,6 +328,11 @@ class _VectorTable:
                         == self.mat[slots].tobytes()), "stale scratch rows"
         assert counts.tolist() == self.counts, "slot counts differ from the rows"
         assert self.live() == np.count_nonzero(counts), "a held slot is free"
+        if self._query_version == self.version:
+            for slot, score in self._scores.items():
+                vec = self.vectors[slot]
+                assert vec is None or score.hex() == cosine(self._query, vec).hex(), (
+                    f"memo score of slot {slot} is not its cosine")
 
 
 _TABLE = _VectorTable(EMBEDDING_DIM)
@@ -406,7 +440,7 @@ class _SimilarityIndex:
             return list(uids)
         sims = self._table.products(vec).take(self._slots[:n])
         kth = np.partition(sims, n - k)[n - k]
-        return [uids[i] for i in np.flatnonzero(sims >= kth - _RANK_MARGIN)]
+        return [uids[i] for i in (sims >= kth - _RANK_MARGIN).nonzero()[0]]
 
 
 class ClusterDatabase:
@@ -590,7 +624,9 @@ class ClusterDatabase:
         index only narrows which clusters get scored: one matrix-vector
         product keeps the rows that can reach the top ``k`` (see
         ``_SimilarityIndex.top``), and only those are scored exactly, so
-        every hit and score equals a ranking of all clusters.
+        every hit and score equals a ranking of all clusters. Exact scores
+        are the vector table's, taken once per distinct vector and shared
+        by every database asked the same query until a slot is written.
 
         Raises EmptyDescriptionError when the query tokenizes to nothing.
         An empty database yields an empty list. Each hit carries the
@@ -598,15 +634,19 @@ class ClusterDatabase:
         """
         if k < 1:
             raise ContractError(f"k={k} must be at least 1")
-        vec = self.ops.embed(tokenize(text))
-        candidates = [self.clusters[uid] for uid in self._index.top(vec, k)]
-        scored = sorted(
-            ((c, cosine(vec, c.embedding)) for c in candidates),
-            key=lambda pair: (-pair[1], pair[0].uid),
-        )
-        return [QueryHit(uid=cluster.uid, score=score,
-                         summary_text=cluster.summary_text, samples=cluster.samples)
-                for cluster, score in scored[:k]]
+        vec = self.ops.embed(query_tokens(text))
+        index = self._index
+        uids = index.top(vec, k)
+        rows, slots = index._rows, index._slots
+        scores = index._table.scores(vec, [int(slots[rows[uid]]) for uid in uids])
+        # Negation is exact, so -(-score) is the score bit for bit.
+        ranked = sorted(zip([-score for score in scores], uids))
+        clusters = self.clusters
+        hits = []
+        for negated, uid in ranked[:k]:
+            cluster = clusters[uid]
+            hits.append(QueryHit(uid, -negated, cluster.summary_text, cluster.samples))
+        return hits
 
     def record_count(self) -> int:
         return sum(len(c.members) for c in self.clusters.values())
@@ -785,7 +825,12 @@ class ClusterDatabase:
             if len(held) != listed:
                 raise ContractError(f"snapshot cluster {cluster.uid} members repeat a "
                                     "record or one held already")
-            if {m.track for m in members} != {tuple(t) for t in cd["track_ids"]}:
+            try:
+                tracks = {tuple(t) for t in cd["track_ids"]}
+            except TypeError:
+                raise ContractError(f"snapshot track_ids {cd['track_ids']!r} of cluster "
+                                    f"{cluster.uid} is not a list of track pairs") from None
+            if {m.track for m in members} != tracks:
                 raise ContractError(f"snapshot cluster {cluster.uid} lists tracks "
                                     "other than its members'")
             summary = cd["summary_text"]

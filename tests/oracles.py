@@ -210,6 +210,20 @@ def stacked_top(uids, rows, vec, k):
     return [uid for uid, s in zip(uids, sims) if s >= kth - 1e-9]
 
 
+def brute_force_query(db, vec, k):
+    """The top ``k`` of every cluster of ``db`` scored by the clamped dot
+    product of ``vec`` with its embedding, ranked by (-score, uid), as
+    (uid, score, summary, the three members latest first, then by robot
+    and track id)."""
+    scored = sorted(((min(1.0, max(-1.0, float(np.dot(vec, c.embedding)))), uid)
+                     for uid, c in db.clusters.items()),
+                    key=lambda pair: (-pair[0], pair[1]))
+    return [(uid, score, db.clusters[uid].summary_text,
+             tuple(sorted(db.clusters[uid].members,
+                          key=lambda m: (-m.tick, m.robot_id, m.track_id))[:3]))
+            for score, uid in scored[:k]]
+
+
 def oracle_delta(side, peer):
     """What ``side`` must send ``peer`` in an exchange, found by testing
     every record ``side`` holds against what ``peer`` holds: as (uid,

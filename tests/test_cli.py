@@ -211,6 +211,7 @@ class TestReport:
         (0, lambda doc: doc["clusters"][0].update(uid=[0]), "snapshot cluster uid"),
         (0, lambda doc: doc["clusters"][0]["members"][0].update(tick="0"), "record tick"),
         (0, lambda doc: doc["clusters"][0].update(summary_text=None), "snapshot summary_text"),
+        (0, lambda doc: doc["clusters"][0].update(track_ids=5), "snapshot track_ids"),
         # Each of these compares equal to the saved value (True == 1,
         # False == 0) or passes a bare comparison (2.5 >= 0).
         (0, lambda doc: doc.update(schema_version=True), "snapshot schema_version"),
@@ -223,7 +224,7 @@ class TestReport:
         (2, _retyped_shared("track_id", bool), "record track_id"),
         (2, _retyped_shared("person_id", float), "record person_id"),
     ], ids=["uid_counter", "person_id", "tombstone_key", "cluster_uid", "tick",
-            "summary_text", "schema_version", "owner", "tombstone_cap", "shared_tick",
+            "summary_text", "track_ids", "schema_version", "owner", "tombstone_cap", "shared_tick",
             "shared_robot_id", "shared_track_id", "shared_person_id"])
     def test_mistyped_database_field_exits_two(self, run_dir, tmp_path, capsys,
                                                robot, edit, named):

@@ -366,6 +366,35 @@ class TestMisbehavingHttp:
         with pytest.raises(ProviderError, match="failed"):
             HttpProvider(url, timeout=2.0).request(_REQUEST)
 
+    def test_unconnectable_addresses_share_the_deadline(self, monkeypatch):
+        """Two resolved addresses whose connect never completes end the
+        request by ``timeout``, not once per address."""
+        port = _closed_port()
+        monkeypatch.setattr(socket, "getaddrinfo", lambda *args, **kw: [
+            (socket.AF_INET, socket.SOCK_STREAM, 6, "", (ip, port))
+            for ip in ("127.0.0.2", "127.0.0.3")])
+        given = []
+
+        def stalled_connect(sock, address):
+            given.append(sock.gettimeout())
+            time.sleep(sock.gettimeout())
+            raise TimeoutError("timed out")
+
+        monkeypatch.setattr(socket.socket, "connect", stalled_connect)
+        started = time.monotonic()
+        with pytest.raises(ProviderError, match="did not reply within 0.5s"):
+            HttpProvider(f"http://127.0.0.1:{port}/", timeout=0.5).request(_REQUEST)
+        assert time.monotonic() - started < 0.8
+        assert given and sum(given) <= 0.5
+
+    def test_refused_address_falls_through_to_the_next(self, http_url, monkeypatch):
+        port = int(http_url.rsplit(":", 1)[1].rstrip("/"))
+        monkeypatch.setattr(socket, "getaddrinfo", lambda *args, **kw: [
+            (socket.AF_INET, socket.SOCK_STREAM, 6, "", ("127.0.0.1", p))
+            for p in (_closed_port(), port)])
+        reply = HttpProvider(http_url, timeout=2.0).request(_REQUEST)
+        assert np.allclose(reply["vector"], embed(["red"]))
+
     def test_redirect_is_not_followed(self, bad_http_url):
         with pytest.raises(ProviderError, match="302"):
             HttpProvider(bad_http_url + "/redirect").request(_REQUEST)

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from swarmreid import reid
 from swarmreid.errors import ContractError, EmptyDescriptionError
 from swarmreid.language import (EMBEDDING_DIM, cached_tokens, cosine, embed, summarize,
                                 tokenize)
@@ -539,6 +540,60 @@ class TestQuery:
         assert hits[0].summary_text == GREEN_TEXT
 
 
+class TestQueryScoreMemo:
+    """Exact query scores are the vector table's, one per distinct vector
+    for every database asked the query, until a slot is written."""
+
+    def test_databases_sharing_vectors_score_each_once(self, monkeypatch):
+        a, b = ClusterDatabase(owner=0), ClusterDatabase(owner=1)
+        for tick, text in enumerate((WOMAN_TEXT, GREEN_TEXT, MAN_TEXT)):
+            a.assign_description(_record(text, tick=tick, track_id=tick), 0.8)
+        assert exchange(a, b, 0.8).copied_to_b == 3
+        assert all(b.clusters[uid].embedding is c.embedding for uid, c in a.clusters.items())
+        scored = []
+        real = reid.cosine
+        monkeypatch.setattr(reid, "cosine",
+                            lambda u, v: scored.append(id(v)) or real(u, v))
+        # A text no other test asks, so its vector object is new to the memo.
+        text = "a lady in a green top asked of two databases"
+        hits = [db.query(text, k=3) for db in (a, b)]
+        assert sorted(scored) == sorted(id(c.embedding) for c in a.clusters.values())
+        assert hits[0] == hits[1]
+        vec = embed(tokenize(text))
+        assert sorted((-h.score, h.uid) for h in hits[0]) == sorted(
+            (-real(vec, c.embedding), uid) for uid, c in a.clusters.items())
+        _TABLE.check()
+
+    def test_rewritten_slot_is_scored_again(self):
+        # A vector-baseline mean is a new array on every append, so the
+        # cluster's slot is freed and taken again by the new mean.
+        db = ClusterDatabase(owner=0, mode="vector-baseline")
+        db.assign_description(_record(WOMAN_TEXT, track_id=1), 0.8)
+        text = "a woman in a red shirt asked before and after a rewrite"
+        (before,) = db.query(text, k=1)
+        slot = int(db._index._slots[0])
+        db.assign_description(_record(GREEN_TEXT, tick=1, track_id=1), 0.8)
+        assert int(db._index._slots[0]) == slot
+        (after,) = db.query(text, k=1)
+        expected = cosine(embed(tokenize(text)), db.clusters[(0, 0)].embedding)
+        assert after.score == expected != before.score
+        db.check_invariants()
+
+    def test_check_catches_a_wrong_memo_score(self):
+        db = ClusterDatabase(owner=0)
+        db.assign_description(_record(WOMAN_TEXT, track_id=1), 0.8)
+        db.query("a woman in red whose score is then corrupted", k=1)
+        slot = int(db._index._slots[0])
+        score = _TABLE._scores[slot]
+        _TABLE._scores[slot] = np.nextafter(score, 0.0)
+        try:
+            with pytest.raises(AssertionError, match=f"memo score of slot {slot}"):
+                db.check_invariants()
+        finally:
+            _TABLE._scores[slot] = score
+        db.check_invariants()
+
+
 class TestSerialization:
     def _db(self, mode="text"):
         db = ClusterDatabase(owner=2, mode=mode)
@@ -595,6 +650,11 @@ class TestSerialization:
                        [[2, 1], [2, 2], [1, 3]]):
             cluster["track_ids"] = tracks
             with pytest.raises(ContractError, match="lists tracks other than"):
+                ClusterDatabase.from_dict(doc)
+        for tracks in (5, None, [[2, 1], 5], [[[2], 1]]):
+            cluster["track_ids"] = tracks
+            with pytest.raises(ContractError, match="snapshot track_ids .* of cluster "
+                                                    r"\(2, 0\) is not a list of track pairs"):
                 ClusterDatabase.from_dict(doc)
 
     def test_tombstones_one_hop_to_live_clusters_within_cap(self):

@@ -15,7 +15,7 @@ from swarmreid.reid import (DEFAULT_TOMBSTONE_CAP, ClusterDatabase, ClusterView,
                             ExchangeStats, _SimilarityIndex, canonical_json,
                             exchange)
 
-from oracles import oracle_delta, stacked_best, stacked_top
+from oracles import brute_force_query, oracle_delta, stacked_best, stacked_top
 
 
 _PEOPLE = sample_attributes(6, np.random.default_rng(7), distinct=True)
@@ -318,15 +318,7 @@ class TestIncrementalState:
 
 
 def _brute_force_query(db, text, k):
-    """Every cluster scored by ``cosine``, ranked by (-score, uid)."""
-    vec = embed(tokenize(text))
-    scored = sorted(((cosine(vec, c.embedding), uid)
-                     for uid, c in db.clusters.items()),
-                    key=lambda pair: (-pair[0], pair[1]))
-    return [(uid, score, db.clusters[uid].summary_text,
-             tuple(sorted(db.clusters[uid].members,
-                          key=lambda m: (-m.tick, m.robot_id, m.track_id))[:3]))
-            for score, uid in scored[:k]]
+    return brute_force_query(db, embed(tokenize(text)), k)
 
 
 _QUERIES = tuple(text for renderings in _RENDERINGS for text in renderings) + (

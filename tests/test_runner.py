@@ -5,11 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from oracles import stacked_best, stacked_top
+from oracles import brute_force_query, stacked_best, stacked_top
 from swarmreid import config as cfg
 from swarmreid.config import SimConfig, load_config, set_value, validate
 from swarmreid.errors import ConfigError, ContractError
 from swarmreid.language import embed, tokenize
+from swarmreid.perception import canonical_description
 from swarmreid.reid import _TABLE, REFERENCE_OPS, ClusterDatabase, canonical_json
 from swarmreid.runner import RunArtifact, run_experiment, sweep, sweep_csv
 
@@ -406,6 +407,22 @@ class TestSharedVectorTable:
         del text, baseline, db
         gc.collect()
         assert _TABLE.live() == before
+        _TABLE.check()
+
+    def test_swarm16_queries_equal_brute_force(self):
+        """Each text is asked of every database in turn, so all but the
+        first database read the scores the first one took; every answer
+        must still be the exact ranking of all its clusters."""
+        art = run_experiment(_swarm16("text"))
+        texts = [canonical_description(attrs) for _, attrs in art.people[:8]] + [
+            "a woman in a red shirt", "a man with black pants",
+            "a lady with a green t-shirt", "a person with a black outfit"]
+        for text in texts:
+            vec = embed(tokenize(text))
+            for k in (1, 5, 50):
+                for db in art.databases:
+                    assert [tuple(hit) for hit in db.query(text, k)] == (
+                        brute_force_query(db, vec, k))
         _TABLE.check()
 
 
