@@ -134,9 +134,16 @@ def _coerce(value: Any, target_type: Any, key: str) -> Any:
             raise ConfigError(f"{key}: expected an integer, got {value!r}")
         return value
     if target_type is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{key}: expected a number, got {value!r}")
-        return float(value)
+        if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+            try:
+                number = float(value)
+            except (ValueError, OverflowError):
+                number = math.nan
+            # YAML 1.1 reads literals such as 1e-9 and 1.0e6 as strings. A
+            # string or an int is taken when it gives a finite float.
+            if math.isfinite(number) or isinstance(value, float):
+                return number
+        raise ConfigError(f"{key}: expected a number, got {value!r}")
     if target_type is str:
         if not isinstance(value, str):
             raise ConfigError(f"{key}: expected a string, got {value!r}")
@@ -183,10 +190,10 @@ def _coerce_obstacles(value: Any, key: str) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{key}: expected a list of [x0, y0, x1, y1] rectangles")
     out = []
-    for item in value:
+    for i, item in enumerate(value):
         if not (isinstance(item, (list, tuple)) and len(item) == 4):
             raise ConfigError(f"{key}: bad rectangle {item!r}")
-        out.append(tuple(float(v) for v in item))
+        out.append(tuple(_coerce(v, float, f"{key}[{i}]") for v in item))
     return tuple(out)
 
 
@@ -271,7 +278,7 @@ def validate(config: SimConfig) -> list[str]:
     check(config.robots.sensing_range > 0, "robots.sensing_range", "must be positive")
     check(config.robots.comm_range > 0, "robots.comm_range", "must be positive")
     check(config.robots.lambda_turn >= 0, "robots.lambda_turn", "must be non-negative")
-    check(config.people.count >= 0, "people.count", "must be non-negative")
+    check(config.people.count >= 1, "people.count", "must be at least 1")
     check(config.people.speed >= 0, "people.speed", "must be non-negative")
     check(config.people.lambda_turn >= 0, "people.lambda_turn", "must be non-negative")
     check(config.perception.description_period >= 1,

@@ -82,28 +82,18 @@ def _labeled(dbs: Sequence[ClusterDatabase]) -> list[_Labeled]:
     return [_Labeled(db.owner, c, *_label(c)) for db in dbs for c in db.clusters.values()]
 
 
-def majority_person(cluster: Cluster) -> int:
-    """Most frequent sealed person id among members; ties to the lower id."""
-    return _label(cluster)[0]
+def _purities(labeled: Sequence[_Labeled], gt: Sequence[int]) -> tuple[float, float]:
+    """Average and normalized purity: means over the ids of ``gt``.
 
-
-def cluster_purity(dbs: Sequence[ClusterDatabase],
-                   ground_truth_ids: Iterable[int]) -> float:
-    """Mean largest-cluster purity over ground-truth ids.
-
-    For each id, keep only the largest cluster whose majority is that id
-    (ties: more recent last member tick, then lower uid) and score its
-    purity; ids with no majority cluster anywhere score 0.
+    An id's average purity is that of the largest cluster whose majority is
+    that id (ties: more recent last member tick, then lower uid, then lower
+    owner); its normalized purity is the mean purity of all its majority
+    clusters. An id with no majority cluster anywhere scores 0 in both.
     """
-    return _largest_purity(_labeled(dbs), ground_truth_ids)
-
-
-def _largest_purity(labeled: Sequence[_Labeled], ground_truth_ids: Iterable[int]) -> float:
-    gt = _ground_truth(ground_truth_ids)
     by_id: dict[int, list[_Labeled]] = {}
     for item in labeled:
         by_id.setdefault(item.person_id, []).append(item)
-    total = 0.0
+    largest = mean = 0.0
     for pid in gt:
         candidates = by_id.get(pid)
         if not candidates:
@@ -114,48 +104,9 @@ def _largest_purity(labeled: Sequence[_Labeled], ground_truth_ids: Iterable[int]
                               -item.cluster.last_member_tick(),
                               item.cluster.uid, item.owner),
         )
-        total += retained.purity
-    return total / len(gt)
-
-
-def normalized_purity(dbs: Sequence[ClusterDatabase],
-                      ground_truth_ids: Iterable[int]) -> float:
-    """Mean over ids of the mean purity of all their majority clusters."""
-    return _mean_purity(_labeled(dbs), ground_truth_ids)
-
-
-def _mean_purity(labeled: Sequence[_Labeled], ground_truth_ids: Iterable[int]) -> float:
-    gt = _ground_truth(ground_truth_ids)
-    by_id: dict[int, list[float]] = {}
-    for item in labeled:
-        by_id.setdefault(item.person_id, []).append(item.purity)
-    total = 0.0
-    for pid in gt:
-        values = by_id.get(pid)
-        if values:
-            total += sum(values) / len(values)
-    return total / len(gt)
-
-
-def _ground_truth(ground_truth_ids: Iterable[int]) -> list[int]:
-    gt = sorted(set(ground_truth_ids))
-    if not gt:
-        raise ContractError("ground_truth_ids must be non-empty")
-    return gt
-
-
-def build_probe_gallery(
-    dbs: Sequence[ClusterDatabase],
-    people: Sequence[tuple[int, PersonAttributes]],
-    ops: LanguageOps = REFERENCE_OPS,
-) -> tuple[list[Probe], list[GalleryItem]]:
-    """Probe and gallery sets for CMC/mAP computation.
-
-    One probe per detected person (appearing in any database), embedded from
-    its canonical noise-free description; the gallery holds every cluster
-    from every database.
-    """
-    return _probe_gallery(_labeled(dbs), people, ops)
+        largest += retained.purity
+        mean += sum(item.purity for item in candidates) / len(candidates)
+    return largest / len(gt), mean / len(gt)
 
 
 def _probe_gallery(labeled: Sequence[_Labeled],
@@ -176,9 +127,16 @@ def _probe_gallery(labeled: Sequence[_Labeled],
     return probes, gallery
 
 
-def _rank_metrics(probes: Sequence[Probe], gallery: Sequence[GalleryItem],
-                  k_max: int) -> tuple[tuple[float, ...], float]:
-    """CMC over ranks 1..k_max and mAP, ranking the gallery once per probe.
+def _rank_metrics(probes: Sequence[Probe],
+                  gallery: Sequence[GalleryItem]) -> tuple[tuple[float, ...], float]:
+    """CMC over every rank and mAP, ranking the gallery once per probe.
+
+    cmc[k-1] is the fraction of probes whose correct person id appears among
+    the top-k ranked gallery clusters. AP for one probe is the mean, over the
+    correct gallery items at ranks r_1 < r_2 < ..., of (number of correct
+    items at rank <= r_i) / r_i; a probe with no correct item scores 0.
+    Precision averaging runs on exact rationals; only the final value is a
+    float.
 
     The ranking key is (-similarity, uid, owner). Clusters share embedding
     objects, so each distinct one is scored once, with ``language.cosine``
@@ -190,7 +148,7 @@ def _rank_metrics(probes: Sequence[Probe], gallery: Sequence[GalleryItem],
     origins, counters = np.array([g.uid for g in gallery], dtype=np.int64).T
     owners = np.array([g.owner for g in gallery])
     persons = np.array([g.person_id for g in gallery])
-    first_hits = [0] * k_max
+    first_hits = [0] * len(gallery)
     ap_total = Fraction(0)
     for probe in probes:
         sims = np.array([language.cosine(probe.embedding, e)
@@ -198,44 +156,11 @@ def _rank_metrics(probes: Sequence[Probe], gallery: Sequence[GalleryItem],
         order = np.lexsort((owners, counters, origins, -sims))
         ranks = np.flatnonzero(persons[order] == probe.person_id) + 1
         if len(ranks):
-            if ranks[0] <= k_max:
-                first_hits[ranks[0] - 1] += 1
+            first_hits[ranks[0] - 1] += 1
             precisions = sum(Fraction(i, int(r)) for i, r in enumerate(ranks, start=1))
             ap_total += Fraction(precisions, len(ranks))
     cmc = tuple(c / len(probes) for c in accumulate(first_hits))
     return cmc, float(ap_total / len(probes))
-
-
-def cmc_curve(probes: Sequence[Probe], gallery: Sequence[GalleryItem],
-              k_max: int) -> tuple[float, ...]:
-    """Cumulative match characteristic over ranks 1..k_max.
-
-    cmc[k-1] is the fraction of probes whose correct person id appears among
-    the top-k ranked gallery clusters. Monotone non-decreasing by
-    construction.
-    """
-    if not gallery:
-        raise ContractError("gallery must be non-empty")
-    if k_max < 1:
-        raise ContractError("k_max must be at least 1")
-    if not probes:
-        return tuple(0.0 for _ in range(k_max))
-    return _rank_metrics(probes, gallery, k_max)[0]
-
-
-def mean_ap(probes: Sequence[Probe], gallery: Sequence[GalleryItem]) -> float:
-    """Mean average precision over probes.
-
-    AP for one probe is the mean, over the correct gallery items at ranks
-    r_1 < r_2 < ..., of (number of correct items at rank <= r_i) / r_i; a
-    probe with no correct item scores 0. Precision averaging runs on exact
-    rationals; only the final value is a float.
-    """
-    if not gallery:
-        raise ContractError("gallery must be non-empty")
-    if not probes:
-        return 0.0
-    return _rank_metrics(probes, gallery, 1)[1]
 
 
 def compute_report(
@@ -245,24 +170,24 @@ def compute_report(
     config_fingerprint: str,
     ops: LanguageOps = REFERENCE_OPS,
 ) -> MetricsReport:
-    """Full evaluation of a finished run.
+    """Full evaluation of a finished run; the only way into the metrics.
 
     With an empty gallery (nothing ever detected) the CMC curve is empty and
     mAP is 0 rather than an error, so zero-length runs still report cleanly.
     """
+    gt = sorted(set(ground_truth_ids))
+    if not gt:
+        raise ContractError("ground_truth_ids must be non-empty")
     labeled = _labeled(dbs)
     probes, gallery = _probe_gallery(labeled, people, ops)
-    if gallery:
-        # Every gallery cluster has a detected person, so probes is non-empty.
-        cmc, ap = _rank_metrics(probes, gallery, len(gallery))
-    else:
-        cmc = ()
-        ap = 0.0
+    # Every gallery cluster has a detected person, so probes is non-empty.
+    cmc, ap = _rank_metrics(probes, gallery) if gallery else ((), 0.0)
+    avg_purity, normalized_purity = _purities(labeled, gt)
     return MetricsReport(
         cmc=cmc,
         map_score=ap,
-        avg_purity=_largest_purity(labeled, ground_truth_ids),
-        normalized_purity=_mean_purity(labeled, ground_truth_ids),
+        avg_purity=avg_purity,
+        normalized_purity=normalized_purity,
         clusters_per_robot=tuple(len(db.clusters) for db in dbs),
         detected_identity_count=len(probes),
         config_fingerprint=config_fingerprint,

@@ -13,13 +13,11 @@ import time
 import numpy as np
 import pytest
 
-from swarmreid import vocab
+from swarmreid import metrics, vocab
 from swarmreid.config import SimConfig, set_value
 from swarmreid.language import (cosine, embed, summarize, tokenize,
                                 vocabulary_collision_report)
-from swarmreid.metrics import (GalleryItem, Probe, cluster_purity, cmc_curve,
-                               compute_report, majority_person, mean_ap,
-                               normalized_purity)
+from swarmreid.metrics import GalleryItem, Probe, compute_report
 from swarmreid.perception import (DescriptionNoise, DescriptionRecord,
                                   canonical_description, describe,
                                   sample_attributes)
@@ -72,10 +70,10 @@ def test_ranking_metrics_match_exhaustive_oracle():
                 for p in probes
             ]
             oracle_gallery = [(g.uid, g.owner, g.person_id) for g in gallery]
-            assert list(cmc_curve(probes, gallery, n_gallery)) == oracle_cmc(
-                oracle_probes, oracle_gallery, n_gallery)
-            assert mean_ap(probes, gallery) == oracle_map(
-                oracle_probes, oracle_gallery)
+            cmc, ap = metrics._rank_metrics(probes, gallery)
+            assert list(cmc) == oracle_cmc(oracle_probes, oracle_gallery,
+                                           n_gallery)
+            assert ap == oracle_map(oracle_probes, oracle_gallery)
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"oracle sweep took {elapsed:.1f}s"
 
@@ -92,6 +90,10 @@ def _db_from_groups(owner, groups, texts):
     return db
 
 
+def _avg_purity(dbs, gt):
+    return metrics._purities(metrics._labeled(dbs), sorted(gt))[0]
+
+
 def test_purity_rules_and_fragmentation_divergence():
     with criterion("purity rules + fragmentation divergence"):
         fillers = ["a man wearing a red shirt and blue jeans",
@@ -99,13 +101,13 @@ def test_purity_rules_and_fragmentation_divergence():
                    "a boy wearing a yellow hoodie and black shorts"]
         # majority proportion with the undetected penalty
         db = _db_from_groups(0, [[1, 1, 2]], fillers)
-        assert abs(cluster_purity([db], {1, 2}) - 1 / 3) < 1e-12
+        assert abs(_avg_purity([db], {1, 2}) - 1 / 3) < 1e-12
         # largest-cluster retention
         db = _db_from_groups(0, [[1, 1, 1, 1, 2], [1, 1, 1]], fillers)
-        assert cluster_purity([db], {1}) == 0.8
+        assert _avg_purity([db], {1}) == 0.8
         # fully separated case
         db = _db_from_groups(0, [[1], [2]], fillers)
-        assert cluster_purity([db], {1, 2}) == 1.0
+        assert _avg_purity([db], {1, 2}) == 1.0
 
         # locally pure shards, globally confusable neighbor
         db = ClusterDatabase(owner=0)
@@ -152,9 +154,10 @@ def test_noise_free_distinct_people_separate_perfectly():
                 for pid in detected:
                     hits = db.query(canonical_description(attrs[pid]), k=1)
                     top = db.clusters[hits[0].uid]
-                    assert majority_person(top) == pid, (
+                    majority = metrics._label(top)[0]
+                    assert majority == pid, (
                         f"seed {seed}: robot {db.owner} ranked person "
-                        f"{majority_person(top)} first for person {pid}")
+                        f"{majority} first for person {pid}")
 
 
 _SCARCE_SIGHTINGS = [

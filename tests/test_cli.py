@@ -44,6 +44,10 @@ def _package_env():
     return env
 
 
+def _no_run(configuration):
+    raise AssertionError("a rejected config must not reach the simulation")
+
+
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "run"
@@ -64,6 +68,25 @@ class TestRun:
         rc = main(["run", "--out", str(tmp_path / "r"), "--set", "dt=-1"])
         assert rc == 2
         assert "dt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, key", [
+        ("people.count=0", "people.count"),
+        ("robots.comm_range=abc", "robots.comm_range"),
+        ("robots.comm_range=nan", "robots.comm_range"),
+        ("arena.obstacles=[[a,0,1,1]]", "arena.obstacles[0]"),
+        ("arena.obstacles=[[[1],0,1,1]]", "arena.obstacles[0]"),
+        ("arena.obstacles=[[true,0,1,1]]", "arena.obstacles[0]"),
+    ])
+    def test_rejected_value_exits_two_before_any_run(self, tmp_path, capsys,
+                                                     monkeypatch, override, key):
+        monkeypatch.setattr("swarmreid.cli.run_experiment", _no_run)
+        out = tmp_path / "r"
+        rc = main(["run", "--out", str(out), "--set", override])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and key in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_provider_failure_exits_two_with_one_line(self, tmp_path, capsys):
         stub = tmp_path / "garbage_provider.py"

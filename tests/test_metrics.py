@@ -3,11 +3,10 @@ import pytest
 
 from swarmreid.errors import ContractError
 from swarmreid.language import cosine, embed, tokenize
-from swarmreid.metrics import (GalleryItem, Probe, build_probe_gallery,
-                               cluster_purity, cmc_curve, compute_report,
-                               mean_ap, normalized_purity)
+from swarmreid.metrics import (GalleryItem, Probe, _labeled, _probe_gallery,
+                               _purities, _rank_metrics, compute_report)
 from swarmreid.perception import DescriptionRecord
-from swarmreid.reid import ClusterDatabase
+from swarmreid.reid import REFERENCE_OPS, ClusterDatabase
 from swarmreid.vocab import PersonAttributes
 
 from oracles import oracle_cmc, oracle_map
@@ -40,47 +39,50 @@ def _db_from_groups(owner, groups, texts=None):
     return db
 
 
+def _purity(dbs, gt):
+    """(average purity, normalized purity), as ``compute_report`` takes them."""
+    return _purities(_labeled(dbs), sorted(gt))
+
+
 class TestClusterPurity:
     def test_majority_proportion_and_undetected_penalty(self):
         db = _db_from_groups(0, [[1, 1, 2]])
-        assert abs(cluster_purity([db], {1, 2}) - 1 / 3) < 1e-12
+        assert abs(_purity([db], {1, 2})[0] - 1 / 3) < 1e-12
 
     def test_largest_cluster_retained(self):
         db = _db_from_groups(0, [[1, 1, 1, 1, 2], [1, 1, 1]])
-        assert cluster_purity([db], {1}) == 0.8
+        assert _purity([db], {1})[0] == 0.8
 
     def test_all_pure_scores_one(self):
         db = _db_from_groups(0, [[1], [2]])
-        assert cluster_purity([db], {1, 2}) == 1.0
+        assert _purity([db], {1, 2}) == (1.0, 1.0)
 
     def test_size_tie_broken_by_recency(self):
         # both majority-1 clusters have two members; ticks 2,3 beat 0,1
         db = _db_from_groups(0, [[1, 1], [1, 2]])
-        assert cluster_purity([db], {1}) == 0.5
+        assert _purity([db], {1})[0] == 0.5
 
     def test_empty_ground_truth_rejected(self):
         db = _db_from_groups(0, [[1]])
-        with pytest.raises(ContractError):
-            cluster_purity([db], set())
+        with pytest.raises(ContractError, match="ground_truth_ids"):
+            compute_report([db], [(1, _P1)], set(), "f" * 16)
 
     def test_database_order_irrelevant(self):
         a = _db_from_groups(0, [[1, 1, 2]])
         b = _db_from_groups(1, [[2, 2], [1]])
-        assert cluster_purity([a, b], {1, 2}) == cluster_purity([b, a], {1, 2})
-        assert (normalized_purity([a, b], {1, 2})
-                == normalized_purity([b, a], {1, 2}))
+        assert _purity([a, b], {1, 2}) == _purity([b, a], {1, 2})
 
 
 class TestNormalizedPurity:
     def test_mean_over_all_majority_clusters(self):
         # id 1 holds a pure pair and a 50/50 pair (tie labels toward 1)
         db = _db_from_groups(0, [[1, 1], [1, 2]])
-        assert normalized_purity([db], {1}) == 0.75
+        assert _purity([db], {1})[1] == 0.75
 
-    def test_equals_cluster_purity_for_single_clusters(self):
+    def test_equals_average_purity_for_single_clusters(self):
         db = _db_from_groups(0, [[1, 1, 2], [3]])
-        gt = {1, 3}
-        assert normalized_purity([db], gt) == cluster_purity([db], gt)
+        average, normalized = _purity([db], {1, 3})
+        assert normalized == average
 
 
 _P1 = PersonAttributes(noun="woman", upper_color="red", upper_type="shirt",
@@ -131,7 +133,7 @@ class TestProbeGallery:
                               lower_color="blue")])]
         dbs = [_db_from_groups(r, [[pid] for pid, _ in people])
                for r in range(4)]
-        probes, gallery = build_probe_gallery(dbs, people)
+        probes, gallery = _probe_gallery(_labeled(dbs), people, REFERENCE_OPS)
         assert len(probes) == 6
         assert len(gallery) == 24
         assert [p.person_id for p in probes] == [0, 1, 2, 3, 4, 5]
@@ -142,19 +144,20 @@ class TestProbeGallery:
                   (7, PersonAttributes(noun="man", upper_color="blue",
                                        upper_type="shirt", lower_type="pants",
                                        lower_color="gray"))]
-        probes, _ = build_probe_gallery([db], people)
+        probes, _ = _probe_gallery(_labeled([db]), people, REFERENCE_OPS)
         assert [p.person_id for p in probes] == [1, 2]
         report = compute_report([db], people, {1, 2, 7}, "f" * 16)
         assert report.detected_identity_count == 2
 
     def test_empty_databases(self):
-        probes, gallery = build_probe_gallery([ClusterDatabase(owner=0)], [])
+        probes, gallery = _probe_gallery(
+            _labeled([ClusterDatabase(owner=0)]), [], REFERENCE_OPS)
         assert probes == [] and gallery == []
 
     def test_missing_attributes_rejected(self):
         db = _db_from_groups(0, [[1]])
         with pytest.raises(ContractError):
-            build_probe_gallery([db], [])
+            _probe_gallery(_labeled([db]), [], REFERENCE_OPS)
 
 
 def _basis(i):
@@ -163,37 +166,34 @@ def _basis(i):
     return v
 
 
+def _cmc(probes, gallery):
+    return _rank_metrics(probes, gallery)[0]
+
+
+def _ap(probes, gallery):
+    return _rank_metrics(probes, gallery)[1]
+
+
 class TestCmcCurve:
     def test_hand_ranked_example(self):
         gallery = [GalleryItem((0, 0), 0, 2, _basis(0)),
                    GalleryItem((0, 1), 0, 1, _basis(1)),
                    GalleryItem((0, 2), 0, 3, _basis(2))]
         probe = Probe(1, 0.9 * _basis(0) + 0.8 * _basis(1) + 0.1 * _basis(2))
-        assert cmc_curve([probe], gallery, 3) == (0.0, 1.0, 1.0)
+        assert _cmc([probe], gallery) == (0.0, 1.0, 1.0)
 
     def test_perfect_top_one(self):
         gallery = [GalleryItem((0, i), 0, i, _basis(i)) for i in range(4)]
         probes = [Probe(i, _basis(i)) for i in range(4)]
-        assert cmc_curve(probes, gallery, 4) == (1.0, 1.0, 1.0, 1.0)
+        assert _cmc(probes, gallery) == (1.0, 1.0, 1.0, 1.0)
 
     def test_similarity_tie_goes_to_lower_uid(self):
         gallery = [GalleryItem((0, 5), 0, 1, _basis(0)),
                    GalleryItem((0, 2), 0, 2, _basis(0))]
         probe_two = Probe(2, _basis(0))
-        assert cmc_curve([probe_two], gallery, 2) == (1.0, 1.0)
+        assert _cmc([probe_two], gallery) == (1.0, 1.0)
         probe_one = Probe(1, _basis(0))
-        assert cmc_curve([probe_one], gallery, 2) == (0.0, 1.0)
-
-    def test_empty_gallery_rejected(self):
-        with pytest.raises(ContractError):
-            cmc_curve([Probe(1, _basis(0))], [], 1)
-        with pytest.raises(ContractError):
-            cmc_curve([Probe(1, _basis(0))],
-                      [GalleryItem((0, 0), 0, 1, _basis(0))], 0)
-
-    def test_no_probes_gives_zeros(self):
-        gallery = [GalleryItem((0, 0), 0, 1, _basis(0))]
-        assert cmc_curve([], gallery, 2) == (0.0, 0.0)
+        assert _cmc([probe_one], gallery) == (0.0, 1.0)
 
 
 class TestMeanAp:
@@ -202,22 +202,18 @@ class TestMeanAp:
                    GalleryItem((0, 1), 0, 2, _basis(1)),
                    GalleryItem((0, 2), 0, 3, _basis(2))]
         probe = Probe(1, 0.9 * _basis(0) + 0.8 * _basis(1) + 0.1 * _basis(2))
-        assert mean_ap([probe], gallery) == 1.0
+        assert _ap([probe], gallery) == 1.0
 
     def test_correct_at_ranks_one_and_three(self):
         gallery = [GalleryItem((0, 0), 0, 1, _basis(0)),
                    GalleryItem((0, 1), 0, 2, _basis(1)),
                    GalleryItem((0, 2), 0, 1, _basis(2))]
         probe = Probe(1, 0.9 * _basis(0) + 0.8 * _basis(1) + 0.1 * _basis(2))
-        assert abs(mean_ap([probe], gallery) - 5 / 6) < 1e-15
+        assert abs(_ap([probe], gallery) - 5 / 6) < 1e-15
 
     def test_absent_identity_scores_zero(self):
         gallery = [GalleryItem((0, 0), 0, 2, _basis(0))]
-        assert mean_ap([Probe(1, _basis(0))], gallery) == 0.0
-
-    def test_empty_gallery_rejected(self):
-        with pytest.raises(ContractError):
-            mean_ap([Probe(1, _basis(0))], [])
+        assert _ap([Probe(1, _basis(0))], gallery) == 0.0
 
 
 def _random_instance(rng, max_probes=12, max_gallery=40, dim=16):
@@ -244,16 +240,15 @@ class TestOracleEquivalence:
                 for p in probes
             ]
             oracle_gallery = [(g.uid, g.owner, g.person_id) for g in gallery]
-            k_max = len(gallery)
-            assert list(cmc_curve(probes, gallery, k_max)) == oracle_cmc(
-                oracle_probes, oracle_gallery, k_max)
-            assert mean_ap(probes, gallery) == oracle_map(
-                oracle_probes, oracle_gallery)
+            cmc, ap = _rank_metrics(probes, gallery)
+            assert list(cmc) == oracle_cmc(oracle_probes, oracle_gallery,
+                                           len(gallery))
+            assert ap == oracle_map(oracle_probes, oracle_gallery)
 
     def test_cmc_monotone_and_bounded_by_map(self):
         rng = np.random.default_rng(7)
         for _ in range(40):
             probes, gallery = _random_instance(rng)
-            curve = cmc_curve(probes, gallery, len(gallery))
+            curve, ap = _rank_metrics(probes, gallery)
             assert all(a <= b for a, b in zip(curve, curve[1:]))
-            assert 0.0 <= mean_ap(probes, gallery) <= curve[-1]
+            assert 0.0 <= ap <= curve[-1]

@@ -46,6 +46,24 @@ class TestConfig:
         assert c.robots.count == 5
         assert SimConfig().robots.count == 4  # frozen copies, not mutation
 
+    @pytest.mark.parametrize("text, value", [
+        ("1e-9", 1e-9), ("1.0e6", 1e6), ("1_000.5", 1000.5)])
+    def test_python_float_literals_accepted(self, tmp_path, text, value):
+        c = cfg.apply_overrides(SimConfig(), [f"robots.comm_range={text}"])
+        assert c.robots.comm_range == value
+        path = tmp_path / "c.yaml"
+        path.write_text(f"robots:\n  comm_range: {text}\n"
+                        f"arena:\n  obstacles:\n  - [{text}, 0, 2, 1]\n")
+        c = load_config(path)
+        assert c.robots.comm_range == value
+        assert c.arena.obstacles == ((value, 0.0, 2.0, 1.0),)
+
+    @pytest.mark.parametrize("text", ["abc", "nan", "inf", "1e400", "true",
+                                      pytest.param("1" + "0" * 400, id="1e400-int")])
+    def test_non_numbers_rejected_for_floats(self, text):
+        with pytest.raises(ConfigError, match="robots.comm_range: expected a number"):
+            cfg.apply_overrides(SimConfig(), [f"robots.comm_range={text}"])
+
     def test_unknown_key_names_the_key(self):
         with pytest.raises(ConfigError, match="robots.wheels"):
             set_value(SimConfig(), "robots.wheels", 4)
