@@ -139,9 +139,9 @@ def _coerce(value: Any, target_type: Any, key: str) -> Any:
                 number = float(value)
             except (ValueError, OverflowError):
                 number = math.nan
-            # YAML 1.1 reads literals such as 1e-9 and 1.0e6 as strings. A
-            # string or an int is taken when it gives a finite float.
-            if math.isfinite(number) or isinstance(value, float):
+            # YAML 1.1 reads 1e-9 and 1.0e6 as strings, and .inf and .nan as
+            # floats: a value is taken only when it gives a finite float.
+            if math.isfinite(number):
                 return number
         raise ConfigError(f"{key}: expected a number, got {value!r}")
     if target_type is str:
@@ -165,8 +165,10 @@ def _set_on_dataclass(obj: Any, path: list[str], value: Any, key: str) -> Any:
         elif name == "command":
             if isinstance(value, str):
                 value = tuple(value.split())
-            else:
+            elif isinstance(value, (list, tuple)):
                 value = tuple(str(v) for v in value)
+            else:
+                raise ConfigError(f"{key}: expected a string or a list, got {value!r}")
         elif is_provider:
             if value is not None:
                 if not isinstance(value, dict):

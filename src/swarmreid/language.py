@@ -36,21 +36,12 @@ def tokenize(text: str) -> list[str]:
 
 @lru_cache(maxsize=None)
 def cached_tokens(text: str) -> tuple[str, ...]:
-    """``tokenize`` as a tuple, cached per text.
-
-    For program-made texts (descriptions and summaries), which repeat
-    heavily, so equal texts share one tuple. Free-form user text such as a
-    query goes through ``query_tokens`` instead, or this cache would grow
-    without bound.
+    """``tokenize`` as a tuple, cached per text, so equal texts share one
+    tuple: descriptions and summaries, which repeat heavily, and queries, of
+    which a text asked of every robot's database is split once. The cache
+    grows with the distinct texts, as ``embed``'s does with the distinct
+    token tuples, each of which it keeps with its vector.
     """
-    return tuple(tokenize(text))
-
-
-@lru_cache(maxsize=64)
-def query_tokens(text: str) -> tuple[str, ...]:
-    """``tokenize`` as a tuple for free-form text such as a query, cached
-    for the last 64 texts: a text asked of every robot's database is split
-    once, and ``embed``'s cache then hands each database one vector object."""
     return tuple(tokenize(text))
 
 

@@ -43,7 +43,7 @@ from contextvars import ContextVar
 from copy import deepcopy
 from dataclasses import dataclass, field
 from itertools import count
-from operator import itemgetter
+from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -51,7 +51,7 @@ import numpy as np
 from . import language
 from .errors import ContractError, EmptyDescriptionError
 from .language import (EMBEDDING_DIM, SlotTally, cached_tokens, cosine, embed,
-                       query_tokens, summarize, tokenize)
+                       summarize, tokenize)
 from .perception import DescriptionRecord
 
 ClusterUid = tuple[int, int]
@@ -145,11 +145,13 @@ class ClusterView(NamedTuple):
     embedding: np.ndarray
 
 
+_tick = attrgetter("tick")
+
+
 class _OriginLog(NamedTuple):
     """The records a database holds from one origin robot, sorted by tick,
-    as four parallel columns: no tuple per record."""
+    as three parallel columns: no tuple per record."""
 
-    ticks: array
     # uid of each record's cluster, which a record never leaves
     uids: list[ClusterUid]
     # index of each record in its cluster's member list
@@ -158,18 +160,15 @@ class _OriginLog(NamedTuple):
 
     def add(self, uid: ClusterUid, index: int, record: DescriptionRecord) -> None:
         """Insert after every held record of the same or an earlier tick."""
-        at = bisect_right(self.ticks, record.tick)
-        self.ticks.insert(at, record.tick)
+        at = bisect_right(self.records, record.tick, key=_tick)
         self.uids.insert(at, uid)
         self.indexes.insert(at, index)
         self.records.insert(at, record)
 
     def latest(self) -> set[tuple[int, int, int]]:
         """Keys of the records at the highest tick held from the origin."""
-        return {r.key for r in self.records[bisect_left(self.ticks, self.ticks[-1]):]}
-
-
-_first = itemgetter(0)
+        records = self.records
+        return {r.key for r in records[bisect_left(records, records[-1].tick, key=_tick):]}
 
 
 class QueryHit(NamedTuple):
@@ -217,26 +216,23 @@ class _VectorTable:
     The table also owns what ``_SimilarityIndex`` multiplies: one scratch
     matrix for ``best``, holding the rows of the index whose serial is
     ``owner``. For the last query vector object it keeps, until a slot is
-    written (``version``), the product with every slot for ``top`` and the
-    exact scores taken so far, so every database asked the same query
-    shares them.
+    written, the product with every slot for ``top`` and the exact scores
+    taken so far, so every database asked the same query shares them.
     """
 
     def __init__(self, dim: int) -> None:
         self.mat = np.zeros((16, dim), dtype=np.float64)
-        self.size = 0  # slots handed out so far: the rows of mat in use
-        self.version = 0
+        # One entry per slot handed out so far: the rows of mat in use.
         self.vectors: list[np.ndarray | None] = []
         self.counts: list[int] = []
         self._slot_of: dict[int, int] = {}
         self._free: list[int] = []
         self.scratch = np.zeros((16, dim), dtype=np.float64)
         self.owner = -1
-        # The last query vector and the version its product and scores
-        # were taken at; a freed slot's score is unreachable until the slot
-        # is rewritten, which bumps the version.
+        # The last query vector its product and scores were taken for, None
+        # once a slot is written; a freed slot's score is unreachable until
+        # the slot is rewritten, which drops the memo.
         self._query: np.ndarray | None = None
-        self._query_version = -1
         self._product: np.ndarray | None = None
         self._scores: dict[int, float] = {}
         self.indexes: weakref.WeakSet[_SimilarityIndex] = weakref.WeakSet()
@@ -248,16 +244,15 @@ class _VectorTable:
             if self._free:
                 slot = self._free.pop()
             else:
-                slot = self.size
+                slot = len(self.vectors)
                 if slot == len(self.mat):
                     self.mat = _grown(self.mat, slot)
-                self.size += 1
                 self.vectors.append(None)
                 self.counts.append(0)
             self._slot_of[id(vec)] = slot
             self.vectors[slot] = vec
             self.mat[slot] = vec
-            self.version += 1
+            self._query = None
         self.counts[slot] += 1
         return slot
 
@@ -271,7 +266,7 @@ class _VectorTable:
 
     def live(self) -> int:
         """Slots that some index row names."""
-        return self.size - len(self._free)
+        return len(self.vectors) - len(self._free)
 
     def gather(self, owner: int, slots: np.ndarray) -> None:
         """Fill the scratch with the rows of ``slots`` for index ``owner``."""
@@ -280,15 +275,15 @@ class _VectorTable:
             self.scratch = np.zeros((max(n, 2 * len(self.scratch)), self.mat.shape[1]),
                                     dtype=np.float64)
         # mode="clip" skips the bounds pass that the default mode makes
-        # when writing to ``out``; every slot is below size.
+        # when writing to ``out``; every slot is below len(vectors).
         np.take(self.mat, slots, axis=0, out=self.scratch[:n], mode="clip")
         self.owner = owner
 
     def _ask(self, vec: np.ndarray) -> None:
-        """Drop the product and scores unless taken for ``vec`` at this
-        version."""
-        if self._query is not vec or self._query_version != self.version:
-            self._query, self._query_version = vec, self.version
+        """Drop the product and scores unless taken for ``vec`` since the
+        last slot was written."""
+        if self._query is not vec:
+            self._query = vec
             self._product, self._scores = None, {}
 
     def products(self, vec: np.ndarray) -> np.ndarray:
@@ -296,7 +291,7 @@ class _VectorTable:
         query vector object while no slot is written."""
         self._ask(vec)
         if self._product is None:
-            self._product = self.mat[:self.size] @ vec
+            self._product = self.mat[:len(self.vectors)] @ vec
         return self._product
 
     def scores(self, vec: np.ndarray, slots: list[int]) -> list[float]:
@@ -317,18 +312,18 @@ class _VectorTable:
         """Raise AssertionError unless the counts equal the rows of the live
         indexes naming each slot, an owned scratch holds its rows, and every
         current score of a live slot is its ``cosine`` bit for bit."""
-        counts = np.zeros(self.size, dtype=np.int64)
+        counts = np.zeros(len(self.vectors), dtype=np.int64)
         for index in list(self.indexes):
             slots = index._slots[:len(index._uids)]
             assert all(self.vectors[s] is not None for s in slots.tolist()), (
                 "an index row names a freed slot")
-            counts += np.bincount(slots, minlength=self.size)
+            counts += np.bincount(slots, minlength=len(self.vectors))
             if index._serial == self.owner:
                 assert (self.scratch[:len(slots)].tobytes()
                         == self.mat[slots].tobytes()), "stale scratch rows"
         assert counts.tolist() == self.counts, "slot counts differ from the rows"
         assert self.live() == np.count_nonzero(counts), "a held slot is free"
-        if self._query_version == self.version:
+        if self._query is not None:
             for slot, score in self._scores.items():
                 vec = self.vectors[slot]
                 assert vec is None or score.hex() == cosine(self._query, vec).hex(), (
@@ -501,7 +496,7 @@ class ClusterDatabase:
             for record in records:
                 log = by_origin.get(record.robot_id)
                 if log is None:
-                    log = by_origin[record.robot_id] = _OriginLog(array("q"), [], array("q"), [])
+                    log = by_origin[record.robot_id] = _OriginLog([], array("q"), [])
                 log.add(uid, index, record)
                 index += 1
         members.extend(records)
@@ -596,9 +591,9 @@ class ClusterDatabase:
             raise ContractError(f"record {record.key} is not of owner {self.owner}")
         own = self._by_origin.get(self.owner)
         if own is not None:
-            if record.tick < own.ticks[-1]:
+            if record.tick < own.records[-1].tick:
                 raise ContractError(f"record {record.key} is below the latest tick "
-                                    f"{own.ticks[-1]} of owner {self.owner}")
+                                    f"{own.records[-1].tick} of owner {self.owner}")
             if record.key in own.latest():
                 raise ContractError(f"record {record.key} already assigned")
 
@@ -634,7 +629,7 @@ class ClusterDatabase:
         """
         if k < 1:
             raise ContractError(f"k={k} must be at least 1")
-        vec = self.ops.embed(query_tokens(text))
+        vec = self.ops.embed(cached_tokens(text))
         index = self._index
         uids = index.top(vec, k)
         rows, slots = index._rows, index._slots
@@ -678,7 +673,7 @@ class ClusterDatabase:
             peer_log = peer._by_origin.get(origin)
             start, listed = 0, ()
             if peer_log is not None:
-                start = bisect_left(log.ticks, peer_log.ticks[-1])
+                start = bisect_left(log.records, peer_log.records[-1].tick, key=_tick)
                 listed = peer_log.latest()
             for uid, i, record in zip(log.uids[start:], log.indexes[start:],
                                       log.records[start:]):
@@ -690,7 +685,7 @@ class ClusterDatabase:
         views = []
         for uid in sorted(sent):
             c = clusters[uid]
-            listed = sorted(lacking.get(uid, ()), key=_first)
+            listed = sorted(lacking.get(uid, ()))
             views.append(ClusterView(uid, [record for _, record in listed],
                                      len(c.members), c.summary_text, c.embedding))
         return views
@@ -891,13 +886,14 @@ class ClusterDatabase:
             # Each origin's log holds exactly the held records of that
             # origin, by identity and once each, sorted by tick.
             places = []
-            for origin, (ticks, uids, indexes, records) in self._by_origin.items():
-                assert len(ticks) == len(uids) == len(indexes) == len(records), (
+            for origin, (uids, indexes, records) in self._by_origin.items():
+                assert len(uids) == len(indexes) == len(records), (
                     f"columns of origin {origin} differ in length")
-                assert list(ticks) == sorted(ticks), f"records of origin {origin} not tick-sorted"
-                for tick, uid, i, m in zip(ticks, uids, indexes, records):
+                ticks = [m.tick for m in records]
+                assert ticks == sorted(ticks), f"records of origin {origin} not tick-sorted"
+                for uid, i, m in zip(uids, indexes, records):
                     c = self.clusters.get(uid)
-                    assert (c is not None and m.robot_id == origin and m.tick == tick
+                    assert (c is not None and m.robot_id == origin
                             and i < len(c.members) and c.members[i] is m), (
                         f"origin entry of {m.key} is not member {i} of cluster {uid}")
                     places.append((uid, i))

@@ -233,7 +233,7 @@ def run_experiment(configuration: SimConfig) -> RunArtifact:
         heading = rng.uniform(0.0, TAU)
         people.append(PersonState(
             person_id=i, position=position, heading=heading,
-            speed=c.people.speed, attributes=attributes[i],
+            speed=c.people.speed, lambda_turn=c.people.lambda_turn,
         ))
         person_rngs.append(rng)
 
@@ -272,11 +272,8 @@ def run_experiment(configuration: SimConfig) -> RunArtifact:
 
         # From here on the motion streams are read only by ``motion``.
         n_people = len(people)
-        motion = AgentArrays(
-            people + robots,
-            [c.people.lambda_turn] * n_people + [c.robots.lambda_turn] * len(robots),
-            c.dt, arena, person_rngs + robot_motion_rngs,
-        )
+        motion = AgentArrays(people + robots, c.dt, arena,
+                             person_rngs + robot_motion_rngs)
 
         for tick in range(c.duration_ticks):
             # ballistic_step is looked up here at each tick, so a wrapper put
@@ -324,7 +321,7 @@ def run_experiment(configuration: SimConfig) -> RunArtifact:
                         "robots": list(pair), **asdict(stats),
                     })
 
-        people_out = [(p.person_id, p.attributes) for p in people]
+        people_out = list(enumerate(attributes))
         report = compute_report(
             databases, people_out, range(c.people.count), cfg.fingerprint(c),
             ops=providers.ops,
@@ -360,12 +357,11 @@ class SweepRow:
     stds: dict[str, float]
 
 
-def _run_cell(args: tuple[SimConfig, str, object, int]) -> tuple[object, dict[str, float]]:
+def _run_cell(args: tuple[SimConfig, str, object, int]) -> dict[str, float]:
     base, axis, value, seed = args
     one = cfg.set_value(base, axis, value)
     one = cfg.set_value(one, "seed", seed)
-    report = run_experiment(one).metrics
-    return value, _extract_metrics(report)
+    return _extract_metrics(run_experiment(one).metrics)
 
 
 def sweep(base: SimConfig, axis: str, values: Sequence[object],
@@ -379,20 +375,22 @@ def sweep(base: SimConfig, axis: str, values: Sequence[object],
                           "each run's seed")
     repeated = [v for i, v in enumerate(values) if v in values[:i]]
     if repeated:
-        # Results are grouped by value, so a repeat would merge two cells.
+        # A repeat would only run the same cells twice.
         raise ConfigError(f"values: {repeated[0]!r} is given more than once; "
                           "sweep values must be distinct")
+    # Cell i is of value i // len(seeds): cells are value-major and both maps
+    # keep their order. So a value need not hash, as a list of obstacles.
     cells = [(base, axis, value, seed) for value in values for seed in seeds]
-    results: dict[object, list[dict[str, float]]] = {v: [] for v in values}
+    results: list[list[dict[str, float]]] = [[] for _ in values]
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:
-        for value, m in (map if pool is None else pool.map)(_run_cell, cells):
-            results[value].append(m)
+        for i, m in enumerate((map if pool is None else pool.map)(_run_cell, cells)):
+            cell = i // len(seeds)
+            results[cell].append(m)
             if progress:
-                progress(f"{axis}={value} done ({len(results[value])}/{len(seeds)})")
+                progress(f"{axis}={values[cell]} done ({len(results[cell])}/{len(seeds)})")
     rows = []
-    for value in values:
-        ms = results[value]
+    for value, ms in zip(values, results):
         means = {k: statistics.mean(m[k] for m in ms) for k in _SWEEP_METRICS}
         stds = {
             k: statistics.stdev([m[k] for m in ms]) if len(ms) > 1 else 0.0

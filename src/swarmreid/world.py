@@ -15,7 +15,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ContractError
-from .vocab import PersonAttributes
 
 Vec2 = tuple[float, float]
 
@@ -98,7 +97,7 @@ class PersonState:
     position: Vec2
     heading: float
     speed: float
-    attributes: PersonAttributes
+    lambda_turn: float = 0.0
 
 
 @dataclass
@@ -275,7 +274,7 @@ class AgentArrays:
     """Motion state of many agents as arrays, advanced one tick at a time.
 
     ``step`` equals calling ``ballistic_step`` on every agent with its own
-    generator, bit for bit. An agent whose straight step cannot touch a wall
+    speed, turn rate and generator, bit for bit. An agent whose straight step cannot touch a wall
     or come near an obstacle moves in one vector operation; every other agent
     goes through ``ballistic_step`` (with ``rng=None``, so motion only). The
     agents' ``position`` and ``heading`` are written back after each step.
@@ -288,13 +287,12 @@ class AgentArrays:
     order.
     """
 
-    def __init__(self, agents: Sequence[PersonState | RobotState],
-                 lambda_turns: Sequence[float], dt: float, arena: Arena,
-                 rngs: Sequence) -> None:
+    def __init__(self, agents: Sequence[PersonState | RobotState], dt: float,
+                 arena: Arena, rngs: Sequence) -> None:
         self.agents = list(agents)
         speeds = [a.speed for a in self.agents]
-        self.lambda_turn = list(lambda_turns)
-        if dt < 0 or min(speeds + self.lambda_turn, default=0.0) < 0:
+        turn_rates = [a.lambda_turn for a in self.agents]
+        if dt < 0 or min(speeds + turn_rates, default=0.0) < 0:
             raise ContractError("dt, speed and lambda_turn must be non-negative")
         n = len(self.agents)
         self.dt = dt
@@ -304,7 +302,7 @@ class AgentArrays:
                            dtype=np.float64).reshape(n, 2).T.copy()
         self._step = np.array([s * dt for s in speeds], dtype=np.float64)
         self._still = np.flatnonzero(self._step == 0.0)
-        self._p_turn = np.array([-math.expm1(-lam * dt) for lam in self.lambda_turn],
+        self._p_turn = np.array([-math.expm1(-lam * dt) for lam in turn_rates],
                                 dtype=np.float64)
         self._lo = np.array([[arena.xmin], [arena.ymin]])
         self._hi = np.array([[arena.xmax], [arena.ymax]])
@@ -383,7 +381,7 @@ class AgentArrays:
             agent = self.agents[i]
             (new[0, i], new[1, i]), heading = solve(
                 (xy[0, i].item(), xy[1, i].item()), agent.heading, agent.speed,
-                self.dt, self.arena, self.lambda_turn[i], None)
+                self.dt, self.arena, agent.lambda_turn, None)
             if heading != agent.heading:
                 self._set_heading(i, heading)
 

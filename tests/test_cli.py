@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import shutil
@@ -76,12 +77,36 @@ class TestRun:
         ("arena.obstacles=[[a,0,1,1]]", "arena.obstacles[0]"),
         ("arena.obstacles=[[[1],0,1,1]]", "arena.obstacles[0]"),
         ("arena.obstacles=[[true,0,1,1]]", "arena.obstacles[0]"),
+        ("arena.width=.inf", "arena.width"),
+        ("arena.width=-.inf", "arena.width"),
+        ("arena.width=.nan", "arena.width"),
+        ("providers.summarizer.command=", "providers.summarizer.command"),
+        ("providers.summarizer.command=5", "providers.summarizer.command"),
     ])
     def test_rejected_value_exits_two_before_any_run(self, tmp_path, capsys,
                                                      monkeypatch, override, key):
         monkeypatch.setattr("swarmreid.cli.run_experiment", _no_run)
         out = tmp_path / "r"
         rc = main(["run", "--out", str(out), "--set", override])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and key in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, key", [
+        ("arena:\n  width: .inf\n", "arena.width"),
+        ("arena:\n  width: -.inf\n", "arena.width"),
+        ("arena:\n  width: .nan\n", "arena.width"),
+        ("providers:\n  summarizer:\n    command: 5\n", "providers.summarizer.command"),
+    ])
+    def test_rejected_file_value_exits_two_before_any_run(self, tmp_path, capsys,
+                                                          monkeypatch, text, key):
+        monkeypatch.setattr("swarmreid.cli.run_experiment", _no_run)
+        conf = tmp_path / "c.yaml"
+        conf.write_text(text)
+        out = tmp_path / "r"
+        rc = main(["run", "--config", str(conf), "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and key in err
@@ -356,6 +381,14 @@ class TestSweep:
         err = capsys.readouterr().err
         # No progress line: the check runs before the first cell.
         assert err.startswith("error: --out") and err.count("\n") == 1
+
+    def test_list_valued_axis(self, capsys):
+        rc = main(["sweep", "--axis", "arena.obstacles", "--values", "[]", "[[0,0,1,1]]",
+                   "--seeds", "0", "--set", "duration_ticks=5"])
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert rc == 0
+        assert [row[:3] for row in rows[1:]] == [
+            ["arena.obstacles", "[]", "1"], ["arena.obstacles", "[[0, 0, 1, 1]]", "1"]]
 
     def test_seed_axis_exits_two(self, capsys):
         rc = main(["sweep", "--axis", "seed", "--values", "0", "1",

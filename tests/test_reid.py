@@ -308,7 +308,7 @@ class TestExchange:
         db = self._seeded_db(0, [(WOMAN_TEXT, 1)] * 2)
         db.assign_description(_record(MAN_TEXT, tick=1, track_id=2), 0.8)
         assert db.record_count() == 3
-        assert list(db._by_origin[0].ticks) == [0, 1, 1]
+        assert [r.tick for r in db._by_origin[0].records] == [0, 1, 1]
         db.check_invariants()
 
     @pytest.mark.parametrize("loaded_side", [0, 1])

@@ -257,6 +257,12 @@ class TestSweep:
         parallel = sweep(base, "people.count", [3, 6], seeds=[0, 1], workers=2)
         assert serial == parallel
 
+    def test_list_valued_axis_one_row_per_value(self):
+        # Rows are grouped by cell position, so a value need not hash.
+        obstacles = [[], [[0.0, 0.0, 1.0, 1.0]]]
+        rows = sweep(_small(duration_ticks=5), "arena.obstacles", obstacles, seeds=[0])
+        assert [(r.value, r.n_runs) for r in rows] == [(v, 1) for v in obstacles]
+
     def test_unknown_axis_rejected(self):
         with pytest.raises(ConfigError):
             sweep(_small(), "robots.wings", [1], seeds=[0])
@@ -413,13 +419,13 @@ class TestSharedVectorTable:
         rows = sum(len(db.clusters) for db in text.databases)
         assert (len(vectors), rows) == (321, 4881)
         assert _TABLE.live() <= before + len(vectors)
-        high_water = _TABLE.size
+        high_water = len(_TABLE.vectors)
         baseline = run_experiment(_swarm16("vector-baseline"))
         rows = sum(len(db.clusters) for db in baseline.databases)
         appends = sum(len(c.members) for db in baseline.databases
                       for c in db.clusters.values())
         assert appends > 10 * rows
-        assert _TABLE.size <= high_water + rows
+        assert len(_TABLE.vectors) <= high_water + rows
         for db in (*text.databases, *baseline.databases):
             db.check_invariants()
         del text, baseline, db

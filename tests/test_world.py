@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import examples
 from swarmreid.errors import ContractError
-from swarmreid.vocab import PersonAttributes
 from swarmreid.world import (
     _TURN_BLOCK,
     TAU,
@@ -25,16 +24,9 @@ from swarmreid.world import (
 
 ARENA = Arena(width=25, height=25)
 
-ATTRS = PersonAttributes(
-    noun="woman", upper_color="red", upper_type="shirt",
-    lower_type="skirt", lower_color="black",
-    accessories=frozenset(), hair_color=None,
-)
-
 
 def _person(pid, pos):
-    return PersonState(person_id=pid, position=pos, heading=0.0, speed=0.0,
-                       attributes=ATTRS)
+    return PersonState(person_id=pid, position=pos, heading=0.0, speed=0.0)
 
 
 def _robot(rid, pos, heading=0.0, sensing=8.0, comm=5.0, fov=math.pi / 4):
@@ -251,9 +243,9 @@ def _assert_batched_equals_scalar(agents, ticks, dt, arena):
     """Every tick, AgentArrays.step leaves each agent bitwise where
     per-agent ballistic_step with an identically seeded generator does."""
     people = [PersonState(person_id=i, position=pos, heading=h, speed=speed,
-                          attributes=ATTRS)
-              for i, (pos, h, speed, _, _) in enumerate(agents)]
-    batched = AgentArrays(people, [lam for _, _, _, lam, _ in agents], dt, arena,
+                          lambda_turn=lam)
+              for i, (pos, h, speed, lam, _) in enumerate(agents)]
+    batched = AgentArrays(people, dt, arena,
                           [np.random.default_rng(seed) for *_, seed in agents])
     state = [(pos, h) for pos, h, _, _, _ in agents]
     rngs = [np.random.default_rng(seed) for *_, seed in agents]
@@ -286,16 +278,16 @@ class TestAgentArrays:
 
     def test_outside_position_rejected(self):
         agents = [_person(0, (0.0, 0.0)), _person(1, (-4.0, -4.0))]
-        batched = AgentArrays(agents, [0.0, 0.0], 0.1, _OBSTACLE_ARENA,
+        batched = AgentArrays(agents, 0.1, _OBSTACLE_ARENA,
                               [np.random.default_rng(0), np.random.default_rng(1)])
         with pytest.raises(ContractError):
             batched.step()
 
     def test_negative_speed_rejected(self):
         agent = PersonState(person_id=0, position=(0.0, 0.0), heading=0.0,
-                            speed=-1.0, attributes=ATTRS)
+                            speed=-1.0)
         with pytest.raises(ContractError):
-            AgentArrays([agent], [0.0], 0.1, ARENA, [np.random.default_rng(0)])
+            AgentArrays([agent], 0.1, ARENA, [np.random.default_rng(0)])
 
 
 _coords = st.floats(-15.0, 15.0, allow_nan=False)
