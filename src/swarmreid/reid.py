@@ -14,17 +14,17 @@ instead of re-running similarity matching. A tombstone names a live cluster,
 so every redirect is one hop; beyond the cap the oldest is evicted.
 
 Exchange is delta-state anti-entropy: each view lists just the records of its
-cluster that the peer lacks, in member order. It rests on the watermark
+cluster that the peer lacks, in member order. It rests on the prefix
 contract: owners are unique within a swarm, a database assigns only its
-owner's records, never below its latest tick, and exchange leaves both sides
-with the union of what they held. So a database holds a prefix of each
-origin robot's assignment order, and its highest tick from an origin and
-the records its log lists at that tick say what it holds from it. A loaded
-database cannot know that it holds such prefixes, so it is read-only. Each
-cluster whose uid the peer does not resolve is sent as well, even with no
-such record, as the peer may match it by similarity and tombstone it; a peer
-at or near its tombstone cap gets a view of every cluster. Nothing is
-remembered per peer.
+owner's records, and exchange leaves both sides with the union of what they
+held. So a database holds the first n records of each origin robot's
+assignment order, and n, the length of its log from that origin, says what
+it holds from it: the peer lacks every entry of the sender's log from the
+peer's count on. A loaded database cannot know that it holds such prefixes,
+so it is read-only. Each cluster whose uid the peer does not resolve is sent
+as well, even with no such record, as the peer may match it by similarity
+and tombstone it; a peer at or near its tombstone cap gets a view of every
+cluster. Nothing is remembered per peer.
 
 Exchange passes records by reference, so a run's databases share one record
 object per record; databases loaded inside one ``shared_records`` scope share
@@ -37,18 +37,15 @@ from __future__ import annotations
 import json
 import weakref
 from array import array
-from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from contextvars import ContextVar
 from copy import deepcopy
 from dataclasses import dataclass, field
 from itertools import count
-from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from . import language
 from .errors import ContractError, EmptyDescriptionError
 from .language import (EMBEDDING_DIM, SlotTally, cached_tokens, cosine, embed,
                        summarize, tokenize)
@@ -134,41 +131,39 @@ class ClusterView(NamedTuple):
     """A cluster as it stood when the view was taken, for one receiver.
 
     The cluster then had ``n`` members; ``members`` is a new list of just
-    those the receiver lacked, in member order. The summary and embedding
-    fields are references to values that updates replace rather than mutate.
+    those the receiver lacked, in member order, at positions ``seqs`` of
+    their robots' assignment orders. The summary and embedding fields are
+    references to values that updates replace rather than mutate.
     """
 
     uid: ClusterUid
     members: list[DescriptionRecord]
+    seqs: list[int]
     n: int
     summary_text: str
     embedding: np.ndarray
 
 
-_tick = attrgetter("tick")
-
-
 class _OriginLog(NamedTuple):
-    """The records a database holds from one origin robot, sorted by tick,
-    as three parallel columns: no tuple per record."""
+    """The records a database holds from one origin robot: entry ``s`` places
+    the origin's ``s``-th assigned record, as two parallel columns with no
+    tuple per record."""
 
-    # uid of each record's cluster, which a record never leaves
-    uids: list[ClusterUid]
+    # uid of each record's cluster, which a record never leaves; None marks
+    # a placeholder that the rest of the same delta fills
+    uids: list[ClusterUid | None]
     # index of each record in its cluster's member list
     indexes: array
-    records: list[DescriptionRecord]
 
-    def add(self, uid: ClusterUid, index: int, record: DescriptionRecord) -> None:
-        """Insert after every held record of the same or an earlier tick."""
-        at = bisect_right(self.records, record.tick, key=_tick)
-        self.uids.insert(at, uid)
-        self.indexes.insert(at, index)
-        self.records.insert(at, record)
-
-    def latest(self) -> set[tuple[int, int, int]]:
-        """Keys of the records at the highest tick held from the origin."""
-        records = self.records
-        return {r.key for r in records[bisect_left(records, records[-1].tick, key=_tick):]}
+    def put(self, seq: int, uid: ClusterUid, index: int) -> None:
+        """Set entry ``seq``, padding up to it: a delta's records come in
+        cluster order, and it fills every gap, carrying all the receiver lacks."""
+        pad = seq + 1 - len(self.uids)
+        if pad > 0:
+            self.uids.extend([None] * pad)
+            self.indexes.extend([-1] * pad)
+        self.uids[seq] = uid
+        self.indexes[seq] = index
 
 
 class QueryHit(NamedTuple):
@@ -456,14 +451,14 @@ class ClusterDatabase:
         self.tombstones: dict[ClusterUid, ClusterUid] = {}  # oldest first
         self.tombstone_cap = tombstone_cap
         self.ops = ops
-        # (owner, track_id) -> uid of the cluster that the track's first
-        # record joined, which holds every record of the track: no peer holds
-        # an owner's record the owner lacks, so none arrives by exchange
-        self._tracks: dict[tuple[int, int], ClusterUid] = {}
+        # (owner, track_id) -> (uid of the cluster that the track's first
+        # record joined, tick of its last record); the cluster holds all the
+        # track's records, as no owner's record arrives by exchange
+        self._tracks: dict[tuple[int, int], tuple[ClusterUid, int]] = {}
         self._index = _SimilarityIndex()
-        # origin robot id -> log of the records held from it; None only in a
-        # database loaded by from_dict, which builds none and is read-only
-        self._by_origin: dict[int, _OriginLog] | None = {}
+        # origin robot id -> log of the records held from it, the owner's from
+        # the start; None only in a database loaded by from_dict (read-only)
+        self._by_origin: dict[int, _OriginLog] | None = {owner: _OriginLog([], array("q"))}
 
     # ---------- internals ----------
 
@@ -474,9 +469,11 @@ class ClusterDatabase:
         self.clusters[uid] = cluster
         return cluster
 
-    def _append(self, cluster: Cluster, records: Sequence[DescriptionRecord]) -> None:
-        """Add records not held yet to ``cluster``, in member order, logged
-        by origin unless the database was loaded.
+    def _append(self, cluster: Cluster, records: Sequence[DescriptionRecord],
+                seqs: Sequence[int] | None) -> None:
+        """Add records not held yet to ``cluster``, in member order, each
+        logged at its ``seqs`` position of its robot's order unless the
+        database was loaded.
 
         One call takes a whole batch, as a loaded cluster is: the samples
         and the running sum are brought up to date once. Its one caller,
@@ -493,11 +490,11 @@ class ClusterDatabase:
         by_origin = self._by_origin
         if by_origin is not None:
             uid, index = cluster.uid, len(members)
-            for record in records:
+            for record, seq in zip(records, seqs):
                 log = by_origin.get(record.robot_id)
                 if log is None:
-                    log = by_origin[record.robot_id] = _OriginLog([], array("q"), [])
-                log.add(uid, index, record)
+                    log = by_origin[record.robot_id] = _OriginLog([], array("q"))
+                log.put(seq, uid, index)
                 index += 1
         members.extend(records)
         samples = cluster.samples
@@ -541,10 +538,11 @@ class ClusterDatabase:
         return uid if uid in self.clusters else None
 
     def _add_members(self, cluster: Cluster, records: Sequence[DescriptionRecord],
-                     summary_text: str | None = None) -> None:
-        """The one way into a cluster: append records not held yet, then
-        refresh, with a given ``summary_text`` instead of a summarizer's."""
-        self._append(cluster, records)
+                     seqs: Sequence[int] | None, summary_text: str | None = None) -> None:
+        """The one way into a cluster: append records not held yet at their
+        ``seqs`` positions, then refresh, with a given ``summary_text``
+        instead of a summarizer's."""
+        self._append(cluster, records, seqs)
         if summary_text is None:
             summary_text = self._summary(cluster, len(records))
         self._refresh(cluster, summary_text)
@@ -575,10 +573,11 @@ class ClusterDatabase:
         it founds a new singleton cluster. A cluster vector bitwise identical
         to the record's scores exactly 1.0, so ``theta_local=1.0`` joins
         identical descriptions; ``query`` scores stay the raw clamped dot
-        product. ContractError is raised before anything changes in a loaded
-        database, which is read-only, and for a record of another robot than
-        the owner, below the owner's latest tick or assigned already: the
-        watermark contract (see ``exchange``).
+        product. The record takes the next position in the owner's order
+        (see ``exchange``). ContractError is raised before anything changes
+        in a loaded database, which is read-only, and for a record of another
+        robot than the owner or not after its track's last tick, as one
+        assigned already.
         """
         if not (0.0 <= theta_local <= 1.0):
             raise ContractError(f"theta_local={theta_local} outside [0, 1]")
@@ -589,27 +588,22 @@ class ClusterDatabase:
                                 "from_dict and is read-only")
         if record.robot_id != self.owner:
             raise ContractError(f"record {record.key} is not of owner {self.owner}")
-        own = self._by_origin.get(self.owner)
-        if own is not None:
-            if record.tick < own.records[-1].tick:
-                raise ContractError(f"record {record.key} is below the latest tick "
-                                    f"{own.records[-1].tick} of owner {self.owner}")
-            if record.key in own.latest():
-                raise ContractError(f"record {record.key} already assigned")
-
-        target = self._tracks.get(record.track)
+        target, last = self._tracks.get(record.track, (None, None))
+        if last is not None and record.tick <= last:
+            raise ContractError(f"record {record.key} is not after tick {last} "
+                                "of its track")
         if target is None:
             best = self._index.best(self.ops.embed(record.tokens))
-            if best is not None and best[1] >= theta_local:
-                target = self._tracks[record.track] = best[0]
-        if target is not None:
-            self._add_members(self.clusters[target], [record])
-            return target, False
-
-        uid = self._tracks[record.track] = (self.owner, self.uid_counter)
-        self.uid_counter += 1
-        self._add_members(self._new_cluster(uid), [record])
-        return uid, True
+            target = best[0] if best is not None and best[1] >= theta_local else None
+        created = target is None
+        if created:
+            target = (self.owner, self.uid_counter)
+            self.uid_counter += 1
+            self._new_cluster(target)
+        self._tracks[record.track] = target, record.tick
+        self._add_members(self.clusters[target], [record],
+                          [len(self._by_origin[self.owner].uids)])
+        return target, created
 
     def query(self, text: str, k: int) -> list[QueryHit]:
         """Rank clusters against a free-text query.
@@ -660,25 +654,21 @@ class ClusterDatabase:
         cluster's summary when the peer lacks every member. So a cluster the
         peer resolves and lacks nothing of is not sent, and one it does not
         resolve is sent even with no record, as the peer may tombstone it.
-        By the watermark contract the peer holds every record of an origin
-        below its highest tick from it, and at that tick those its log
-        lists. Only eviction un-resolves a uid, so a peer whose tombstones
-        could reach its cap while absorbing gets a view of every cluster.
+        By the prefix contract the peer holds the first n records of each
+        origin's order, n the length of its log, and lacks every entry of
+        this database's log from there on: one slice per origin. Only
+        eviction un-resolves a uid, so a peer whose tombstones could reach
+        its cap while absorbing gets a view of every cluster.
         """
         clusters = self.clusters
         # Tombstones name live clusters, so every tombstoned uid resolves.
         unresolved = clusters.keys() - peer.clusters.keys() - peer.tombstones.keys()
-        lacking: dict[ClusterUid, list[tuple[int, DescriptionRecord]]] = {}
-        for origin, log in self._by_origin.items():
+        lacking: dict[ClusterUid, list[tuple[int, int]]] = {}
+        for origin, (uids, indexes) in self._by_origin.items():
             peer_log = peer._by_origin.get(origin)
-            start, listed = 0, ()
-            if peer_log is not None:
-                start = bisect_left(log.records, peer_log.records[-1].tick, key=_tick)
-                listed = peer_log.latest()
-            for uid, i, record in zip(log.uids[start:], log.indexes[start:],
-                                      log.records[start:]):
-                if record.key not in listed:
-                    lacking.setdefault(uid, []).append((i, record))
+            start = 0 if peer_log is None else len(peer_log.uids)
+            for uid, i, seq in zip(uids[start:], indexes[start:], count(start)):
+                lacking.setdefault(uid, []).append((i, seq))
         sent = lacking.keys() | unresolved
         if 0 < peer.tombstone_cap <= len(peer.tombstones) + len(sent):
             sent = clusters.keys()
@@ -686,8 +676,9 @@ class ClusterDatabase:
         for uid in sorted(sent):
             c = clusters[uid]
             listed = sorted(lacking.get(uid, ()))
-            views.append(ClusterView(uid, [record for _, record in listed],
-                                     len(c.members), c.summary_text, c.embedding))
+            views.append(ClusterView(uid, [c.members[i] for i, _ in listed],
+                                     [seq for _, seq in listed], len(c.members),
+                                     c.summary_text, c.embedding))
         return views
 
     def _absorb(self, received: list[ClusterView], theta_merge: float
@@ -712,7 +703,7 @@ class ClusterDatabase:
                     # record, every one already lives in some local cluster.
                     if fresh:
                         summary = view.summary_text if len(fresh) == view.n else None
-                        self._add_members(self._new_cluster(view.uid), fresh, summary)
+                        self._add_members(self._new_cluster(view.uid), fresh, view.seqs, summary)
                         copied += 1
                         added_total += len(fresh)
                     continue
@@ -722,7 +713,7 @@ class ClusterDatabase:
             # A delta view of a cluster whose uid resolved here carries a
             # fresh record; any other view may carry none.
             if fresh:
-                self._add_members(self.clusters[target], fresh)
+                self._add_members(self.clusters[target], fresh, view.seqs)
                 added_total += len(fresh)
         return merged, copied, added_total
 
@@ -831,7 +822,7 @@ class ClusterDatabase:
             summary = cd["summary_text"]
             if type(summary) is not str:
                 raise ContractError(f"snapshot summary_text {summary!r} is not a string")
-            db._add_members(cluster, members, summary)
+            db._add_members(cluster, members, None, summary)
         for k, v in d.get("tombstones", []):
             k, v = _loaded_uid(k, "tombstone key"), _loaded_uid(v, "tombstone target")
             if k in db.clusters or k in db.tombstones or v not in db.clusters:
@@ -877,25 +868,23 @@ class ClusterDatabase:
             assert c.embedding.tobytes() == vec.tobytes(), (
                 f"embedding of {uid} differs from its recomputation")
             for m in c.members:
-                tracks[m.track] = min(tracks.get(m.track, uid), uid)
+                first, last = tracks.get(m.track, (uid, m.tick))
+                tracks[m.track] = min(first, uid), max(last, m.tick)
             if uid[0] == self.owner:
                 assert uid[1] < self.uid_counter, f"uid {uid} beyond counter"
         assert len(keys) == held, "a record is held twice"
         live = self._by_origin is not None
         if live:
-            # Each origin's log holds exactly the held records of that
-            # origin, by identity and once each, sorted by tick.
+            # Together the logs name every held record once, each in its origin's.
             places = []
-            for origin, (uids, indexes, records) in self._by_origin.items():
-                assert len(uids) == len(indexes) == len(records), (
-                    f"columns of origin {origin} differ in length")
-                ticks = [m.tick for m in records]
-                assert ticks == sorted(ticks), f"records of origin {origin} not tick-sorted"
-                for uid, i, m in zip(uids, indexes, records):
+            for origin, (uids, indexes) in self._by_origin.items():
+                assert len(uids) == len(indexes), f"columns of origin {origin} differ in length"
+                for s, (uid, i) in enumerate(zip(uids, indexes)):
+                    assert uid is not None, f"entry {s} of origin {origin} is a placeholder"
                     c = self.clusters.get(uid)
-                    assert (c is not None and m.robot_id == origin
-                            and i < len(c.members) and c.members[i] is m), (
-                        f"origin entry of {m.key} is not member {i} of cluster {uid}")
+                    assert (c is not None and 0 <= i < len(c.members)
+                            and c.members[i].robot_id == origin), (
+                        f"entry {s} of origin {origin} is not member {i} of cluster {uid}")
                     places.append((uid, i))
             assert len(set(places)) == len(places) == held, (
                 "origin logs miss or repeat held records")
@@ -950,13 +939,12 @@ def exchange(a: ClusterDatabase, b: ClusterDatabase,
     Results and stats equal the full-state exchange; a cluster the peer
     resolves by uid and holds every record of is not sent, and counts as
     merged, as the full-state exchange would recognise it and add nothing.
-    Watermark contract: a database holds, from each origin robot, a prefix
-    of that origin's assignment order, which never goes back in tick; so it
-    holds every record of the origin below the highest tick it holds from
-    it. ``assign_description`` enforces this, given owners unique among the
-    databases that exchange, directly or through others, as in a run. One
-    loaded by ``from_dict`` cannot know it holds such prefixes, so exchange
-    with it on either side raises ContractError and changes neither side.
+    Prefix contract: from each origin robot a database holds the first n
+    records of its assignment order, n the length of its log from it, as
+    only the owner assigns, given owners unique among the databases that
+    exchange, directly or through others, as in a run. One loaded by
+    ``from_dict`` cannot know it holds such prefixes, so exchange with it on
+    either side raises ContractError and changes neither side.
     """
     if not (0.0 <= theta_merge <= 1.0):
         raise ContractError(f"theta_merge={theta_merge} outside [0, 1]")

@@ -357,11 +357,8 @@ class SweepRow:
     stds: dict[str, float]
 
 
-def _run_cell(args: tuple[SimConfig, str, object, int]) -> dict[str, float]:
-    base, axis, value, seed = args
-    one = cfg.set_value(base, axis, value)
-    one = cfg.set_value(one, "seed", seed)
-    return _extract_metrics(run_experiment(one).metrics)
+def _run_cell(config: SimConfig) -> dict[str, float]:
+    return _extract_metrics(run_experiment(config).metrics)
 
 
 def sweep(base: SimConfig, axis: str, values: Sequence[object],
@@ -373,14 +370,19 @@ def sweep(base: SimConfig, axis: str, values: Sequence[object],
     if axis == "seed":
         raise ConfigError("sweep cannot vary 'seed' as its axis: seeds sets "
                           "each run's seed")
-    repeated = [v for i, v in enumerate(values) if v in values[:i]]
-    if repeated:
-        # A repeat would only run the same cells twice.
-        raise ConfigError(f"values: {repeated[0]!r} is given more than once; "
-                          "sweep values must be distinct")
+    for name, given in (("values", values), ("seeds", seeds)):
+        repeated = [v for i, v in enumerate(given) if v in given[:i]]
+        if repeated:
+            # A repeat would only run the same cells twice.
+            raise ConfigError(f"{name}: {repeated[0]!r} is given more than once; "
+                              f"sweep {name} must be distinct")
     # Cell i is of value i // len(seeds): cells are value-major and both maps
     # keep their order. So a value need not hash, as a list of obstacles.
-    cells = [(base, axis, value, seed) for value in values for seed in seeds]
+    # Every cell is checked before the first one runs.
+    cells = [cfg.set_value(cfg.set_value(base, axis, value), "seed", seed)
+             for value in values for seed in seeds]
+    for cell in cells:
+        cfg.require_valid(cell)
     results: list[list[dict[str, float]]] = [[] for _ in values]
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:

@@ -406,6 +406,22 @@ class TestSweep:
         assert err.startswith("error: ") and "values" in err
         assert err.count("\n") == 1
 
+    def test_repeated_seed_exits_two(self, capsys):
+        rc = main(["sweep", "--axis", "people.count", "--values", "3",
+                   "--seeds", "0", "0", "--set", "duration_ticks=50"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seeds") and err.count("\n") == 1
+
+    def test_invalid_value_exits_two_before_any_cell(self, capsys):
+        rc = main(["sweep", "--axis", "people.count", "--values", "3", "0",
+                   "--seeds", "0", "1", "--set", "duration_ticks=50"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        # No progress line: every value is checked before the first cell.
+        assert err.startswith("error: invalid config: people.count")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("flag, bad", [("--seeds", "zero"), ("--values", "[1")])
     def test_unparsable_argument_exits_two(self, flag, bad, capsys):
         args = {"--values": ["3"], "--seeds": ["0"], flag: [bad]}

@@ -12,7 +12,7 @@ from swarmreid.perception import DescriptionRecord, canonical_description, sampl
 from swarmreid.reid import (_TABLE, SCHEMA_VERSION, ClusterDatabase, LanguageOps,
                             _SimilarityIndex, canonical_json, exchange)
 
-from oracles import stacked_best, stacked_top
+from oracles import oracle_delta, stacked_best, stacked_top
 
 WOMAN_TEXT = "a woman wearing a red shirt and black skirt"
 MAN_TEXT = "a man wearing a blue shirt and gray pants"
@@ -253,9 +253,10 @@ class TestExchange:
         a.check_invariants()
 
     def test_invariants_check_watermark_index(self):
-        # The delta reads each origin's tick-sorted records, groups them by
-        # cluster uid and orders a cluster's records by their member index,
-        # so all three must be exact.
+        # The delta slices each origin's log from the peer's count, groups
+        # the entries by cluster uid and orders a cluster's records by their
+        # member index, so every entry must name one held record of its
+        # origin, and no placeholder may be left.
         db = self._seeded_db(0, [(WOMAN_TEXT, 1), (MAN_TEXT, 2)] * 2)
         db.check_invariants()
         log = db._by_origin[0]
@@ -271,31 +272,36 @@ class TestExchange:
         with pytest.raises(AssertionError, match="origin logs miss"):
             db.check_invariants()
         restore()
-        for column in log:
-            column.insert(1, column.pop(0))
-        with pytest.raises(AssertionError, match="not tick-sorted"):
+        log.uids.append(None)
+        log.indexes.append(-1)
+        with pytest.raises(AssertionError, match="entry 4 of origin 0 is a placeholder"):
             db.check_invariants()
         restore()
+        log.indexes[0] += 2
+        with pytest.raises(AssertionError, match="is not member 2"):
+            db.check_invariants()
+        restore()
+        # Another held record of the origin: it is then listed twice.
         log.indexes[0] += 1
-        with pytest.raises(AssertionError, match="is not member"):
+        with pytest.raises(AssertionError, match="origin logs miss or repeat"):
             db.check_invariants()
         restore()
         log.uids[0] = log.uids[1]
-        with pytest.raises(AssertionError, match="is not member 0 of cluster"):
+        with pytest.raises(AssertionError, match="origin logs miss or repeat"):
             db.check_invariants()
         restore()
-        db._tracks[(0, 1)] = (0, 1)
+        db._tracks[(0, 1)] = ((0, 1), 2)
         with pytest.raises(AssertionError, match="track index differs"):
             db.check_invariants()
 
     @pytest.mark.parametrize("robot_id, tick, track_id, named", [
-        (1, 5, 2, "is not of owner 0"), (0, 0, 2, "is below the latest tick 1 of owner 0"),
-        (0, 1, 1, "already assigned")],
+        (1, 5, 2, "is not of owner 0"), (0, 0, 1, "is not after tick 1 of its track"),
+        (0, 1, 1, "is not after tick 1 of its track")],
         ids=["foreign", "earlier", "repeated"])
     def test_foreign_or_earlier_record_breaks_the_contract(self, robot_id, tick, track_id,
                                                            named):
-        """A record of another robot, of a tick below the owner's latest, or
-        assigned already is refused before any index changes."""
+        """A record of another robot, or not after its own track's last
+        tick, as one assigned already, is refused before any index changes."""
         db = self._seeded_db(0, [(WOMAN_TEXT, 1)] * 2)
         before = db.record_count(), db.to_json()
         record = _record(MAN_TEXT, robot_id=robot_id, tick=tick, track_id=track_id)
@@ -308,8 +314,27 @@ class TestExchange:
         db = self._seeded_db(0, [(WOMAN_TEXT, 1)] * 2)
         db.assign_description(_record(MAN_TEXT, tick=1, track_id=2), 0.8)
         assert db.record_count() == 3
-        assert [r.tick for r in db._by_origin[0].records] == [0, 1, 1]
+        assert [db.clusters[uid].members[i].tick
+                for uid, i in zip(*db._by_origin[0])] == [0, 1, 1]
         db.check_invariants()
+
+    def test_earlier_tick_on_another_track_is_accepted(self):
+        """Only a record's own track bounds its tick: one of another track
+        below the owner's latest tick is accepted. A peer that already holds
+        the later records still gets it, as counts, not ticks, say what the
+        peer holds."""
+        db = self._seeded_db(0, [(WOMAN_TEXT, 1)] * 2)
+        peer = self._seeded_db(1, [(GREEN_TEXT, 1)])
+        exchange(db, peer, 0.8)
+        db.assign_description(_record(MAN_TEXT, tick=0, track_id=2), 0.8)
+        assert db.record_count() == 4
+        assert ([(v.uid, v.members, v.n) for v in db._delta_for(peer)]
+                == oracle_delta(db, peer))
+        stats = exchange(db, peer, 0.8)
+        assert stats.records_added_to_b == 1
+        assert peer.record_keys() == db.record_keys()
+        for side in (db, peer):
+            side.check_invariants()
 
     @pytest.mark.parametrize("loaded_side", [0, 1])
     def test_loaded_database_does_not_exchange(self, loaded_side):

@@ -1,6 +1,7 @@
 """Randomized invariant checks for the cluster database and exchange."""
 
 import copy
+import itertools
 import json
 
 import numpy as np
@@ -204,7 +205,26 @@ def _play(steps, mode, theta_local, theta_merge, check=None,
             if check is not None:
                 check(dbs[step[0]], dbs[step[1]], theta_merge)
             exchange(dbs[step[0]], dbs[step[1]], theta_merge)
+        _assert_prefixes(dbs)
     return dbs
+
+
+def _logged(db, log):
+    """The records that ``log`` of ``db`` names, entry by entry."""
+    return [db.clusters[uid].members[i] for uid, i in zip(*log)]
+
+
+def _assert_prefixes(dbs):
+    """Every database holds a prefix of each robot's assignment order: for
+    every pair and every origin, the first ``min(n_a, n_b)`` log entries
+    name the same record objects. This is what makes a count sufficient."""
+    for a, b in itertools.combinations(dbs, 2):
+        for origin in a._by_origin.keys() & b._by_origin.keys():
+            logged_a = _logged(a, a._by_origin[origin])
+            logged_b = _logged(b, b._by_origin[origin])
+            n = min(len(logged_a), len(logged_b))
+            assert all(x is y for x, y in zip(logged_a[:n], logged_b[:n])), (
+                f"logs of origin {origin} differ within their common prefix")
 
 
 def _one_sided(receiver, sender, theta_merge):
@@ -216,9 +236,15 @@ def _one_sided(receiver, sender, theta_merge):
     """
     receiver, sender = copy.deepcopy(receiver), copy.deepcopy(sender)
     held = receiver.record_keys()
-    full = [ClusterView(uid, [m for m in c.members if m.key not in held],
-                        len(c.members), c.summary_text, c.embedding)
-            for uid, c in sorted(sender.clusters.items())]
+    # (uid, member index) -> position of that record in its robot's order
+    seq_of = {place: seq for log in sender._by_origin.values()
+              for seq, place in enumerate(zip(*log))}
+    full = []
+    for uid, c in sorted(sender.clusters.items()):
+        lacking = [(m, seq_of[uid, i]) for i, m in enumerate(c.members)
+                   if m.key not in held]
+        full.append(ClusterView(uid, [m for m, _ in lacking], [s for _, s in lacking],
+                                len(c.members), c.summary_text, c.embedding))
     counts = receiver._absorb(full, theta_merge)
     return receiver.to_json(), counts
 
@@ -307,7 +333,8 @@ class TestIncrementalState:
                 c = db.clusters[uid]
                 for m in c.members:
                     if m.robot_id == db.owner:
-                        tracks.setdefault((m.robot_id, m.track_id), uid)
+                        first, last = tracks.get(m.track, (uid, m.tick))
+                        tracks[m.track] = first, max(last, m.tick)
                 expected = embed(tokenize(c.summary_text))
                 if mode == "vector-baseline":
                     mean = np.stack([embed(m.tokens) for m in c.members]).mean(axis=0)

@@ -279,6 +279,18 @@ class TestSweep:
         with pytest.raises(ConfigError, match="values"):
             sweep(_small(), "people.count", [3, 3], seeds=[0])
 
+    def test_repeated_seed_rejected(self):
+        # A repeat would run one cell twice and read every std as 0.0.
+        with pytest.raises(ConfigError, match="seeds: 0 is given more than once"):
+            sweep(_small(), "people.count", [3], seeds=[0, 0])
+
+    def test_every_value_validated_before_the_first_cell(self):
+        progress = []
+        with pytest.raises(ConfigError, match="people.count"):
+            sweep(_small(duration_ticks=50), "people.count", [3, 0], seeds=[0, 1],
+                  progress=progress.append)
+        assert progress == []
+
 
 @pytest.fixture(scope="module")
 def saved_run(tmp_path_factory):
