@@ -130,9 +130,13 @@ class SlotTally:
     members name each accessory. Votes only ever grow, so each slot's running
     total and leader (most votes, ties to the smallest value) are updated as
     votes arrive, and ``render`` costs one step per slot.
+
+    A tally that more than one cluster may hold is marked ``shared`` and is
+    never added to again: a holder ``copy``s it before its first add.
     """
 
-    __slots__ = ("n", "votes", "accessories", "_totals", "_leaders")
+    _STATE = ("n", "votes", "accessories", "_totals", "_leaders")
+    __slots__ = (*_STATE, "shared")
 
     def __init__(self, texts: Iterable[str] = ()) -> None:
         """Tally member ``texts``. Each distinct text is parsed once and
@@ -144,8 +148,19 @@ class SlotTally:
         self._totals = [0] * len(_VOTED_SLOTS)
         # per slot, (votes, value) of the leader
         self._leaders: list[tuple[int, str] | None] = [None] * len(_VOTED_SLOTS)
+        self.shared = False
         for text, k in Counter(texts).items():
             self.add(text, k)
+
+    def copy(self) -> "SlotTally":
+        """An equal tally of its own, not shared."""
+        twin = SlotTally()
+        twin.n = self.n
+        twin.votes = dict(self.votes)
+        twin.accessories = dict(self.accessories)
+        twin._totals = list(self._totals)
+        twin._leaders = list(self._leaders)
+        return twin
 
     def add(self, text: str, k: int = 1) -> None:
         """Count ``k`` more members whose description is ``text``."""
@@ -179,7 +194,7 @@ class SlotTally:
         if not isinstance(other, SlotTally):
             return NotImplemented
         return all(getattr(self, name) == getattr(other, name)
-                   for name in self.__slots__)
+                   for name in self._STATE)
 
 
 def summarize(texts: Iterable[str]) -> str:

@@ -28,8 +28,12 @@ cluster. Nothing is remembered per peer.
 
 Exchange passes records by reference, so a run's databases share one record
 object per record; databases loaded inside one ``shared_records`` scope share
-them the same way. The similarity indexes of every database in the process
-keep slot ids into one table of distinct vectors (``_VectorTable``).
+them the same way. A cluster that an exchange leaves with exactly the
+sender's members takes the sender's summary, slot tally and samples, which
+depend only on the member set, so no summary is derived twice for one
+cluster state; the tally is shared, and a holder copies it before adding to
+it. The similarity indexes of every database in the process keep slot ids
+into one table of distinct vectors (``_VectorTable``).
 """
 
 from __future__ import annotations
@@ -109,11 +113,14 @@ class Cluster:
     # Vector-baseline mode only, else None: member embeddings summed in
     # member order. Every append binds a new array.
     embedding_sum: np.ndarray | None
-    # Slot votes of the members, built on the first append after the cluster
-    # was created, copied or loaded, so loading builds none.
+    # Slot votes of the members, reference summarizer only: built from the
+    # member list on the first append after the cluster was created or
+    # loaded, so loading builds none, or adopted from the view of a cluster
+    # with exactly its members. An adopted tally is shared, and copied
+    # before the holder's first add.
     tally: SlotTally | None = field(default=None, repr=False, compare=False)
     # The first three members in _sample_order, which query returns as a
-    # hit's samples; only ClusterDatabase._append sets it.
+    # hit's samples; only ClusterDatabase._append sets it, or adopts it.
     samples: tuple[DescriptionRecord, ...] = field(default=(), repr=False,
                                                    compare=False)
 
@@ -134,6 +141,13 @@ class ClusterView(NamedTuple):
     those the receiver lacked, in member order, at positions ``seqs`` of
     their robots' assignment orders. The summary and embedding fields are
     references to values that updates replace rather than mutate.
+
+    A view that ``_delta_for`` takes also carries the sender's state, so a
+    receiver that ends with exactly the cluster's members adopts it:
+    ``source`` is the sender's member list itself, whose first ``n`` entries
+    are the cluster (member lists only grow), ``tally`` its tally, marked
+    shared, and ``samples`` its samples. Without them a receiver derives its
+    own.
     """
 
     uid: ClusterUid
@@ -142,6 +156,9 @@ class ClusterView(NamedTuple):
     n: int
     summary_text: str
     embedding: np.ndarray
+    source: list[DescriptionRecord] | None = None
+    tally: SlotTally | None = None
+    samples: tuple[DescriptionRecord, ...] = ()
 
 
 class _OriginLog(NamedTuple):
@@ -470,16 +487,18 @@ class ClusterDatabase:
         return cluster
 
     def _append(self, cluster: Cluster, records: Sequence[DescriptionRecord],
-                seqs: Sequence[int] | None) -> None:
+                seqs: Sequence[int] | None,
+                samples: tuple[DescriptionRecord, ...] = ()) -> None:
         """Add records not held yet to ``cluster``, in member order, each
         logged at its ``seqs`` position of its robot's order unless the
-        database was loaded.
+        database was loaded; given ``samples``, those of the members after
+        the append, they replace the cluster's.
 
         One call takes a whole batch, as a loaded cluster is: the samples
-        and the running sum are brought up to date once. Its one caller,
-        ``_add_members``, passes no record held already: ``from_dict`` and
-        ``assign_description`` refuse a repeated one, and a view lists only
-        records the receiver lacks.
+        and the running sum are brought up to date once. Its callers pass
+        no record held already: ``from_dict`` and ``assign_description``
+        refuse a repeated one, and a view lists only records the receiver
+        lacks.
         """
         if cluster.embedding_sum is not None:
             total = cluster.embedding_sum
@@ -497,6 +516,9 @@ class ClusterDatabase:
                 log.put(seq, uid, index)
                 index += 1
         members.extend(records)
+        if samples:
+            cluster.samples = samples
+            return
         samples = cluster.samples
         if len(records) == 1 and (not samples or records[0].tick > samples[0].tick):
             cluster.samples = (records[0], *samples[:2])
@@ -549,16 +571,43 @@ class ClusterDatabase:
 
     def _summary(self, cluster: Cluster, added: int) -> str:
         """Summary after the last ``added`` appends. The reference summarizer
-        folds only their texts into the cluster's tally; any other gets every
-        member's text."""
+        folds only their texts into the cluster's tally, first copying one
+        that is shared; any other gets every member's text."""
         if self.ops.summarize is not summarize:
             return self.ops.summarize([m.text for m in cluster.members])
-        if cluster.tally is None:
-            cluster.tally = SlotTally([m.text for m in cluster.members])
+        tally = cluster.tally
+        if tally is None:
+            tally = cluster.tally = SlotTally([m.text for m in cluster.members])
         else:
+            if tally.shared:
+                tally = cluster.tally = tally.copy()
             for m in cluster.members[-added:]:
-                cluster.tally.add(m.text)
-        return cluster.tally.render()
+                tally.add(m.text)
+        return tally.render()
+
+    def _take(self, cluster: Cluster, view: ClusterView) -> None:
+        """Append ``view``'s records to ``cluster`` and refresh it.
+
+        If the cluster then holds exactly the sender's members, it adopts
+        the sender's summary, tally and samples, all of which depend only on
+        the member set; that takes the reference summarizer, as another may
+        depend on member order, and a view carrying the sender's tally.
+        Else a verbatim copy, which holds the sender's members in the
+        sender's order, keeps the sender's summary under any summarizer, and
+        any other cluster derives its own.
+        """
+        held, fresh, n = cluster.members, view.members, view.n
+        if len(held) + len(fresh) != n:
+            self._add_members(cluster, fresh, view.seqs)
+        elif (view.tally is not None and self.ops.summarize is summarize
+              and (held == view.source[:len(held)]
+                   or set(map(id, view.source[:n])).issuperset(map(id, held)))):
+            self._append(cluster, fresh, view.seqs, view.samples)
+            cluster.tally = view.tally
+            self._refresh(cluster, view.summary_text)
+        else:
+            self._add_members(cluster, fresh, view.seqs,
+                              None if held else view.summary_text)
 
     # ---------- operations ----------
 
@@ -676,9 +725,13 @@ class ClusterDatabase:
         for uid in sorted(sent):
             c = clusters[uid]
             listed = sorted(lacking.get(uid, ()))
+            if c.tally is not None:
+                # The receiver may adopt it; neither side adds to it again.
+                c.tally.shared = True
             views.append(ClusterView(uid, [c.members[i] for i, _ in listed],
                                      [seq for _, seq in listed], len(c.members),
-                                     c.summary_text, c.embedding))
+                                     c.summary_text, c.embedding,
+                                     c.members, c.tally, c.samples))
         return views
 
     def _absorb(self, received: list[ClusterView], theta_merge: float
@@ -687,8 +740,8 @@ class ClusterDatabase:
 
         Each view lists what this database lacked of its cluster when taken;
         the sender's clusters hold disjoint records, so that is exactly what
-        full-state absorption finds fresh. It is all ``n`` members only when
-        every one was lacking, the case in which a copy keeps the summary.
+        full-state absorption finds fresh. A cluster that ends with all ``n``
+        members of the view's takes the sender's summary (``_take``).
         """
         merged = copied = added_total = 0
         for view in received:
@@ -702,8 +755,7 @@ class ClusterDatabase:
                     # reproduces the origin's sum bit for bit. With no fresh
                     # record, every one already lives in some local cluster.
                     if fresh:
-                        summary = view.summary_text if len(fresh) == view.n else None
-                        self._add_members(self._new_cluster(view.uid), fresh, view.seqs, summary)
+                        self._take(self._new_cluster(view.uid), view)
                         copied += 1
                         added_total += len(fresh)
                     continue
@@ -713,7 +765,7 @@ class ClusterDatabase:
             # A delta view of a cluster whose uid resolved here carries a
             # fresh record; any other view may carry none.
             if fresh:
-                self._add_members(self.clusters[target], fresh, view.seqs)
+                self._take(self.clusters[target], view)
                 added_total += len(fresh)
         return merged, copied, added_total
 

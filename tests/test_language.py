@@ -276,6 +276,23 @@ class TestSlotTally:
                     == summarize(sorted(members)))
         assert tally == SlotTally(members)
 
+    @given(_member_batches())
+    @examples(100)
+    def test_copy_is_equal_unshared_and_independent(self, batches):
+        first = batches[0]
+        tally = SlotTally(first)
+        tally.shared = True
+        twin = tally.copy()
+        assert twin == tally and not twin.shared
+        members = list(first)
+        for batch in batches[1:]:
+            for text in batch:
+                twin.add(text)
+            members += batch
+        assert tally == SlotTally(first) and tally.shared
+        assert twin == SlotTally(members)
+        assert twin.render() == summarize(members)
+
 
 class TestVocabularyHashing:
     def test_embedding_matches_feature_count_oracle(self):

@@ -6,8 +6,8 @@ import pytest
 
 from swarmreid import reid
 from swarmreid.errors import ContractError, EmptyDescriptionError
-from swarmreid.language import (EMBEDDING_DIM, cached_tokens, cosine, embed, summarize,
-                                tokenize)
+from swarmreid.language import (EMBEDDING_DIM, SlotTally, cached_tokens, cosine, embed,
+                                summarize, tokenize)
 from swarmreid.perception import DescriptionRecord, canonical_description, sample_attributes
 from swarmreid.reid import (_TABLE, SCHEMA_VERSION, ClusterDatabase, LanguageOps,
                             _SimilarityIndex, canonical_json, exchange)
@@ -468,6 +468,97 @@ class TestExchange:
         assert sorted(a.clusters) == [(0, 0), (1, 0)]
         assert sorted(b.clusters) == [(0, 0), (1, 0)]
         assert a.clusters[(1, 0)].summary_text == GREEN_TEXT
+
+
+class TestAdoptedState:
+    """A cluster that an exchange leaves with exactly the sender's members
+    takes the sender's summary, tally and samples; the tally stays shared
+    until a holder adds to it, and the holder copies it first."""
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        """Counts of ``SlotTally.add`` calls and of tallies built from
+        member texts."""
+        counts = {"adds": 0, "builds": 0}
+        add, init = SlotTally.add, SlotTally.__init__
+
+        def counted_add(tally, text, k=1):
+            counts["adds"] += 1
+            add(tally, text, k)
+
+        def counted_init(tally, texts=()):
+            texts = list(texts)
+            counts["builds"] += bool(texts)
+            init(tally, texts)
+
+        monkeypatch.setattr(SlotTally, "add", counted_add)
+        monkeypatch.setattr(SlotTally, "__init__", counted_init)
+        return counts
+
+    def _woman_db(self, owner):
+        db = ClusterDatabase(owner=owner)
+        for tick, text in enumerate([WOMAN_TEXT, WOMAN_TEXT + ", with hat"]):
+            db.assign_description(_record(text, robot_id=owner, tick=tick, track_id=1), 0.8)
+        return db
+
+    def test_copy_then_one_append_adds_once(self, work):
+        b = self._woman_db(1)
+        a = ClusterDatabase(owner=0)
+        work.update(adds=0, builds=0)
+        assert exchange(a, b, 0.8).copied_to_a == 1
+        copy, origin = a.clusters[(1, 0)], b.clusters[(1, 0)]
+        assert copy.tally is origin.tally and origin.tally.shared
+        assert work == {"adds": 0, "builds": 0}
+        uid, created = a.assign_description(_record(WOMAN_TEXT, tick=5, track_id=1), 0.5)
+        assert (uid, created) == ((1, 0), False)
+        assert work == {"adds": 1, "builds": 0}
+        assert copy.tally is not origin.tally and not copy.tally.shared
+        for db in (a, b):
+            db.check_invariants()
+
+    def test_merge_of_the_same_members_in_another_order_adopts(self, work):
+        """a and b fold each other's woman into their own, in opposite member
+        orders; a's next record then reaches b's twin through its tombstone,
+        which ends with a's member set though not a's member order."""
+        a = ClusterDatabase(owner=0)
+        b = ClusterDatabase(owner=1)
+        a.assign_description(_record(WOMAN_TEXT, track_id=1), 0.8)
+        b.assign_description(_record(WOMAN_TEXT, robot_id=1, track_id=1), 0.8)
+        exchange(a, b, 0.8)
+        a.assign_description(_record(WOMAN_TEXT + ", with hat", tick=1, track_id=1), 0.8)
+        sender, twin = a.clusters[(0, 0)], b.clusters[(1, 0)]
+        assert [m.key for m in twin.members] == [(1, 1, 0), (0, 1, 0)]
+        assert [m.key for m in sender.members] == [(0, 1, 0), (1, 1, 0), (0, 1, 1)]
+        work.update(adds=0, builds=0)
+        assert exchange(a, b, 0.8).records_added_to_b == 1
+        assert work == {"adds": 0, "builds": 0}
+        assert twin.tally is sender.tally and twin.samples is sender.samples
+        assert twin.summary_text == sender.summary_text
+        for db in (a, b):
+            db.check_invariants()
+
+    @pytest.mark.parametrize("assigner", [0, 1], ids=["sender", "adopter"])
+    def test_later_append_leaves_the_other_holder_unchanged(self, assigner):
+        """b adopts a's state; the next record either side assigns to that
+        cluster changes neither the other side's tally nor its summary nor
+        its samples."""
+        a, b = self._woman_db(0), ClusterDatabase(owner=1)
+        exchange(a, b, 0.8)
+        sender, adopter = a.clusters[(0, 0)], b.clusters[(0, 0)]
+        assert adopter.tally is sender.tally and adopter.samples is sender.samples
+        assert adopter.summary_text == sender.summary_text
+        appender, other = (sender, adopter) if assigner == 0 else (adopter, sender)
+        tally, summary, samples = other.tally, other.summary_text, other.samples
+        votes = tally.copy()
+        text = WOMAN_TEXT + ", with glasses"
+        uid, _ = (a, b)[assigner].assign_description(
+            _record(text, robot_id=assigner, tick=2, track_id=1), 0.5)
+        assert uid == (0, 0) and len(appender.members) == 3
+        assert appender.summary_text != summary and appender.samples != samples
+        assert other.tally is tally and other.tally == votes
+        assert (other.summary_text, other.samples) == (summary, samples)
+        for db in (a, b):
+            db.check_invariants()
 
 
 class TestQuery:

@@ -8,13 +8,13 @@ import numpy as np
 from hypothesis import example, given, strategies as st
 
 from conftest import examples
-from swarmreid.language import cosine, embed, tokenize
+from swarmreid.language import SlotTally, cosine, embed, summarize, tokenize
 from swarmreid.perception import (DescriptionNoise, DescriptionRecord,
                                   canonical_description, describe,
                                   sample_attributes)
-from swarmreid.reid import (DEFAULT_TOMBSTONE_CAP, ClusterDatabase, ClusterView,
-                            ExchangeStats, _SimilarityIndex, canonical_json,
-                            exchange)
+from swarmreid.reid import (DEFAULT_TOMBSTONE_CAP, REFERENCE_OPS, ClusterDatabase,
+                            ClusterView, ExchangeStats, LanguageOps,
+                            _SimilarityIndex, canonical_json, exchange)
 
 from oracles import brute_force_query, oracle_delta, stacked_best, stacked_top
 
@@ -79,6 +79,13 @@ class TestExchangeProperties:
            meetings=st.lists(st.sampled_from([(0, 1), (0, 2), (1, 2)]),
                              min_size=1, max_size=8),
            mode=_mode, theta_local=_theta, theta_merge=_theta)
+    # Robot 1 resolves robot 0's (0, 0) by its tombstone to (1, 0). With the
+    # one record it lacks, (1, 0) has as many members as (0, 0), but not the
+    # same: it holds (0, 2, 0) where (0, 0) holds (1, 1, 0). So (1, 0) must
+    # not adopt (0, 0)'s summary and tally.
+    @example(script=[(0, 0, 0), (0, 2, 0), (1, 0, 0), (1, 1, 0), (2, 0, 0)],
+             meetings=[(0, 1), (0, 2), (0, 1)], mode="text", theta_local=1.0,
+             theta_merge=0.0)
     @examples(60)
     def test_gossip_never_loses_records(self, script, meetings, mode,
                                         theta_local, theta_merge):
@@ -188,10 +195,11 @@ _cap = st.sampled_from([0, 1, 2, DEFAULT_TOMBSTONE_CAP])
 
 
 def _play(steps, mode, theta_local, theta_merge, check=None,
-          cap=DEFAULT_TOMBSTONE_CAP, same_tick=False):
-    """Play ``steps`` on three fresh databases. Step ``i`` happens at tick
-    ``i``, or at tick 0 with track id ``i`` when ``same_tick``."""
-    dbs = [ClusterDatabase(owner=r, mode=mode, tombstone_cap=cap)
+          cap=DEFAULT_TOMBSTONE_CAP, same_tick=False, ops=REFERENCE_OPS):
+    """Play ``steps`` on three fresh databases using ``ops``. Step ``i``
+    happens at tick ``i``, or at tick 0 with track id ``i`` when
+    ``same_tick``."""
+    dbs = [ClusterDatabase(owner=r, mode=mode, tombstone_cap=cap, ops=ops)
            for r in range(3)]
     for i, step in enumerate(steps):
         if len(step) == 3:
@@ -206,6 +214,7 @@ def _play(steps, mode, theta_local, theta_merge, check=None,
                 check(dbs[step[0]], dbs[step[1]], theta_merge)
             exchange(dbs[step[0]], dbs[step[1]], theta_merge)
         _assert_prefixes(dbs)
+        _assert_tallies(dbs)
     return dbs
 
 
@@ -225,6 +234,21 @@ def _assert_prefixes(dbs):
             n = min(len(logged_a), len(logged_b))
             assert all(x is y for x, y in zip(logged_a[:n], logged_b[:n])), (
                 f"logs of origin {origin} differ within their common prefix")
+
+
+def _assert_tallies(dbs):
+    """Every tally equals one built from its cluster's member texts, and a
+    tally that two or more clusters hold, in one database or several, is
+    marked shared, so that no holder adds to it."""
+    holders = {}
+    for db in dbs:
+        for uid, c in db.clusters.items():
+            if c.tally is not None:
+                assert c.tally == SlotTally([m.text for m in c.members]), (
+                    f"tally of {uid} at robot {db.owner} differs from its members'")
+                holders.setdefault(id(c.tally), []).append(c.tally)
+    for held in holders.values():
+        assert len(held) == 1 or held[0].shared, "a tally held twice is not shared"
 
 
 def _one_sided(receiver, sender, theta_merge):
@@ -289,7 +313,8 @@ class TestIncrementalState:
     @example(steps=[(0, 0, 0), (1, 0, 0), (0, 1), (1, 1, 0), (0, 1)],
              mode="text", theta_local=0.0, theta_merge=0.99, cap=0, same_tick=False)
     # Robot 0 meets robot 1 between two of its assignments of one tick, so
-    # robot 1's watermark for robot 0 is a tick it holds only part of.
+    # robot 1 holds only part of robot 0's records of that tick: the count
+    # of its log from robot 0, not a tick, says which.
     @example(steps=[(0, 0, 0), (1, 2, 0), (0, 1), (0, 0, 0), (0, 1)],
              mode="text", theta_local=1.0, theta_merge=0.8,
              cap=DEFAULT_TOMBSTONE_CAP, same_tick=True)
@@ -365,6 +390,26 @@ class TestQueryProperties:
                 for queried in (db, reloaded):
                     assert [(h.uid, h.score, h.summary_text, h.samples)
                             for h in queried.query(text, k)] == expected
+
+
+class TestAdoption:
+    @given(steps=_steps, mode=_mode, theta_local=_theta, theta_merge=_theta,
+           text=st.sampled_from(_QUERIES))
+    @examples(60)
+    def test_adopting_equals_the_member_list_route(self, steps, mode, theta_local,
+                                                   theta_merge, text):
+        """A cluster that ends with a sender's members adopts its summary,
+        tally and samples only under the reference summarizer. A wrapper of
+        it takes the member-list route and never adopts: every snapshot and
+        query hit must be the same."""
+        adopting = _play(steps, mode, theta_local, theta_merge)
+        listing = _play(steps, mode, theta_local, theta_merge,
+                        ops=LanguageOps(summarize=lambda texts: summarize(texts)))
+        for db, twin in zip(adopting, listing):
+            assert db.to_json() == twin.to_json()
+            assert all(c.tally is None for c in twin.clusters.values())
+            for k in (1, 3, len(db.clusters) + 2):
+                assert db.query(text, k) == twin.query(text, k)
 
 
 class _CheckedIndex(_SimilarityIndex):

@@ -274,8 +274,7 @@ class TestSweep:
             sweep(_small(), "seed", [0, 1, 2], seeds=[0])
 
     def test_repeated_value_rejected(self):
-        # Rows are grouped by value, so a repeat would merge two cells into
-        # two identical rows of twice the runs.
+        # A repeat would only run the same cells twice, as two identical rows.
         with pytest.raises(ConfigError, match="values"):
             sweep(_small(), "people.count", [3, 3], seeds=[0])
 
