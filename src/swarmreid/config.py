@@ -244,8 +244,16 @@ def from_dict(d: dict) -> SimConfig:
 
 
 def load_config(path: str | Path) -> SimConfig:
-    """Load a YAML/JSON config file over the defaults."""
-    raw = yaml.safe_load(Path(path).read_text())
+    """Load a YAML/JSON config file over the defaults; a file that is not
+    UTF-8 or not YAML raises ConfigError naming it."""
+    try:
+        raw = yaml.safe_load(Path(path).read_text())
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc}") from None
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = "" if mark is None else f" (line {mark.line + 1}, column {mark.column + 1})"
+        raise ConfigError(f"config file {path} is not YAML{where}") from None
     if raw is None:
         return SimConfig()
     if not isinstance(raw, dict):

@@ -124,19 +124,17 @@ def _render(noun: str | None, upper_color: str | None, upper_type: str | None,
 
 
 class SlotTally:
-    """Consensus votes of a growing multiset of member texts.
+    """Consensus votes of a multiset of member texts: a value, never changed
+    once built, so any number of clusters may hold one.
 
     Holds the member count ``n``, the votes per (slot, value) and how many
     members name each accessory. Votes only ever grow, so each slot's running
-    total and leader (most votes, ties to the smallest value) are updated as
-    votes arrive, and ``render`` costs one step per slot.
-
-    A tally that more than one cluster may hold is marked ``shared`` and is
-    never added to again: a holder ``copy``s it before its first add.
+    total and leader (most votes, ties to the smallest value) are kept as
+    votes are counted, and ``render`` costs one step per slot. A cluster that
+    grows takes ``plus`` of its tally.
     """
 
-    _STATE = ("n", "votes", "accessories", "_totals", "_leaders")
-    __slots__ = (*_STATE, "shared")
+    __slots__ = ("n", "votes", "accessories", "_totals", "_leaders")
 
     def __init__(self, texts: Iterable[str] = ()) -> None:
         """Tally member ``texts``. Each distinct text is parsed once and
@@ -148,22 +146,24 @@ class SlotTally:
         self._totals = [0] * len(_VOTED_SLOTS)
         # per slot, (votes, value) of the leader
         self._leaders: list[tuple[int, str] | None] = [None] * len(_VOTED_SLOTS)
-        self.shared = False
         for text, k in Counter(texts).items():
-            self.add(text, k)
+            self._add(text, k)
 
-    def copy(self) -> "SlotTally":
-        """An equal tally of its own, not shared."""
-        twin = SlotTally()
+    def plus(self, texts: Iterable[str]) -> "SlotTally":
+        """A new tally of these members and ``texts``; this one is unchanged."""
+        twin = SlotTally.__new__(SlotTally)
         twin.n = self.n
         twin.votes = dict(self.votes)
         twin.accessories = dict(self.accessories)
         twin._totals = list(self._totals)
         twin._leaders = list(self._leaders)
+        for text in texts:
+            twin._add(text)
         return twin
 
-    def add(self, text: str, k: int = 1) -> None:
-        """Count ``k`` more members whose description is ``text``."""
+    def _add(self, text: str, k: int = 1) -> None:
+        """Count ``k`` more members whose description is ``text``; only
+        while the tally is being built."""
         keys, named = _votes_of(text)
         self.n += k
         votes, totals, leaders = self.votes, self._totals, self._leaders
@@ -194,7 +194,7 @@ class SlotTally:
         if not isinstance(other, SlotTally):
             return NotImplemented
         return all(getattr(self, name) == getattr(other, name)
-                   for name in self._STATE)
+                   for name in self.__slots__)
 
 
 def summarize(texts: Iterable[str]) -> str:
@@ -206,7 +206,7 @@ def summarize(texts: Iterable[str]) -> str:
     of texts, so it is invariant under member permutation and duplication;
     each distinct text is parsed once and votes with its multiplicity.
 
-    A ``SlotTally`` fed the same texts in any batches renders the same text.
+    A ``SlotTally`` grown by ``plus`` in any batches renders the same text.
     """
     return SlotTally(texts).render()
 

@@ -198,12 +198,14 @@ class HttpProvider(_Transport):
     def __init__(self, url: str, timeout: float = 10.0) -> None:
         self._who = f"provider at {url}"
         self._timeout = timeout
-        parts = urlsplit(url)
         try:
+            # A malformed host or port, such as an unclosed IPv6 bracket,
+            # raises ValueError here.
+            parts = urlsplit(url)
             port = parts.port or (443 if parts.scheme == "https" else 80)
         except ValueError:
-            port = None
-        if parts.scheme not in ("http", "https") or not parts.hostname or not port:
+            parts = None
+        if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
             raise ProviderError(f"provider URL {url!r} is not an http(s) URL with a host")
         self._address = (parts.hostname, port)
         target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")

@@ -28,12 +28,13 @@ cluster. Nothing is remembered per peer.
 
 Exchange passes records by reference, so a run's databases share one record
 object per record; databases loaded inside one ``shared_records`` scope share
-them the same way. A cluster that an exchange leaves with exactly the
-sender's members takes the sender's summary, slot tally and samples, which
-depend only on the member set, so no summary is derived twice for one
-cluster state; the tally is shared, and a holder copies it before adding to
-it. The similarity indexes of every database in the process keep slot ids
-into one table of distinct vectors (``_VectorTable``).
+them the same way. A cluster's summary state (summary text, embedding, slot
+tally, samples) is made of values that updates rebind and never change, so
+views carry it by reference and taking a view writes nothing. A cluster that
+an exchange leaves with exactly the sender's members takes that state, which
+depends only on the member set, so no summary is derived twice for one
+cluster state. The similarity indexes of every database in the process keep
+slot ids into one table of distinct vectors (``_VectorTable``).
 """
 
 from __future__ import annotations
@@ -114,10 +115,9 @@ class Cluster:
     # member order. Every append binds a new array.
     embedding_sum: np.ndarray | None
     # Slot votes of the members, reference summarizer only: built from the
-    # member list on the first append after the cluster was created or
-    # loaded, so loading builds none, or adopted from the view of a cluster
-    # with exactly its members. An adopted tally is shared, and copied
-    # before the holder's first add.
+    # member list on a new cluster's first append, rebound to ``plus`` the
+    # new texts on each later one, or adopted from the view of a cluster
+    # with exactly its members. A loaded cluster has none.
     tally: SlotTally | None = field(default=None, repr=False, compare=False)
     # The first three members in _sample_order, which query returns as a
     # hit's samples; only ClusterDatabase._append sets it, or adopts it.
@@ -139,15 +139,11 @@ class ClusterView(NamedTuple):
 
     The cluster then had ``n`` members; ``members`` is a new list of just
     those the receiver lacked, in member order, at positions ``seqs`` of
-    their robots' assignment orders. The summary and embedding fields are
-    references to values that updates replace rather than mutate.
-
-    A view that ``_delta_for`` takes also carries the sender's state, so a
-    receiver that ends with exactly the cluster's members adopts it:
-    ``source`` is the sender's member list itself, whose first ``n`` entries
-    are the cluster (member lists only grow), ``tally`` its tally, marked
-    shared, and ``samples`` its samples. Without them a receiver derives its
-    own.
+    their robots' assignment orders. The rest is the sender's state by
+    reference, which a receiver that ends with exactly the cluster's members
+    adopts: ``source`` is the sender's member list itself, whose first ``n``
+    entries are the cluster (member lists only grow), and the summary,
+    embedding, tally and samples are values that updates rebind, never change.
     """
 
     uid: ClusterUid
@@ -156,9 +152,9 @@ class ClusterView(NamedTuple):
     n: int
     summary_text: str
     embedding: np.ndarray
-    source: list[DescriptionRecord] | None = None
-    tally: SlotTally | None = None
-    samples: tuple[DescriptionRecord, ...] = ()
+    source: list[DescriptionRecord]
+    tally: SlotTally | None
+    samples: tuple[DescriptionRecord, ...]
 
 
 class _OriginLog(NamedTuple):
@@ -571,43 +567,36 @@ class ClusterDatabase:
 
     def _summary(self, cluster: Cluster, added: int) -> str:
         """Summary after the last ``added`` appends. The reference summarizer
-        folds only their texts into the cluster's tally, first copying one
-        that is shared; any other gets every member's text."""
+        rebinds the cluster's tally to one plus only their texts; any other
+        gets every member's text."""
         if self.ops.summarize is not summarize:
             return self.ops.summarize([m.text for m in cluster.members])
-        tally = cluster.tally
-        if tally is None:
-            tally = cluster.tally = SlotTally([m.text for m in cluster.members])
+        if cluster.tally is None:
+            cluster.tally = SlotTally([m.text for m in cluster.members])
         else:
-            if tally.shared:
-                tally = cluster.tally = tally.copy()
-            for m in cluster.members[-added:]:
-                tally.add(m.text)
-        return tally.render()
+            cluster.tally = cluster.tally.plus([m.text for m in cluster.members[-added:]])
+        return cluster.tally.render()
 
     def _take(self, cluster: Cluster, view: ClusterView) -> None:
         """Append ``view``'s records to ``cluster`` and refresh it.
 
-        If the cluster then holds exactly the sender's members, it adopts
-        the sender's summary, tally and samples, all of which depend only on
-        the member set; that takes the reference summarizer, as another may
-        depend on member order, and a view carrying the sender's tally.
-        Else a verbatim copy, which holds the sender's members in the
-        sender's order, keeps the sender's summary under any summarizer, and
-        any other cluster derives its own.
+        A cluster that then holds exactly the sender's members adopts the
+        sender's summary, tally and samples: a verbatim copy, which holds
+        them in the sender's order, under any summarizer, and a merge whose
+        held records lie among the sender's first ``n`` under the reference
+        summarizer only, as another may depend on member order. Every other
+        cluster derives its own.
         """
         held, fresh, n = cluster.members, view.members, view.n
-        if len(held) + len(fresh) != n:
-            self._add_members(cluster, fresh, view.seqs)
-        elif (view.tally is not None and self.ops.summarize is summarize
-              and (held == view.source[:len(held)]
-                   or set(map(id, view.source[:n])).issuperset(map(id, held)))):
+        if len(held) + len(fresh) == n and (
+                not held or self.ops.summarize is summarize
+                and (held == view.source[:len(held)]
+                     or set(map(id, view.source[:n])).issuperset(map(id, held)))):
             self._append(cluster, fresh, view.seqs, view.samples)
             cluster.tally = view.tally
             self._refresh(cluster, view.summary_text)
         else:
-            self._add_members(cluster, fresh, view.seqs,
-                              None if held else view.summary_text)
+            self._add_members(cluster, fresh, view.seqs)
 
     # ---------- operations ----------
 
@@ -725,9 +714,6 @@ class ClusterDatabase:
         for uid in sorted(sent):
             c = clusters[uid]
             listed = sorted(lacking.get(uid, ()))
-            if c.tally is not None:
-                # The receiver may adopt it; neither side adds to it again.
-                c.tally.shared = True
             views.append(ClusterView(uid, [c.members[i] for i, _ in listed],
                                      [seq for _, seq in listed], len(c.members),
                                      c.summary_text, c.embedding,
@@ -1011,8 +997,8 @@ def exchange(a: ClusterDatabase, b: ClusterDatabase,
         raise ContractError(f"database of owner {loaded[0]} was loaded by from_dict "
                             "and does not exchange")
     # Both deltas come before either absorbs: a's views list their records
-    # in lists of their own, and a's summaries and embeddings are rebound,
-    # never mutated, while a absorbs b's.
+    # in lists of their own, and a's summary state is rebound, never
+    # changed, while a absorbs b's.
     views_a = a._delta_for(b)
     views_b = b._delta_for(a)
     unsent_a = len(a.clusters) - len(views_a)

@@ -71,15 +71,15 @@ T = TypeVar("T")
 
 
 def _parse(path: Path, parse: Callable[[str], T]) -> T:
-    """``parse`` of the file's text; content it rejects, or whose shape it
-    cannot decode, raises ContractError naming the file."""
-    text = path.read_text()
+    """``parse`` of the file's text; text that is not UTF-8, content
+    ``parse`` rejects, or whose shape it cannot decode, raises ContractError
+    naming the file."""
     try:
-        return parse(text)
+        return parse(path.read_text())
     except KeyError as exc:
         raise ContractError(f"{path}: missing key {exc}") from exc
-    # JSONDecodeError, ConfigError and ContractError are ValueErrors; the
-    # others come from values of the wrong JSON type.
+    # UnicodeDecodeError, JSONDecodeError, ConfigError and ContractError are
+    # ValueErrors; the others come from values of the wrong JSON type.
     except (ValueError, TypeError, AttributeError) as exc:
         raise ContractError(f"{path}: {exc}") from exc
 

@@ -113,6 +113,27 @@ class TestRun:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["run", "--out"], ["sweep", "--axis", "seed", "--values", "1", "--out"]],
+        ids=["run", "sweep"])
+    @pytest.mark.parametrize("content, problem", [
+        (b"seed: [1, 2\n", "is not YAML (line 2, column 1)"),
+        (b"seed: 1\n\xff\n", "is not UTF-8"),
+    ], ids=["malformed", "not-utf8"])
+    def test_unreadable_file_exits_two_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                      command, content, problem):
+        monkeypatch.setattr("swarmreid.cli.run_experiment", _no_run)
+        monkeypatch.setattr("swarmreid.cli.sweep", _no_run)
+        conf = tmp_path / "c.yaml"
+        conf.write_bytes(content)
+        out = tmp_path / "r"
+        rc = main([*command, str(out), "--config", str(conf)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: config file {conf} {problem}")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_provider_failure_exits_two_with_one_line(self, tmp_path, capsys):
         stub = tmp_path / "garbage_provider.py"
         stub.write_text("import sys\nfor line in sys.stdin:\n    print('nope', flush=True)\n")
@@ -303,6 +324,21 @@ class TestReport:
         assert main(["report", "--run", str(edited)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err and "fingerprint" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", [
+        "config.json", "people.json", *(f"db_robot_{i}.json" for i in range(4)),
+        "events.ndjson", "metrics.json"])
+    @pytest.mark.parametrize("command", [["report"], ["query", "a man", "--robot", "all"]],
+                             ids=["report", "query"])
+    def test_non_utf8_byte_exits_two(self, run_dir, tmp_path, capsys, name, command):
+        edited = tmp_path / "run"
+        shutil.copytree(run_dir, edited)
+        with (edited / name).open("ab") as fh:
+            fh.write(b"\xff")
+        assert main([*command, "--run", str(edited)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {edited / name}: 'utf-8' codec can't decode")
         assert err.count("\n") == 1
 
     def test_truncated_events_exits_two(self, run_dir, tmp_path, capsys):

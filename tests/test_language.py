@@ -267,8 +267,7 @@ class TestSlotTally:
         tally = SlotTally()
         members = []
         for batch in batches:
-            for text in batch:
-                tally.add(text)
+            tally = tally.plus(batch)
             members += batch
             # Sorting changes which text is tallied first, so a leader rule
             # that depends on arrival order shows.
@@ -278,20 +277,13 @@ class TestSlotTally:
 
     @given(_member_batches())
     @examples(100)
-    def test_copy_is_equal_unshared_and_independent(self, batches):
-        first = batches[0]
+    def test_plus_is_the_tally_of_all_and_leaves_the_original(self, batches):
+        first, rest = batches[0], [t for batch in batches[1:] for t in batch]
         tally = SlotTally(first)
-        tally.shared = True
-        twin = tally.copy()
-        assert twin == tally and not twin.shared
-        members = list(first)
-        for batch in batches[1:]:
-            for text in batch:
-                twin.add(text)
-            members += batch
-        assert tally == SlotTally(first) and tally.shared
-        assert twin == SlotTally(members)
-        assert twin.render() == summarize(members)
+        grown = tally.plus(rest)
+        assert grown == SlotTally(first + rest)
+        assert grown.render() == summarize(first + rest)
+        assert tally == SlotTally(first)
 
 
 class TestVocabularyHashing:

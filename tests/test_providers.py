@@ -408,7 +408,8 @@ class TestMisbehavingHttp:
             HttpProvider(bad_http_url + "/chunked").request(_REQUEST)
 
     @pytest.mark.parametrize("url", [
-        "ftp://127.0.0.1/", "http:///no-host", "127.0.0.1:8000", "http://127.0.0.1:port/"])
+        "ftp://127.0.0.1/", "http:///no-host", "127.0.0.1:8000", "http://127.0.0.1:port/",
+        "http://[::1"])
     def test_unusable_url_refused_when_built(self, url):
         with pytest.raises(ProviderError, match=re.escape(repr(url))):
             HttpProvider(url)

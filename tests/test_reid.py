@@ -472,15 +472,15 @@ class TestExchange:
 
 class TestAdoptedState:
     """A cluster that an exchange leaves with exactly the sender's members
-    takes the sender's summary, tally and samples; the tally stays shared
-    until a holder adds to it, and the holder copies it first."""
+    takes the sender's summary, tally and samples; a holder that grows
+    rebinds its tally to a new one, so the other holder's stays as it was."""
 
     @pytest.fixture
     def work(self, monkeypatch):
-        """Counts of ``SlotTally.add`` calls and of tallies built from
-        member texts."""
+        """Counts of the texts tallied (``SlotTally._add`` calls) and of
+        tallies built from member texts."""
         counts = {"adds": 0, "builds": 0}
-        add, init = SlotTally.add, SlotTally.__init__
+        add, init = SlotTally._add, SlotTally.__init__
 
         def counted_add(tally, text, k=1):
             counts["adds"] += 1
@@ -491,7 +491,7 @@ class TestAdoptedState:
             counts["builds"] += bool(texts)
             init(tally, texts)
 
-        monkeypatch.setattr(SlotTally, "add", counted_add)
+        monkeypatch.setattr(SlotTally, "_add", counted_add)
         monkeypatch.setattr(SlotTally, "__init__", counted_init)
         return counts
 
@@ -507,12 +507,13 @@ class TestAdoptedState:
         work.update(adds=0, builds=0)
         assert exchange(a, b, 0.8).copied_to_a == 1
         copy, origin = a.clusters[(1, 0)], b.clusters[(1, 0)]
-        assert copy.tally is origin.tally and origin.tally.shared
+        assert copy.tally is origin.tally
         assert work == {"adds": 0, "builds": 0}
         uid, created = a.assign_description(_record(WOMAN_TEXT, tick=5, track_id=1), 0.5)
         assert (uid, created) == ((1, 0), False)
         assert work == {"adds": 1, "builds": 0}
-        assert copy.tally is not origin.tally and not copy.tally.shared
+        assert copy.tally is not origin.tally
+        assert origin.tally == SlotTally([m.text for m in origin.members])
         for db in (a, b):
             db.check_invariants()
 
@@ -549,7 +550,7 @@ class TestAdoptedState:
         assert adopter.summary_text == sender.summary_text
         appender, other = (sender, adopter) if assigner == 0 else (adopter, sender)
         tally, summary, samples = other.tally, other.summary_text, other.samples
-        votes = tally.copy()
+        votes = SlotTally([m.text for m in other.members])
         text = WOMAN_TEXT + ", with glasses"
         uid, _ = (a, b)[assigner].assign_description(
             _record(text, robot_id=assigner, tick=2, track_id=1), 0.5)

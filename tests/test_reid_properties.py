@@ -201,6 +201,7 @@ def _play(steps, mode, theta_local, theta_merge, check=None,
     ``same_tick``."""
     dbs = [ClusterDatabase(owner=r, mode=mode, tombstone_cap=cap, ops=ops)
            for r in range(3)]
+    seen = {}
     for i, step in enumerate(steps):
         if len(step) == 3:
             robot, person, rendering = step
@@ -214,7 +215,7 @@ def _play(steps, mode, theta_local, theta_merge, check=None,
                 check(dbs[step[0]], dbs[step[1]], theta_merge)
             exchange(dbs[step[0]], dbs[step[1]], theta_merge)
         _assert_prefixes(dbs)
-        _assert_tallies(dbs)
+        _assert_tallies(dbs, seen)
     return dbs
 
 
@@ -236,19 +237,38 @@ def _assert_prefixes(dbs):
                 f"logs of origin {origin} differ within their common prefix")
 
 
-def _assert_tallies(dbs):
-    """Every tally equals one built from its cluster's member texts, and a
-    tally that two or more clusters hold, in one database or several, is
-    marked shared, so that no holder adds to it."""
-    holders = {}
+def _assert_tallies(dbs, seen):
+    """Every tally equals one built from its cluster's member texts, and no
+    tally changes once seen, so any number of clusters may hold one:
+    ``seen`` keeps every tally met so far alive, by id, with a snapshot of
+    its state."""
     for db in dbs:
         for uid, c in db.clusters.items():
             if c.tally is not None:
                 assert c.tally == SlotTally([m.text for m in c.members]), (
                     f"tally of {uid} at robot {db.owner} differs from its members'")
-                holders.setdefault(id(c.tally), []).append(c.tally)
-    for held in holders.values():
-        assert len(held) == 1 or held[0].shared, "a tally held twice is not shared"
+                seen.setdefault(id(c.tally), (c.tally, _tally_state(c.tally)))
+    for tally, snapshot in seen.values():
+        assert _tally_state(tally) == snapshot, "a tally changed after it was seen"
+
+
+def _tally_state(tally):
+    """A copy of every field of ``tally``."""
+    return copy.deepcopy([getattr(tally, name) for name in type(tally).__slots__])
+
+
+def _assert_delta_writes_nothing(a, b, theta_merge):
+    """Taking a delta either way leaves both sides' snapshots, the tally
+    each cluster holds and the state of every tally as they were."""
+    def state():
+        return [(db.to_json(), [(id(c.tally), _tally_state(c.tally))
+                                for c in db.clusters.values() if c.tally is not None])
+                for db in (a, b)]
+
+    before = state()
+    a._delta_for(b)
+    b._delta_for(a)
+    assert state() == before, "taking a delta changed a snapshot or a tally"
 
 
 def _one_sided(receiver, sender, theta_merge):
@@ -268,7 +288,8 @@ def _one_sided(receiver, sender, theta_merge):
         lacking = [(m, seq_of[uid, i]) for i, m in enumerate(c.members)
                    if m.key not in held]
         full.append(ClusterView(uid, [m for m, _ in lacking], [s for _, s in lacking],
-                                len(c.members), c.summary_text, c.embedding))
+                                len(c.members), c.summary_text, c.embedding,
+                                c.members, c.tally, c.samples))
     counts = receiver._absorb(full, theta_merge)
     return receiver.to_json(), counts
 
@@ -330,6 +351,12 @@ class TestIncrementalState:
                     cap, same_tick)
         for db in dbs:
             db.check_invariants()
+
+    @given(steps=_steps, mode=_mode, theta_local=_theta, theta_merge=_theta, cap=_cap)
+    @examples(60)
+    def test_taking_a_delta_writes_nothing(self, steps, mode, theta_local, theta_merge,
+                                           cap):
+        _play(steps, mode, theta_local, theta_merge, _assert_delta_writes_nothing, cap)
 
     def test_repeat_meeting_sends_nothing(self):
         dbs = _build([(0, 0, 0), (0, 1, 1), (1, 2, 0), (1, 0, 3)], 1.0)
