@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from array import array
 from collections import Counter
 from functools import lru_cache
 from operator import attrgetter
@@ -98,15 +99,35 @@ _VOTED_SLOTS = ("noun", "upper_color", "upper_type", "lower_color",
                 "lower_type", "hair_color")
 _slot_values = attrgetter(*_VOTED_SLOTS)
 
+# A tally's counts, by position: the member count; one count per accessory
+# of vocab.ACCESSORIES; per slot, the total of its votes; per slot, the
+# position of its leader's votes (0 before its first vote); from _VOTES on,
+# the votes of each (slot, value) at the position _votes_of gave it, run-wide.
+_TOTALS = 1 + len(vocab.ACCESSORIES)
+_LEADERS = _TOTALS + len(_VOTED_SLOTS)
+_VOTES = _LEADERS + len(_VOTED_SLOTS)
+# (slot index, value) -> position, and the value at each position.
+_vote_positions: dict[tuple[int, str], int] = {}
+_vote_values: list[str | None] = [None] * _VOTES
+
 
 @lru_cache(maxsize=None)
-def _votes_of(text: str) -> tuple[tuple[tuple[int, str], ...], tuple[str, ...]]:
-    """The (slot index, value) votes and the accessories ``text`` names;
-    cached per text, as ``vocab.parse_description`` is."""
+def _votes_of(text: str) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], int]:
+    """What ``text`` adds to a tally: (slot index, position) of each slot
+    value it names, the positions of the accessories it names, and the tally
+    length they need. A value takes the next position when first parsed, so
+    any word the parser returns is counted. Cached per text."""
     parsed = vocab.parse_description(text)
-    votes = tuple((i, value) for i, value in enumerate(_slot_values(parsed))
-                  if value is not None)
-    return votes, parsed.accessories
+    votes = []
+    for i, value in enumerate(_slot_values(parsed)):
+        if value is not None:
+            position = _vote_positions.get((i, value))
+            if position is None:
+                position = _vote_positions[i, value] = len(_vote_values)
+                _vote_values.append(value)
+            votes.append((i, position))
+    named = tuple(1 + vocab.ACCESSORIES.index(a) for a in parsed.accessories)
+    return tuple(votes), named, max((p for _, p in votes), default=_VOTES - 1) + 1
 
 
 @lru_cache(maxsize=None)
@@ -127,74 +148,68 @@ class SlotTally:
     """Consensus votes of a multiset of member texts: a value, never changed
     once built, so any number of clusters may hold one.
 
-    Holds the member count ``n``, the votes per (slot, value) and how many
-    members name each accessory. Votes only ever grow, so each slot's running
-    total and leader (most votes, ties to the smallest value) are kept as
-    votes are counted, and ``render`` costs one step per slot. A cluster that
-    grows takes ``plus`` of its tally.
+    One flat ``array('I')`` of counts, laid out as above, as far as the
+    highest vote position counted; tallies equal in every count are equal,
+    whatever their lengths. Votes only ever grow, so each slot's leader (most
+    votes, ties to the smallest value) is kept as votes are counted, and
+    ``render`` costs one step per slot. A cluster that grows takes ``plus``.
     """
 
-    __slots__ = ("n", "votes", "accessories", "_totals", "_leaders")
+    __slots__ = ("counts",)
 
     def __init__(self, texts: Iterable[str] = ()) -> None:
         """Tally member ``texts``. Each distinct text is parsed once and
         votes with its multiplicity."""
-        self.n = 0
-        # (slot index in _VOTED_SLOTS, value) -> votes
-        self.votes: dict[tuple[int, str], int] = {}
-        self.accessories: dict[str, int] = {}
-        self._totals = [0] * len(_VOTED_SLOTS)
-        # per slot, (votes, value) of the leader
-        self._leaders: list[tuple[int, str] | None] = [None] * len(_VOTED_SLOTS)
+        self.counts = array("I", [0]) * _VOTES
         for text, k in Counter(texts).items():
             self._add(text, k)
 
     def plus(self, texts: Iterable[str]) -> "SlotTally":
         """A new tally of these members and ``texts``; this one is unchanged."""
         twin = SlotTally.__new__(SlotTally)
-        twin.n = self.n
-        twin.votes = dict(self.votes)
-        twin.accessories = dict(self.accessories)
-        twin._totals = list(self._totals)
-        twin._leaders = list(self._leaders)
+        twin.counts = self.counts[:]
         for text in texts:
             twin._add(text)
         return twin
 
     def _add(self, text: str, k: int = 1) -> None:
         """Count ``k`` more members whose description is ``text``; only
-        while the tally is being built."""
-        keys, named = _votes_of(text)
-        self.n += k
-        votes, totals, leaders = self.votes, self._totals, self._leaders
-        for key in keys:
-            i, value = key
-            c = votes[key] = votes.get(key, 0) + k
-            totals[i] += k
-            lead = leaders[i]
-            # The leader's own new count always exceeds its recorded one.
-            if lead is None or c > lead[0] or (c == lead[0] and value < lead[1]):
-                leaders[i] = (c, value)
-        accessories = self.accessories
+        while the tally is being built. The counts grow as ``text`` needs."""
+        votes, named, length = _votes_of(text)
+        counts = self.counts
+        if length > len(counts):
+            counts = self.counts = counts + array("I", [0]) * (length - len(counts))
+        counts[0] += k
         for a in named:
-            accessories[a] = accessories.get(a, 0) + k
+            counts[a] += k
+        values = _vote_values
+        for i, position in votes:
+            c = counts[position] = counts[position] + k
+            counts[_TOTALS + i] += k
+            lead = counts[_LEADERS + i]
+            # The leader's own new count equals itself, so it stays leader.
+            if not lead or c > counts[lead] or (
+                    c == counts[lead] and values[position] < values[lead]):
+                counts[_LEADERS + i] = position
 
     def render(self) -> str:
         """The consensus description; see ``summarize`` for the rule."""
-        if not self.n:
+        counts = self.counts
+        if not counts[0]:
             raise EmptyClusterError("cannot summarize an empty member list")
-        need = -(-self.n // 4)
+        need = -(-counts[0] // 4)
+        values = _vote_values
         return _render(
-            *(lead[1] if total >= need else None
-              for lead, total in zip(self._leaders, self._totals)),
-            tuple(a for a in vocab.ACCESSORIES
-                  if self.accessories.get(a, 0) >= need))
+            *(values[counts[_LEADERS + i]] if counts[_TOTALS + i] >= need else None
+              for i in range(len(_VOTED_SLOTS))),
+            tuple(a for i, a in enumerate(vocab.ACCESSORIES, 1)
+                  if counts[i] >= need))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SlotTally):
             return NotImplemented
-        return all(getattr(self, name) == getattr(other, name)
-                   for name in self.__slots__)
+        short, long = sorted((self.counts, other.counts), key=len)
+        return long[:len(short)] == short and not any(long[len(short):])
 
 
 def summarize(texts: Iterable[str]) -> str:

@@ -678,9 +678,6 @@ class ClusterDatabase:
     def record_count(self) -> int:
         return sum(len(c.members) for c in self.clusters.values())
 
-    def record_keys(self) -> set[tuple[int, int, int]]:
-        return {m.key for c in self.clusters.values() for m in c.members}
-
     def _delta_for(self, peer: "ClusterDatabase") -> list[ClusterView]:
         """Views to send ``peer``, ascending uid: those a full-state exchange
         would act on, each listing just the records of its cluster the peer
@@ -757,19 +754,19 @@ class ClusterDatabase:
 
     # ---------- serialization ----------
 
-    def to_json(self, memo: dict[int, str] | None = None) -> str:
+    def to_json(self, memo: dict[str, str] | None = None) -> str:
         """The snapshot as ``canonical_json`` of its document."""
         return "".join(self.json_chunks(memo))
 
-    def json_chunks(self, memo: dict[int, str] | None = None) -> Iterator[str]:
+    def json_chunks(self, memo: dict[str, str] | None = None) -> Iterator[str]:
         """The text of ``to_json`` in pieces of one cluster each, so a save
         can write it without holding it whole.
 
-        Each member is encoded once per ``memo``, keyed by record identity,
-        so databases saved with one memo, while their records live, encode
-        a shared record once. The document is composed around those
-        fragments: ``"clusters"`` sorts first among the snapshot's keys, and
-        ``"members"`` first among a cluster's.
+        Each distinct member text is encoded once per ``memo``, keyed by the
+        text, so databases saved with one memo encode a text they share
+        once. The document is composed around those encodings: ``"clusters"``
+        sorts first among the snapshot's keys, ``"members"`` first among a
+        cluster's, and a member's fields are written in sorted key order.
         """
         if memo is None:
             memo = {}
@@ -778,16 +775,11 @@ class ClusterDatabase:
             c = self.clusters[uid]
             members = []
             for m in c.members:
-                text = memo.get(id(m))
+                text = memo.get(m.text)
                 if text is None:
-                    text = memo[id(m)] = canonical_json({
-                        "text": m.text,
-                        "robot_id": m.robot_id,
-                        "tick": m.tick,
-                        "track_id": m.track_id,
-                        "person_id": m.person_id,
-                    })
-                members.append(text)
+                    text = memo[m.text] = canonical_json(m.text)
+                members.append(f'{{"person_id":{m.person_id},"robot_id":{m.robot_id},'
+                               f'"text":{text},"tick":{m.tick},"track_id":{m.track_id}}}')
             rest = canonical_json({
                 "uid": list(uid),
                 "summary_text": c.summary_text,

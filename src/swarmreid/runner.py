@@ -13,10 +13,10 @@ import gc
 import io
 import json
 import statistics
-from contextlib import nullcontext
-from dataclasses import asdict, dataclass
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -68,6 +68,23 @@ def _spawn_position(arena: Arena, rng: np.random.Generator) -> tuple[float, floa
 
 
 T = TypeVar("T")
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, restoring the caller's setting
+    however the block ends. A load or a run makes tens of thousands of
+    tracked objects and no reference cycle, so the collections they would
+    trigger find nothing to free. When the collector was on, one young pass
+    at the end moves the block's objects to the oldest generation."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+            gc.collect(1)
 
 
 def _parse(path: Path, parse: Callable[[str], T]) -> T:
@@ -149,8 +166,8 @@ class RunArtifact:
             {"person_id": pid, "attributes": attrs.to_dict()}
             for pid, attrs in self.people
         ]) + "\n")
-        # A run's databases share record objects; each is encoded once.
-        memo: dict[int, str] = {}
+        # A run's databases share member texts; each is encoded once.
+        memo: dict[str, str] = {}
         for db in self.databases:
             with (out / f"db_robot_{db.owner}.json").open("w") as fh:
                 fh.writelines(db.json_chunks(memo))
@@ -169,25 +186,12 @@ class RunArtifact:
         raises ContractError naming the file.
 
         The databases load in one ``shared_records`` scope, so they share
-        one record object per record as the saved run's databases did.
-
-        The cyclic garbage collector is paused while the files are decoded
-        and built, and the caller's setting is restored however the load
-        ends. Loading creates tens of thousands of tracked objects (records,
-        clusters, decoded dicts and lists) and no reference cycle, so the
-        collections they would trigger, full heap scans among them, find
-        nothing to free. When the collector was on, one young-generation
-        pass at the end moves the loaded objects to the oldest generation:
-        that scan is charged to the load, not to the first query.
+        one record object per record as the saved run's databases did. The
+        cyclic garbage collector is paused while the files are decoded and
+        built (``_collector_paused``).
         """
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
+        with _collector_paused():
             return cls._load(Path(outdir))
-        finally:
-            if enabled:
-                gc.enable()
-                gc.collect(1)
 
     @classmethod
     def _load(cls, out: Path) -> "RunArtifact":
@@ -259,7 +263,8 @@ def run_experiment(configuration: SimConfig) -> RunArtifact:
         p_color_confusion=c.noise.p_color_confusion,
     )
 
-    with resolve_providers(c.providers) as providers:
+    # The collector is paused over the tick loop and the report, as over a load.
+    with resolve_providers(c.providers) as providers, _collector_paused():
         databases = [
             ClusterDatabase(owner=i, mode=c.mode, tombstone_cap=c.tombstone_cap,
                             ops=providers.ops)
@@ -318,7 +323,7 @@ def run_experiment(configuration: SimConfig) -> RunArtifact:
                     pair_last_exchange[pair] = tick
                     events.append({
                         "type": "exchange", "tick": tick,
-                        "robots": list(pair), **asdict(stats),
+                        "robots": list(pair), **vars(stats),
                     })
 
         people_out = list(enumerate(attributes))

@@ -9,9 +9,15 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
+
+from swarmreid.language import cosine, embed, tokenize
+from swarmreid.metrics import Gallery
+from swarmreid.perception import canonical_description
 
 HASH_SEED = "reid-hash-v1"
 DIM = 256
@@ -109,6 +115,69 @@ def oracle_map(probes, gallery) -> float:
                 precisions.append(Fraction(correct, rank))
         aps.append(sum(precisions) / len(precisions) if precisions else Fraction(0))
     return float(sum(aps) / len(aps)) if aps else 0.0
+
+
+class GalleryRow(NamedTuple):
+    """One gallery cluster, as ranking tests give it."""
+
+    uid: tuple[int, int]
+    owner: int
+    person_id: int
+    embedding: np.ndarray
+
+
+def gallery_of(rows) -> Gallery:
+    """The ``Gallery`` columns of ``GalleryRow``s, one vector per row."""
+    columns = np.array([(*g.uid, g.owner, g.person_id) for g in rows],
+                       dtype=np.int64).reshape(-1, 4).T
+    return Gallery(*columns, np.arange(len(rows), dtype=np.int64),
+                   [g.embedding for g in rows])
+
+
+def oracle_report(dbs, people, gt) -> dict:
+    """The metrics ``compute_report`` gives, less the fingerprint, taken
+    cluster by cluster with plain Counters: each cluster is labeled by the
+    majority person id of its members (ties to the lower id), probes embed
+    the canonical description of every person id any member carries, and
+    the ranks go through ``oracle_cmc`` and ``oracle_map``."""
+    attrs = dict(people)
+    labeled = []  # (uid, owner, majority id, purity, cluster), in pool order
+    detected = set()
+    for db in dbs:
+        for uid, c in db.clusters.items():
+            counts = Counter(m.person_id for m in c.members)
+            detected.update(counts)
+            top = max(counts.values())
+            majority = min(pid for pid, n in counts.items() if n == top)
+            labeled.append((uid, db.owner, majority, top / len(c.members), c))
+    probes = []
+    for pid in sorted(detected):
+        vec = embed(tokenize(canonical_description(attrs[pid])))
+        probes.append((pid, [cosine(vec, item[4].embedding) for item in labeled]))
+    gallery = [item[:3] for item in labeled]
+    largest = mean = 0.0
+    ids = sorted(set(gt))
+    for pid in ids:
+        mine = [item for item in labeled if item[2] == pid]
+        if mine:
+            kept = min(mine, key=lambda item: (-len(item[4].members),
+                                               -max(m.tick for m in item[4].members),
+                                               item[0], item[1]))
+            largest += kept[3]
+            mean += sum(item[3] for item in mine) / len(mine)
+    return {
+        "cmc": tuple(oracle_cmc(probes, gallery, len(gallery))),
+        "map_score": oracle_map(probes, gallery),
+        "avg_purity": largest / len(ids),
+        "normalized_purity": mean / len(ids),
+        "clusters_per_robot": tuple(len(db.clusters) for db in dbs),
+        "detected_identity_count": len(probes),
+    }
+
+
+def record_keys(db) -> set[tuple[int, int, int]]:
+    """The key of every record ``db`` holds."""
+    return {m.key for c in db.clusters.values() for m in c.members}
 
 
 def _split_garment(phrase: str) -> tuple[str | None, str]:

@@ -17,7 +17,7 @@ from swarmreid import metrics, vocab
 from swarmreid.config import SimConfig, set_value
 from swarmreid.language import (cosine, embed, summarize, tokenize,
                                 vocabulary_collision_report)
-from swarmreid.metrics import GalleryItem, Probe, compute_report
+from swarmreid.metrics import Probe, compute_report
 from swarmreid.perception import (DescriptionNoise, DescriptionRecord,
                                   canonical_description, describe,
                                   sample_attributes)
@@ -25,7 +25,7 @@ from swarmreid.reid import ClusterDatabase, exchange
 from swarmreid.runner import run_experiment, sweep
 from swarmreid.vocab import PersonAttributes
 
-from oracles import oracle_cmc, oracle_map
+from oracles import GalleryRow, gallery_of, oracle_cmc, oracle_map, record_keys
 
 
 @contextlib.contextmanager
@@ -59,7 +59,7 @@ def test_ranking_metrics_match_exhaustive_oracle():
             probes = [Probe(int(pid), rng.normal(size=32))
                       for pid in rng.integers(0, 8, size=n_probes)]
             gallery = [
-                GalleryItem((int(rng.integers(0, 4)), j),
+                GalleryRow((int(rng.integers(0, 4)), j),
                             int(rng.integers(0, 4)), int(pid),
                             rng.normal(size=32))
                 for j, pid in enumerate(rng.integers(0, 8, size=n_gallery))
@@ -70,7 +70,7 @@ def test_ranking_metrics_match_exhaustive_oracle():
                 for p in probes
             ]
             oracle_gallery = [(g.uid, g.owner, g.person_id) for g in gallery]
-            cmc, ap = metrics._rank_metrics(probes, gallery)
+            cmc, ap = metrics._rank_metrics(probes, gallery_of(gallery))
             assert list(cmc) == oracle_cmc(oracle_probes, oracle_gallery,
                                            n_gallery)
             assert ap == oracle_map(oracle_probes, oracle_gallery)
@@ -91,7 +91,7 @@ def _db_from_groups(owner, groups, texts):
 
 
 def _avg_purity(dbs, gt):
-    return metrics._purities(metrics._labeled(dbs), sorted(gt))[0]
+    return metrics._purities(metrics._read(dbs), sorted(gt))[0]
 
 
 def test_purity_rules_and_fragmentation_divergence():
@@ -222,19 +222,19 @@ def _random_exchange_sequence(mode):
             assigned[robot].add(record.key)
             tick += 1
         i, j = pairs[int(rng.integers(0, len(pairs)))]
-        union = dbs[i].record_keys() | dbs[j].record_keys()
+        union = record_keys(dbs[i]) | record_keys(dbs[j])
         exchange(dbs[i], dbs[j], 0.8)
-        assert dbs[i].record_keys() == union, "records lost in exchange"
-        assert dbs[j].record_keys() == union, "records lost in exchange"
+        assert record_keys(dbs[i]) == union, "records lost in exchange"
+        assert record_keys(dbs[j]) == union, "records lost in exchange"
         snapshot = (dbs[i].to_json(), dbs[j].to_json())
         exchange(dbs[i], dbs[j], 0.8)
         assert (dbs[i].to_json(), dbs[j].to_json()) == snapshot, (
             "second exchange was not a no-op")
     every_assigned = set().union(*assigned.values())
-    final_union = set().union(*(db.record_keys() for db in dbs.values()))
+    final_union = set().union(*(record_keys(db) for db in dbs.values()))
     assert final_union == every_assigned, "records lost over the run"
     for db in dbs.values():
-        assert db.record_keys() >= assigned[db.owner]
+        assert record_keys(db) >= assigned[db.owner]
         db.check_invariants()
 
 

@@ -1,4 +1,5 @@
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from swarmreid.vocab import (
 )
 from swarmreid.perception import (DescriptionNoise, DescriptionRecord,
                                   describe, sample_attributes)
+from swarmreid.reid import ClusterDatabase
 
 
 class TestTokenize:
@@ -284,6 +286,41 @@ class TestSlotTally:
         assert grown == SlotTally(first + rest)
         assert grown.render() == summarize(first + rest)
         assert tally == SlotTally(first)
+
+    @given(_member_batches(),
+           st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=4, max_size=10),
+           st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=4, max_size=10))
+    # A noun and a hair word that no other test names, so their (slot,
+    # value) pairs are first parsed after ``tally`` is built.
+    @example([[RED, BLUE]], "wizard", "auburn")
+    @examples(100)
+    def test_value_first_seen_later_is_counted_by_plus(self, batches, noun, hair):
+        """A later ``plus`` counts a (slot, value) that no text had named when
+        the tally was built; the new noun and hair word then lead."""
+        members = [t for batch in batches for t in batch]
+        tally = SlotTally(members)
+        more = [f"a {noun} wearing a red shirt and gray pants, {hair} hair"] * (len(members) + 1)
+        grown = tally.plus(more)
+        assert grown == SlotTally(members + more)
+        assert grown.render() == summarize(members + more)
+        parsed = parse_description(grown.render())
+        assert (parsed.noun, parsed.hair_color) == (noun, hair)
+
+    def test_equal_counts_of_other_lengths_are_equal(self):
+        """Tallies equal in every count are equal however far their arrays
+        reach, so ``check_invariants`` accepts a tally longer than a rebuilt one."""
+        db = ClusterDatabase(owner=0)
+        for tick, text in enumerate([RED, BLUE]):
+            db.assign_description(DescriptionRecord.create(
+                text=text, robot_id=0, tick=tick, track_id=0, person_id=0), 0.5)
+        (cluster,) = db.clusters.values()
+        padded = SlotTally()
+        padded.counts = cluster.tally.counts + array("I", [0] * 3)
+        assert padded == SlotTally([RED, BLUE]) == padded
+        cluster.tally = padded
+        db.check_invariants()
+        padded.counts[-1] = 1
+        assert padded != SlotTally([RED, BLUE])
 
 
 class TestVocabularyHashing:

@@ -1,15 +1,20 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from swarmreid import config as cfg
 from swarmreid.errors import ContractError
 from swarmreid.language import cosine, embed, tokenize
-from swarmreid.metrics import (GalleryItem, Probe, _labeled, _probe_gallery,
-                               _purities, _rank_metrics, compute_report)
+from swarmreid.metrics import (Probe, _probes, _purities, _rank_metrics, _read,
+                               compute_report)
 from swarmreid.perception import DescriptionRecord
 from swarmreid.reid import REFERENCE_OPS, ClusterDatabase
+from swarmreid.runner import run_experiment
 from swarmreid.vocab import PersonAttributes
 
-from oracles import oracle_cmc, oracle_map
+from oracles import GalleryRow, gallery_of, oracle_cmc, oracle_map, oracle_report
 
 # distinct filler texts so every track becomes its own cluster at theta 1.0
 _FILLER = [
@@ -41,7 +46,7 @@ def _db_from_groups(owner, groups, texts=None):
 
 def _purity(dbs, gt):
     """(average purity, normalized purity), as ``compute_report`` takes them."""
-    return _purities(_labeled(dbs), sorted(gt))
+    return _purities(_read(dbs), sorted(gt))
 
 
 class TestClusterPurity:
@@ -133,9 +138,10 @@ class TestProbeGallery:
                               lower_color="blue")])]
         dbs = [_db_from_groups(r, [[pid] for pid, _ in people])
                for r in range(4)]
-        probes, gallery = _probe_gallery(_labeled(dbs), people, REFERENCE_OPS)
+        reading = _read(dbs)
+        probes = _probes(reading.detected, people, REFERENCE_OPS)
         assert len(probes) == 6
-        assert len(gallery) == 24
+        assert len(reading.gallery.persons) == 24
         assert [p.person_id for p in probes] == [0, 1, 2, 3, 4, 5]
 
     def test_undetected_person_absent_from_probes(self):
@@ -144,20 +150,20 @@ class TestProbeGallery:
                   (7, PersonAttributes(noun="man", upper_color="blue",
                                        upper_type="shirt", lower_type="pants",
                                        lower_color="gray"))]
-        probes, _ = _probe_gallery(_labeled([db]), people, REFERENCE_OPS)
+        probes = _probes(_read([db]).detected, people, REFERENCE_OPS)
         assert [p.person_id for p in probes] == [1, 2]
         report = compute_report([db], people, {1, 2, 7}, "f" * 16)
         assert report.detected_identity_count == 2
 
     def test_empty_databases(self):
-        probes, gallery = _probe_gallery(
-            _labeled([ClusterDatabase(owner=0)]), [], REFERENCE_OPS)
-        assert probes == [] and gallery == []
+        reading = _read([ClusterDatabase(owner=0)])
+        probes = _probes(reading.detected, [], REFERENCE_OPS)
+        assert probes == [] and len(reading.gallery.persons) == 0
 
     def test_missing_attributes_rejected(self):
         db = _db_from_groups(0, [[1]])
         with pytest.raises(ContractError):
-            _probe_gallery(_labeled([db]), [], REFERENCE_OPS)
+            _probes(_read([db]).detected, [], REFERENCE_OPS)
 
 
 def _basis(i):
@@ -167,29 +173,29 @@ def _basis(i):
 
 
 def _cmc(probes, gallery):
-    return _rank_metrics(probes, gallery)[0]
+    return _rank_metrics(probes, gallery_of(gallery))[0]
 
 
 def _ap(probes, gallery):
-    return _rank_metrics(probes, gallery)[1]
+    return _rank_metrics(probes, gallery_of(gallery))[1]
 
 
 class TestCmcCurve:
     def test_hand_ranked_example(self):
-        gallery = [GalleryItem((0, 0), 0, 2, _basis(0)),
-                   GalleryItem((0, 1), 0, 1, _basis(1)),
-                   GalleryItem((0, 2), 0, 3, _basis(2))]
+        gallery = [GalleryRow((0, 0), 0, 2, _basis(0)),
+                   GalleryRow((0, 1), 0, 1, _basis(1)),
+                   GalleryRow((0, 2), 0, 3, _basis(2))]
         probe = Probe(1, 0.9 * _basis(0) + 0.8 * _basis(1) + 0.1 * _basis(2))
         assert _cmc([probe], gallery) == (0.0, 1.0, 1.0)
 
     def test_perfect_top_one(self):
-        gallery = [GalleryItem((0, i), 0, i, _basis(i)) for i in range(4)]
+        gallery = [GalleryRow((0, i), 0, i, _basis(i)) for i in range(4)]
         probes = [Probe(i, _basis(i)) for i in range(4)]
         assert _cmc(probes, gallery) == (1.0, 1.0, 1.0, 1.0)
 
     def test_similarity_tie_goes_to_lower_uid(self):
-        gallery = [GalleryItem((0, 5), 0, 1, _basis(0)),
-                   GalleryItem((0, 2), 0, 2, _basis(0))]
+        gallery = [GalleryRow((0, 5), 0, 1, _basis(0)),
+                   GalleryRow((0, 2), 0, 2, _basis(0))]
         probe_two = Probe(2, _basis(0))
         assert _cmc([probe_two], gallery) == (1.0, 1.0)
         probe_one = Probe(1, _basis(0))
@@ -198,21 +204,21 @@ class TestCmcCurve:
 
 class TestMeanAp:
     def test_single_correct_at_rank_one(self):
-        gallery = [GalleryItem((0, 0), 0, 1, _basis(0)),
-                   GalleryItem((0, 1), 0, 2, _basis(1)),
-                   GalleryItem((0, 2), 0, 3, _basis(2))]
+        gallery = [GalleryRow((0, 0), 0, 1, _basis(0)),
+                   GalleryRow((0, 1), 0, 2, _basis(1)),
+                   GalleryRow((0, 2), 0, 3, _basis(2))]
         probe = Probe(1, 0.9 * _basis(0) + 0.8 * _basis(1) + 0.1 * _basis(2))
         assert _ap([probe], gallery) == 1.0
 
     def test_correct_at_ranks_one_and_three(self):
-        gallery = [GalleryItem((0, 0), 0, 1, _basis(0)),
-                   GalleryItem((0, 1), 0, 2, _basis(1)),
-                   GalleryItem((0, 2), 0, 1, _basis(2))]
+        gallery = [GalleryRow((0, 0), 0, 1, _basis(0)),
+                   GalleryRow((0, 1), 0, 2, _basis(1)),
+                   GalleryRow((0, 2), 0, 1, _basis(2))]
         probe = Probe(1, 0.9 * _basis(0) + 0.8 * _basis(1) + 0.1 * _basis(2))
         assert abs(_ap([probe], gallery) - 5 / 6) < 1e-15
 
     def test_absent_identity_scores_zero(self):
-        gallery = [GalleryItem((0, 0), 0, 2, _basis(0))]
+        gallery = [GalleryRow((0, 0), 0, 2, _basis(0))]
         assert _ap([Probe(1, _basis(0))], gallery) == 0.0
 
 
@@ -222,7 +228,7 @@ def _random_instance(rng, max_probes=12, max_gallery=40, dim=16):
     ids = lambda n: rng.integers(0, 6, size=n)
     probes = [Probe(int(pid), rng.normal(size=dim)) for pid in ids(n_probes)]
     gallery = [
-        GalleryItem((int(rng.integers(0, 4)), j), int(rng.integers(0, 4)),
+        GalleryRow((int(rng.integers(0, 4)), j), int(rng.integers(0, 4)),
                     int(pid), rng.normal(size=dim))
         for j, pid in enumerate(ids(n_gallery))
     ]
@@ -240,7 +246,7 @@ class TestOracleEquivalence:
                 for p in probes
             ]
             oracle_gallery = [(g.uid, g.owner, g.person_id) for g in gallery]
-            cmc, ap = _rank_metrics(probes, gallery)
+            cmc, ap = _rank_metrics(probes, gallery_of(gallery))
             assert list(cmc) == oracle_cmc(oracle_probes, oracle_gallery,
                                            len(gallery))
             assert ap == oracle_map(oracle_probes, oracle_gallery)
@@ -249,6 +255,51 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(7)
         for _ in range(40):
             probes, gallery = _random_instance(rng)
-            curve, ap = _rank_metrics(probes, gallery)
+            curve, ap = _rank_metrics(probes, gallery_of(gallery))
             assert all(a <= b for a, b in zip(curve, curve[1:]))
             assert 0.0 <= ap <= curve[-1]
+
+
+def _crowded(robots, mode="text", *overrides):
+    """crowded.yaml at ``robots`` robots for 300 ticks, simulation seed 0."""
+    base = cfg.load_config(Path(__file__).resolve().parents[1] / "configs" / "crowded.yaml")
+    return cfg.apply_overrides(base, [f"robots.count={robots}", "duration_ticks=300",
+                                      f"mode={mode}", *overrides])
+
+
+class TestReportOfRuns:
+    def _assert_oracle_report(self, art):
+        got = art.metrics
+        expected = oracle_report(art.databases, art.people, range(art.config.people.count))
+        for name, value in expected.items():
+            assert getattr(got, name) == value, name
+
+    @pytest.mark.parametrize("mode", ["text", "vector-baseline"])
+    @pytest.mark.parametrize("robots", [4, 8])
+    def test_crowded_runs_match_the_oracle(self, robots, mode):
+        art = run_experiment(_crowded(robots, mode))
+        assert art.metrics.detected_identity_count > 0
+        self._assert_oracle_report(art)
+
+    def test_run_that_detects_nobody_matches_the_oracle(self):
+        art = run_experiment(_crowded(4, "text", "robots.sensing_range=0.001"))
+        assert art.metrics.detected_identity_count == 0
+        assert art.metrics.cmc == () and art.metrics.map_score == 0.0
+        self._assert_oracle_report(art)
+
+    def test_report_memory_per_gallery_cluster(self):
+        """The report reads the clusters into a few int64 columns and keeps
+        nothing per cluster: its traced peak stays within 256 B per gallery
+        cluster. The caches it fills (probe embeddings) are warmed first."""
+        art = run_experiment(_crowded(8))
+        clusters = sum(len(db.clusters) for db in art.databases)
+        args = (art.databases, art.people, range(art.config.people.count), "f" * 16)
+        compute_report(*args)
+        tracemalloc.start()
+        try:
+            compute_report(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert clusters > 600
+        assert peak <= 256 * clusters, f"{peak / clusters:.0f} B per cluster"

@@ -16,7 +16,7 @@ from swarmreid.reid import (DEFAULT_TOMBSTONE_CAP, REFERENCE_OPS, ClusterDatabas
                             ClusterView, ExchangeStats, LanguageOps,
                             _SimilarityIndex, canonical_json, exchange)
 
-from oracles import brute_force_query, oracle_delta, stacked_best, stacked_top
+from oracles import brute_force_query, oracle_delta, record_keys, stacked_best, stacked_top
 
 
 _PEOPLE = sample_attributes(6, np.random.default_rng(7), distinct=True)
@@ -55,10 +55,10 @@ class TestExchangeProperties:
     def test_records_conserved_both_sides(self, script, mode, theta_local,
                                           theta_merge):
         dbs = _build(script, theta_local, mode=mode)
-        union = dbs[0].record_keys() | dbs[1].record_keys()
+        union = record_keys(dbs[0]) | record_keys(dbs[1])
         exchange(dbs[0], dbs[1], theta_merge)
         for db in dbs.values():
-            assert db.record_keys() == union
+            assert record_keys(db) == union
             assert db.record_count() == len(union)
             db.check_invariants()
 
@@ -90,16 +90,16 @@ class TestExchangeProperties:
     def test_gossip_never_loses_records(self, script, meetings, mode,
                                         theta_local, theta_merge):
         dbs = _build(script, theta_local, owners=(0, 1, 2), mode=mode)
-        assigned = {r: db.record_keys() for r, db in dbs.items()}
+        assigned = {r: record_keys(db) for r, db in dbs.items()}
         union = set().union(*assigned.values())
         for i, j in meetings:
-            before_i = dbs[i].record_keys()
-            before_j = dbs[j].record_keys()
+            before_i = record_keys(dbs[i])
+            before_j = record_keys(dbs[j])
             exchange(dbs[i], dbs[j], theta_merge)
-            assert dbs[i].record_keys() == dbs[j].record_keys() == before_i | before_j
+            assert record_keys(dbs[i]) == record_keys(dbs[j]) == before_i | before_j
         for db in dbs.values():
-            assert db.record_keys() <= union
-            assert db.record_keys() >= assigned[db.owner]
+            assert record_keys(db) <= union
+            assert record_keys(db) >= assigned[db.owner]
             db.check_invariants()
 
     @given(script=_sightings, theta_local=_theta,
@@ -172,7 +172,7 @@ class TestSerializationProperties:
         for db in dbs.values():
             clone = ClusterDatabase.from_json(db.to_json())
             assert clone.to_json() == db.to_json()
-            assert clone.record_keys() == db.record_keys()
+            assert record_keys(clone) == record_keys(db)
             clone.check_invariants()
 
 
@@ -279,7 +279,7 @@ def _one_sided(receiver, sender, theta_merge):
     Returns the receiver's snapshot and its (merged, copied, added) counts.
     """
     receiver, sender = copy.deepcopy(receiver), copy.deepcopy(sender)
-    held = receiver.record_keys()
+    held = record_keys(receiver)
     # (uid, member index) -> position of that record in its robot's order
     seq_of = {place: seq for log in sender._by_origin.values()
               for seq, place in enumerate(zip(*log))}

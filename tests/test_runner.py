@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from oracles import brute_force_query, stacked_best, stacked_top
-from swarmreid import config as cfg
+from oracles import brute_force_query, record_keys, stacked_best, stacked_top
+from swarmreid import config as cfg, runner
 from swarmreid.config import SimConfig, load_config, set_value, validate
 from swarmreid.errors import ConfigError, ContractError
 from swarmreid.language import embed, tokenize
@@ -351,7 +351,7 @@ class TestLoadSharesRecords:
     def test_from_json_outside_load_shares_nothing(self, saved_run):
         a, b = (ClusterDatabase.from_json((saved_run / f"db_robot_{r}.json").read_text())
                 for r in _exchanged_pair(saved_run))
-        assert a.record_keys() & b.record_keys()
+        assert record_keys(a) & record_keys(b)
         assert not {id(m) for m in _records([a])} & {id(m) for m in _records([b])}
 
     def test_loads_through_a_wrapped_from_json(self, saved_run, monkeypatch):
@@ -372,7 +372,7 @@ class TestLoadSharesRecords:
 def _rebuilt_state(db):
     """What loading rebuilds besides the saved fields, by value."""
     return {
-        "keys": db.record_keys(),
+        "keys": record_keys(db),
         "samples": {uid: [m.key for m in c.samples] for uid, c in db.clusters.items()},
         "vectors": {uid: c.embedding.tobytes() for uid, c in db.clusters.items()},
         "sums": {uid: None if c.embedding_sum is None else c.embedding_sum.tobytes()
@@ -484,6 +484,37 @@ class TestLoadPausesCollector:
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was else gc.disable)()
+        assert during and not any(during)
+
+
+class TestRunPausesCollector:
+    """A run pauses the collector on the premise that it makes no reference
+    cycle: with the collector off, a collection after a run frees nothing."""
+
+    @pytest.mark.parametrize("mode", ["text", "vector-baseline"])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_run_makes_no_cycle_and_restores_the_setting(self, mode, enabled, monkeypatch):
+        c = _small(mode=mode)
+        assert c.communication_enabled
+        during = []
+        step = runner.ballistic_step
+
+        def recording(*args, **kwargs):
+            during.append(gc.isenabled())
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "ballistic_step", recording)
+        was = gc.isenabled()
+        gc.collect()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            art = run_experiment(c)
+            assert gc.isenabled() is enabled
+            gc.disable()
+            assert gc.collect() == 0, "a run left unreachable objects"
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert any(e["type"] == "exchange" for e in art.events)
         assert during and not any(during)
 
 
