@@ -101,13 +101,14 @@ def _read(dbs: Sequence[ClusterDatabase]) -> _Reading:
         for c in db.clusters.values():
             pid, purity, ids = _label(c)
             detected.update(ids)
-            key = (-len(c.members), -c.last_member_tick(), c.uid, db.owner)
+            summary = c.summary
+            key = (-len(c.members), -summary.samples[0].tick, c.uid, db.owner)
             if pid not in retained or key < retained[pid][0]:
                 retained[pid] = key, purity
             purities[pid].append(purity)
-            slot = slot_of.setdefault(id(c.embedding), len(vectors))
+            slot = slot_of.setdefault(id(summary.embedding), len(vectors))
             if slot == len(vectors):
-                vectors.append(c.embedding)
+                vectors.append(summary.embedding)
             for column, value in zip(columns, (*c.uid, db.owner, pid, slot)):
                 column.append(value)
     gallery = Gallery(*(np.frombuffer(column, dtype=np.int64) for column in columns),

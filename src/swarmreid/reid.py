@@ -28,13 +28,9 @@ cluster. Nothing is remembered per peer.
 
 Exchange passes records by reference, so a run's databases share one record
 object per record; databases loaded inside one ``shared_records`` scope share
-them the same way. A cluster's summary state (summary text, embedding, slot
-tally, samples) is made of values that updates rebind and never change, so
-views carry it by reference and taking a view writes nothing. A cluster that
-an exchange leaves with exactly the sender's members takes that state, which
-depends only on the member set, so no summary is derived twice for one
-cluster state. The similarity indexes of every database in the process keep
-slot ids into one table of distinct vectors (``_VectorTable``).
+them the same way. Views carry each cluster's ``Summary`` by reference too.
+The similarity indexes of every database in the process keep slot ids into
+one table of distinct vectors (``_VectorTable``).
 """
 
 from __future__ import annotations
@@ -45,7 +41,7 @@ from array import array
 from contextlib import contextmanager
 from contextvars import ContextVar
 from copy import deepcopy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -61,7 +57,7 @@ ClusterUid = tuple[int, int]
 SCHEMA_VERSION = 1
 DEFAULT_TOMBSTONE_CAP = 1024
 
-# The vector of a cluster before its first refresh, and the running sum it
+# The vector of a cluster before its first member, and the running sum it
 # starts from; shared, as nothing writes into either.
 _ZEROS = np.zeros(EMBEDDING_DIM)
 _ZEROS.flags.writeable = False
@@ -101,31 +97,34 @@ class LanguageOps:
 REFERENCE_OPS = LanguageOps()
 
 
+class Summary(NamedTuple):
+    """A cluster's summary state, never changed once built: each update
+    binds a new one, so views and adopters share it by reference."""
+
+    text: str
+    # The matching vector: the text's embedding in text mode, the unit mean
+    # member embedding in vector-baseline mode. Nothing writes into it, so
+    # the vector table, which copies each vector object once, stays equal.
+    embedding: np.ndarray
+    # Slot votes of the members, reference summarizer only, else None.
+    tally: SlotTally | None
+    # The first three members in _sample_order, which query returns as a
+    # hit's samples.
+    samples: tuple[DescriptionRecord, ...]
+
+
+# The summary of a cluster before its first member.
+_EMPTY = Summary("", _ZEROS, None, ())
+
+
 @dataclass(slots=True)
 class Cluster:
     uid: ClusterUid
     members: list[DescriptionRecord]
-    summary_text: str
-    # The matching vector; only ClusterDatabase._refresh sets it, and it
-    # binds a new array rather than writing into the old one, so a
-    # ClusterView taken earlier keeps the vector it saw, and the vector
-    # table, which copies each vector object once, stays equal to it.
-    embedding: np.ndarray
+    summary: Summary
     # Vector-baseline mode only, else None: member embeddings summed in
     # member order. Every append binds a new array.
     embedding_sum: np.ndarray | None
-    # Slot votes of the members, reference summarizer only: built from the
-    # member list on a new cluster's first append, rebound to ``plus`` the
-    # new texts on each later one, or adopted from the view of a cluster
-    # with exactly its members. A loaded cluster has none.
-    tally: SlotTally | None = field(default=None, repr=False, compare=False)
-    # The first three members in _sample_order, which query returns as a
-    # hit's samples; only ClusterDatabase._append sets it, or adopts it.
-    samples: tuple[DescriptionRecord, ...] = field(default=(), repr=False,
-                                                   compare=False)
-
-    def last_member_tick(self) -> int:
-        return self.samples[0].tick
 
 
 def _sample_order(record: DescriptionRecord) -> tuple[int, int, int]:
@@ -139,22 +138,17 @@ class ClusterView(NamedTuple):
 
     The cluster then had ``n`` members; ``members`` is a new list of just
     those the receiver lacked, in member order, at positions ``seqs`` of
-    their robots' assignment orders. The rest is the sender's state by
-    reference, which a receiver that ends with exactly the cluster's members
-    adopts: ``source`` is the sender's member list itself, whose first ``n``
-    entries are the cluster (member lists only grow), and the summary,
-    embedding, tally and samples are values that updates rebind, never change.
+    their robots' assignment orders. ``source`` is the sender's member list
+    itself, whose first ``n`` entries are the cluster (member lists only
+    grow), and ``summary`` the sender's, both by reference.
     """
 
     uid: ClusterUid
     members: list[DescriptionRecord]
     seqs: list[int]
     n: int
-    summary_text: str
-    embedding: np.ndarray
     source: list[DescriptionRecord]
-    tally: SlotTally | None
-    samples: tuple[DescriptionRecord, ...]
+    summary: Summary
 
 
 class _OriginLog(NamedTuple):
@@ -476,25 +470,22 @@ class ClusterDatabase:
     # ---------- internals ----------
 
     def _new_cluster(self, uid: ClusterUid) -> Cluster:
-        """Register an empty cluster; callers add members and refresh it."""
-        cluster = Cluster(uid=uid, members=[], summary_text="", embedding=_ZEROS,
+        """Register an empty cluster; callers add members to it."""
+        cluster = Cluster(uid=uid, members=[], summary=_EMPTY,
                           embedding_sum=None if self.mode == "text" else _ZEROS)
         self.clusters[uid] = cluster
         return cluster
 
     def _append(self, cluster: Cluster, records: Sequence[DescriptionRecord],
-                seqs: Sequence[int] | None,
-                samples: tuple[DescriptionRecord, ...] = ()) -> None:
+                seqs: Sequence[int] | None) -> None:
         """Add records not held yet to ``cluster``, in member order, each
         logged at its ``seqs`` position of its robot's order unless the
-        database was loaded; given ``samples``, those of the members after
-        the append, they replace the cluster's.
+        database was loaded.
 
-        One call takes a whole batch, as a loaded cluster is: the samples
-        and the running sum are brought up to date once. Its callers pass
-        no record held already: ``from_dict`` and ``assign_description``
-        refuse a repeated one, and a view lists only records the receiver
-        lacks.
+        One call takes a whole batch, as a loaded cluster is: the running
+        sum is brought up to date once. Its callers pass no record held
+        already: ``from_dict`` and ``assign_description`` refuse a repeated
+        one, and a view lists only records the receiver lacks.
         """
         if cluster.embedding_sum is not None:
             total = cluster.embedding_sum
@@ -512,37 +503,27 @@ class ClusterDatabase:
                 log.put(seq, uid, index)
                 index += 1
         members.extend(records)
-        if samples:
-            cluster.samples = samples
-            return
-        samples = cluster.samples
-        if len(records) == 1 and (not samples or records[0].tick > samples[0].tick):
-            cluster.samples = (records[0], *samples[:2])
-        else:
-            cluster.samples = tuple(sorted((*samples, *records), key=_sample_order)[:3])
 
-    def _refresh(self, cluster: Cluster, summary_text: str) -> None:
-        """Set the summary, the embedding and its index row after appends.
+    def _vector(self, cluster: Cluster, text: str) -> np.ndarray:
+        """The matching vector of ``cluster`` with summary ``text`` after
+        appends, set as its index row.
 
-        With a running sum, the embedding is the unit mean: dividing a sum
-        taken from zero in member order reproduces
-        ``np.stack(vectors).mean(axis=0)`` bit for bit. A mean too short to
-        normalise, like text mode, takes the summary's embedding.
+        With a running sum, it is the unit mean: dividing a sum taken from
+        zero in member order reproduces ``np.stack(vectors).mean(axis=0)``
+        bit for bit. A mean too short to normalise, like text mode, takes
+        the text's embedding. In text mode a non-empty text equal to the
+        current one keeps its vector and row; a new cluster has no row.
         """
-        if (cluster.embedding_sum is None and summary_text
-                and summary_text == cluster.summary_text):
-            # Text mode: the vector is the summary's, and a cluster is
-            # created with an empty summary before its first refresh.
-            return
-        cluster.summary_text = summary_text
-        vec = self.ops.embed(cached_tokens(summary_text))
+        if cluster.embedding_sum is None and text and text == cluster.summary.text:
+            return cluster.summary.embedding
+        vec = self.ops.embed(cached_tokens(text))
         if cluster.embedding_sum is not None:
             mean = cluster.embedding_sum / len(cluster.members)
             norm = float(np.linalg.norm(mean))
             if norm > 1e-12:
                 vec = mean / norm
-        cluster.embedding = vec
         self._index.set(cluster.uid, vec)
+        return vec
 
     def _remember_tombstone(self, absorbed: ClusterUid, survivor: ClusterUid) -> None:
         """Redirect ``absorbed``, which does not resolve, to live ``survivor``."""
@@ -556,45 +537,48 @@ class ClusterDatabase:
         return uid if uid in self.clusters else None
 
     def _add_members(self, cluster: Cluster, records: Sequence[DescriptionRecord],
-                     seqs: Sequence[int] | None, summary_text: str | None = None) -> None:
-        """The one way into a cluster: append records not held yet at their
-        ``seqs`` positions, then refresh, with a given ``summary_text``
-        instead of a summarizer's."""
+                     seqs: Sequence[int] | None, text: str | None = None) -> None:
+        """Append records not held yet at their ``seqs`` positions, then
+        bind the summary derived from the members, with a given ``text``
+        instead of a summarizer's. The reference summarizer's tally takes
+        ``plus`` of only the new texts; any other gets every member's text."""
         self._append(cluster, records, seqs)
-        if summary_text is None:
-            summary_text = self._summary(cluster, len(records))
-        self._refresh(cluster, summary_text)
-
-    def _summary(self, cluster: Cluster, added: int) -> str:
-        """Summary after the last ``added`` appends. The reference summarizer
-        rebinds the cluster's tally to one plus only their texts; any other
-        gets every member's text."""
-        if self.ops.summarize is not summarize:
-            return self.ops.summarize([m.text for m in cluster.members])
-        if cluster.tally is None:
-            cluster.tally = SlotTally([m.text for m in cluster.members])
+        tally, samples = cluster.summary.tally, cluster.summary.samples
+        if text is None:
+            if self.ops.summarize is not summarize:
+                text = self.ops.summarize([m.text for m in cluster.members])
+            else:
+                tally = (SlotTally([m.text for m in cluster.members]) if tally is None
+                         else tally.plus([r.text for r in records]))
+                text = tally.render()
+        if len(records) == 1 and (not samples or records[0].tick > samples[0].tick):
+            samples = (records[0], *samples[:2])
         else:
-            cluster.tally = cluster.tally.plus([m.text for m in cluster.members[-added:]])
-        return cluster.tally.render()
+            samples = tuple(sorted((*samples, *records), key=_sample_order)[:3])
+        cluster.summary = Summary(text, self._vector(cluster, text), tally, samples)
 
     def _take(self, cluster: Cluster, view: ClusterView) -> None:
-        """Append ``view``'s records to ``cluster`` and refresh it.
+        """Append ``view``'s records to ``cluster`` and bind its summary.
 
         A cluster that then holds exactly the sender's members adopts the
-        sender's summary, tally and samples: a verbatim copy, which holds
-        them in the sender's order, under any summarizer, and a merge whose
-        held records lie among the sender's first ``n`` under the reference
-        summarizer only, as another may depend on member order. Every other
-        cluster derives its own.
+        sender's summary, as that depends only on the member set: a verbatim
+        copy, which holds them in the sender's order, under any summarizer,
+        and a merge whose held records lie among the sender's first ``n``
+        under the reference summarizer only, as another may depend on member
+        order. It takes the ``Summary`` object itself when its own vector is
+        the sender's, as in text mode with one ``ops``, else that summary
+        with its own vector. Every other cluster derives its own.
         """
         held, fresh, n = cluster.members, view.members, view.n
         if len(held) + len(fresh) == n and (
                 not held or self.ops.summarize is summarize
                 and (held == view.source[:len(held)]
                      or set(map(id, view.source[:n])).issuperset(map(id, held)))):
-            self._append(cluster, fresh, view.seqs, view.samples)
-            cluster.tally = view.tally
-            self._refresh(cluster, view.summary_text)
+            self._append(cluster, fresh, view.seqs)
+            summary = view.summary
+            vec = self._vector(cluster, summary.text)
+            cluster.summary = (summary if vec is summary.embedding
+                               else summary._replace(embedding=vec))
         else:
             self._add_members(cluster, fresh, view.seqs)
 
@@ -606,16 +590,16 @@ class ClusterDatabase:
 
         Track continuity wins first: a record whose (robot_id, track_id) is
         already present joins that cluster regardless of similarity. Otherwise
-        the record joins the most similar cluster if its summary similarity
-        reaches ``theta_local`` (inclusive, ties toward the lowest uid), else
-        it founds a new singleton cluster. A cluster vector bitwise identical
-        to the record's scores exactly 1.0, so ``theta_local=1.0`` joins
-        identical descriptions; ``query`` scores stay the raw clamped dot
-        product. The record takes the next position in the owner's order
-        (see ``exchange``). ContractError is raised before anything changes
-        in a loaded database, which is read-only, and for a record of another
-        robot than the owner or not after its track's last tick, as one
-        assigned already.
+        the record joins the most similar cluster if its similarity to the
+        cluster's vector reaches ``theta_local`` (inclusive, ties toward the
+        lowest uid), else it founds a new singleton cluster. A cluster vector
+        bitwise identical to the record's scores exactly 1.0, so
+        ``theta_local=1.0`` joins identical descriptions; ``query`` scores
+        stay the raw clamped dot product. The record takes the next position
+        in the owner's order (see ``exchange``). ContractError is raised
+        before anything changes in a loaded database, which is read-only,
+        and for a record of another robot than the owner or not after its
+        track's last tick, as one assigned already.
         """
         if not (0.0 <= theta_local <= 1.0):
             raise ContractError(f"theta_local={theta_local} outside [0, 1]")
@@ -671,8 +655,8 @@ class ClusterDatabase:
         clusters = self.clusters
         hits = []
         for negated, uid in ranked[:k]:
-            cluster = clusters[uid]
-            hits.append(QueryHit(uid, -negated, cluster.summary_text, cluster.samples))
+            summary = clusters[uid].summary
+            hits.append(QueryHit(uid, -negated, summary.text, summary.samples))
         return hits
 
     def record_count(self) -> int:
@@ -713,8 +697,7 @@ class ClusterDatabase:
             listed = sorted(lacking.get(uid, ()))
             views.append(ClusterView(uid, [c.members[i] for i, _ in listed],
                                      [seq for _, seq in listed], len(c.members),
-                                     c.summary_text, c.embedding,
-                                     c.members, c.tally, c.samples))
+                                     c.members, c.summary))
         return views
 
     def _absorb(self, received: list[ClusterView], theta_merge: float
@@ -723,18 +706,16 @@ class ClusterDatabase:
 
         Each view lists what this database lacked of its cluster when taken;
         the sender's clusters hold disjoint records, so that is exactly what
-        full-state absorption finds fresh. A cluster that ends with all ``n``
-        members of the view's takes the sender's summary (``_take``).
+        full-state absorption finds fresh; ``_take`` adds it.
         """
         merged = copied = added_total = 0
         for view in received:
             fresh = view.members
             target = self._resolve_uid(view.uid)
             if target is None:
-                best = self._index.best(view.embedding)
+                best = self._index.best(view.summary.embedding)
                 if best is None or best[1] < theta_merge:
-                    # A verbatim copy keeps the origin's summary, so no
-                    # summarizer runs; re-summing its members in member order
+                    # A verbatim copy: re-summing its members in member order
                     # reproduces the origin's sum bit for bit. With no fresh
                     # record, every one already lives in some local cluster.
                     if fresh:
@@ -782,7 +763,7 @@ class ClusterDatabase:
                                f'"text":{text},"tick":{m.tick},"track_id":{m.track_id}}}')
             rest = canonical_json({
                 "uid": list(uid),
-                "summary_text": c.summary_text,
+                "summary_text": c.summary.text,
                 "track_ids": [list(t) for t in
                               sorted({m.track for m in c.members})],
             })
@@ -880,22 +861,23 @@ class ClusterDatabase:
             held += len(c.members)
             texts = [m.text for m in c.members]
             expected = self.ops.summarize(texts)
-            assert c.summary_text == expected, (
-                f"stale summary in {uid}: {c.summary_text!r} != {expected!r}"
+            text, embedding, tally, samples = c.summary
+            assert text == expected, (
+                f"stale summary in {uid}: {text!r} != {expected!r}"
             )
-            assert c.tally is None or c.tally == SlotTally(texts), (
+            assert tally is None or tally == SlotTally(texts), (
                 f"tally of {uid} differs from its members'")
-            assert c.samples == tuple(sorted(c.members, key=_sample_order)[:3]), (
+            assert samples == tuple(sorted(c.members, key=_sample_order)[:3]), (
                 f"samples of {uid} are not its first members in query order")
             assert (c.embedding_sum is None) == (self.mode == "text")
-            vec = self.ops.embed(tokenize(c.summary_text))
+            vec = self.ops.embed(tokenize(text))
             if c.embedding_sum is not None:
                 stacked = np.stack([self.ops.embed(m.tokens) for m in c.members])
                 assert c.embedding_sum.tobytes() == stacked.sum(axis=0).tobytes()
                 mean = stacked.mean(axis=0)
                 norm = float(np.linalg.norm(mean))
                 vec = mean / norm if norm > 1e-12 else vec
-            assert c.embedding.tobytes() == vec.tobytes(), (
+            assert embedding.tobytes() == vec.tobytes(), (
                 f"embedding of {uid} differs from its recomputation")
             for m in c.members:
                 first, last = tracks.get(m.track, (uid, m.tick))
@@ -928,8 +910,9 @@ class ClusterDatabase:
         table = index._table
         for uid, c in self.clusters.items():
             slot = int(index._slots[index._rows[uid]])
-            assert (table.vectors[slot] is c.embedding
-                    and table.mat[slot].tobytes() == c.embedding.tobytes()), (
+            embedding = c.summary.embedding
+            assert (table.vectors[slot] is embedding
+                    and table.mat[slot].tobytes() == embedding.tobytes()), (
                 f"index row of {uid} is not its embedding")
         table.check()
         assert len(self.tombstones) <= self.tombstone_cap, "tombstones beyond the cap"
@@ -989,8 +972,7 @@ def exchange(a: ClusterDatabase, b: ClusterDatabase,
         raise ContractError(f"database of owner {loaded[0]} was loaded by from_dict "
                             "and does not exchange")
     # Both deltas come before either absorbs: a's views list their records
-    # in lists of their own, and a's summary state is rebound, never
-    # changed, while a absorbs b's.
+    # in lists of their own and carry summaries that nothing changes.
     views_a = a._delta_for(b)
     views_b = b._delta_for(a)
     unsent_a = len(a.clusters) - len(views_a)

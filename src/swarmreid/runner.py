@@ -375,6 +375,8 @@ def sweep(base: SimConfig, axis: str, values: Sequence[object],
     if axis == "seed":
         raise ConfigError("sweep cannot vary 'seed' as its axis: seeds sets "
                           "each run's seed")
+    if workers < 1:
+        raise ConfigError("workers: must be at least 1")
     for name, given in (("values", values), ("seeds", seeds)):
         repeated = [v for i, v in enumerate(given) if v in given[:i]]
         if repeated:

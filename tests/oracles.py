@@ -153,7 +153,7 @@ def oracle_report(dbs, people, gt) -> dict:
     probes = []
     for pid in sorted(detected):
         vec = embed(tokenize(canonical_description(attrs[pid])))
-        probes.append((pid, [cosine(vec, item[4].embedding) for item in labeled]))
+        probes.append((pid, [cosine(vec, item[4].summary.embedding) for item in labeled]))
     gallery = [item[:3] for item in labeled]
     largest = mean = 0.0
     ids = sorted(set(gt))
@@ -284,10 +284,10 @@ def brute_force_query(db, vec, k):
     product of ``vec`` with its embedding, ranked by (-score, uid), as
     (uid, score, summary, the three members latest first, then by robot
     and track id)."""
-    scored = sorted(((min(1.0, max(-1.0, float(np.dot(vec, c.embedding)))), uid)
+    scored = sorted(((min(1.0, max(-1.0, float(np.dot(vec, c.summary.embedding)))), uid)
                      for uid, c in db.clusters.items()),
                     key=lambda pair: (-pair[0], pair[1]))
-    return [(uid, score, db.clusters[uid].summary_text,
+    return [(uid, score, db.clusters[uid].summary.text,
              tuple(sorted(db.clusters[uid].members,
                           key=lambda m: (-m.tick, m.robot_id, m.track_id))[:3]))
             for score, uid in scored[:k]]

@@ -315,9 +315,9 @@ class TestSlotTally:
                 text=text, robot_id=0, tick=tick, track_id=0, person_id=0), 0.5)
         (cluster,) = db.clusters.values()
         padded = SlotTally()
-        padded.counts = cluster.tally.counts + array("I", [0] * 3)
+        padded.counts = cluster.summary.tally.counts + array("I", [0] * 3)
         assert padded == SlotTally([RED, BLUE]) == padded
-        cluster.tally = padded
+        cluster.summary = cluster.summary._replace(tally=padded)
         db.check_invariants()
         padded.counts[-1] = 1
         assert padded != SlotTally([RED, BLUE])

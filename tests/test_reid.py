@@ -30,7 +30,7 @@ class TestAssign:
         uid, created = db.assign_description(_record(WOMAN_TEXT), 0.8)
         assert created is True
         assert uid == (0, 0)
-        assert db.clusters[uid].summary_text == WOMAN_TEXT
+        assert db.clusters[uid].summary.text == WOMAN_TEXT
         db.check_invariants()
 
     def test_identical_text_joins(self):
@@ -47,7 +47,7 @@ class TestAssign:
         db.assign_description(_record(WOMAN_TEXT, track_id=1), 0.8)
         probe = _record(MAN_TEXT, track_id=2, tick=1)
         sim = cosine(embed(list(probe.tokens)),
-                     db.clusters[(0, 0)].embedding)
+                     db.clusters[(0, 0)].summary.embedding)
         uid, created = db.assign_description(probe, sim)
         assert created is False
         assert uid == (0, 0)
@@ -116,11 +116,11 @@ class TestSummarizerOps:
         b.assign_description(_record(man[1], robot_id=1, tick=1, track_id=1), 0.8)
         exchange(a, b, 1.0)
         assert calls[3:] == [man] * 2
-        assert a.clusters[(1, 0)].summary_text == "cluster of 2"
-        assert a.clusters[(0, 0)].summary_text == "cluster of 2"
+        assert a.clusters[(1, 0)].summary.text == "cluster of 2"
+        assert a.clusters[(0, 0)].summary.text == "cluster of 2"
         for db in (a, b):
             db.check_invariants()
-            assert all(c.tally is None for c in db.clusters.values())
+            assert all(c.summary.tally is None for c in db.clusters.values())
 
     def test_summarizer_is_given_texts_only(self):
         """No summarizer sees a record, and so no sealed person id: the
@@ -156,16 +156,16 @@ class TestTextModeEmbeds:
             return embed(tokens)
 
         def summary_tokens(db):
-            return sorted(cached_tokens(c.summary_text) for c in db.clusters.values())
+            return sorted(cached_tokens(c.summary.text) for c in db.clusters.values())
 
         ops = LanguageOps(embed=counting_embed)
         a = ClusterDatabase(owner=0, ops=ops)
         first = _record(WOMAN_TEXT, track_id=1)
         a.assign_description(first, 0.8)
-        assert embedded == [first.tokens, cached_tokens(a.clusters[(0, 0)].summary_text)]
+        assert embedded == [first.tokens, cached_tokens(a.clusters[(0, 0)].summary.text)]
         embedded.clear()
         a.assign_description(_record(GREEN_TEXT, tick=1, track_id=1), 0.8)
-        assert embedded == [cached_tokens(a.clusters[(0, 0)].summary_text)]
+        assert embedded == [cached_tokens(a.clusters[(0, 0)].summary.text)]
 
         b = ClusterDatabase(owner=1, ops=ops)
         embedded.clear()
@@ -408,8 +408,8 @@ class TestExchange:
     def test_same_outfit_clusters_merge_with_union(self):
         a = self._seeded_db(0, [(WOMAN_TEXT, 1)])
         b = self._seeded_db(1, [(WOMAN_TEXT, 1)])
-        sim = cosine(a.clusters[(0, 0)].embedding,
-                     b.clusters[(1, 0)].embedding)
+        sim = cosine(a.clusters[(0, 0)].summary.embedding,
+                     b.clusters[(1, 0)].summary.embedding)
         assert sim == 1.0
         exchange(a, b, 0.8)
         assert len(a.clusters) == 1
@@ -452,8 +452,8 @@ class TestExchange:
         a = ClusterDatabase(owner=0, mode=mode)
         assert exchange(a, b, 0.8).copied_to_a == 1
         origin, copy = b.clusters[(1, 0)], a.clusters[(1, 0)]
-        assert copy.summary_text == origin.summary_text
-        assert copy.embedding.tobytes() == origin.embedding.tobytes()
+        assert copy.summary.text == origin.summary.text
+        assert copy.summary.embedding.tobytes() == origin.summary.embedding.tobytes()
         if mode == "text":
             assert copy.embedding_sum is None and origin.embedding_sum is None
         else:
@@ -467,13 +467,13 @@ class TestExchange:
         assert stats.copied_to_a == 1 and stats.copied_to_b == 1
         assert sorted(a.clusters) == [(0, 0), (1, 0)]
         assert sorted(b.clusters) == [(0, 0), (1, 0)]
-        assert a.clusters[(1, 0)].summary_text == GREEN_TEXT
+        assert a.clusters[(1, 0)].summary.text == GREEN_TEXT
 
 
 class TestAdoptedState:
     """A cluster that an exchange leaves with exactly the sender's members
-    takes the sender's summary, tally and samples; a holder that grows
-    rebinds its tally to a new one, so the other holder's stays as it was."""
+    takes the sender's summary; a holder that grows binds a new one, so the
+    other holder's stays as it was."""
 
     @pytest.fixture
     def work(self, monkeypatch):
@@ -495,8 +495,20 @@ class TestAdoptedState:
         monkeypatch.setattr(SlotTally, "__init__", counted_init)
         return counts
 
-    def _woman_db(self, owner):
-        db = ClusterDatabase(owner=owner)
+    @staticmethod
+    def _assert_adopted(adopter, sender):
+        """Text mode takes the sender's ``Summary`` itself; vector-baseline
+        mode its text, tally and samples with the adopter's own unit mean,
+        which ``check_invariants`` recomputes."""
+        mine, theirs = adopter.summary, sender.summary
+        if adopter.embedding_sum is None:
+            assert mine is theirs
+        else:
+            assert (mine.text is theirs.text and mine.tally is theirs.tally
+                    and mine.samples is theirs.samples)
+
+    def _woman_db(self, owner, mode="text"):
+        db = ClusterDatabase(owner=owner, mode=mode)
         for tick, text in enumerate([WOMAN_TEXT, WOMAN_TEXT + ", with hat"]):
             db.assign_description(_record(text, robot_id=owner, tick=tick, track_id=1), 0.8)
         return db
@@ -507,22 +519,23 @@ class TestAdoptedState:
         work.update(adds=0, builds=0)
         assert exchange(a, b, 0.8).copied_to_a == 1
         copy, origin = a.clusters[(1, 0)], b.clusters[(1, 0)]
-        assert copy.tally is origin.tally
+        assert copy.summary.tally is origin.summary.tally
         assert work == {"adds": 0, "builds": 0}
         uid, created = a.assign_description(_record(WOMAN_TEXT, tick=5, track_id=1), 0.5)
         assert (uid, created) == ((1, 0), False)
         assert work == {"adds": 1, "builds": 0}
-        assert copy.tally is not origin.tally
-        assert origin.tally == SlotTally([m.text for m in origin.members])
+        assert copy.summary.tally is not origin.summary.tally
+        assert origin.summary.tally == SlotTally([m.text for m in origin.members])
         for db in (a, b):
             db.check_invariants()
 
-    def test_merge_of_the_same_members_in_another_order_adopts(self, work):
+    @pytest.mark.parametrize("mode", ["text", "vector-baseline"])
+    def test_merge_of_the_same_members_in_another_order_adopts(self, work, mode):
         """a and b fold each other's woman into their own, in opposite member
         orders; a's next record then reaches b's twin through its tombstone,
         which ends with a's member set though not a's member order."""
-        a = ClusterDatabase(owner=0)
-        b = ClusterDatabase(owner=1)
+        a = ClusterDatabase(owner=0, mode=mode)
+        b = ClusterDatabase(owner=1, mode=mode)
         a.assign_description(_record(WOMAN_TEXT, track_id=1), 0.8)
         b.assign_description(_record(WOMAN_TEXT, robot_id=1, track_id=1), 0.8)
         exchange(a, b, 0.8)
@@ -533,31 +546,30 @@ class TestAdoptedState:
         work.update(adds=0, builds=0)
         assert exchange(a, b, 0.8).records_added_to_b == 1
         assert work == {"adds": 0, "builds": 0}
-        assert twin.tally is sender.tally and twin.samples is sender.samples
-        assert twin.summary_text == sender.summary_text
+        self._assert_adopted(twin, sender)
         for db in (a, b):
             db.check_invariants()
 
+    @pytest.mark.parametrize("mode", ["text", "vector-baseline"])
     @pytest.mark.parametrize("assigner", [0, 1], ids=["sender", "adopter"])
-    def test_later_append_leaves_the_other_holder_unchanged(self, assigner):
+    def test_later_append_leaves_the_other_holder_unchanged(self, assigner, mode):
         """b adopts a's state; the next record either side assigns to that
         cluster changes neither the other side's tally nor its summary nor
         its samples."""
-        a, b = self._woman_db(0), ClusterDatabase(owner=1)
+        a, b = self._woman_db(0, mode), ClusterDatabase(owner=1, mode=mode)
         exchange(a, b, 0.8)
         sender, adopter = a.clusters[(0, 0)], b.clusters[(0, 0)]
-        assert adopter.tally is sender.tally and adopter.samples is sender.samples
-        assert adopter.summary_text == sender.summary_text
+        self._assert_adopted(adopter, sender)
         appender, other = (sender, adopter) if assigner == 0 else (adopter, sender)
-        tally, summary, samples = other.tally, other.summary_text, other.samples
+        tally, summary, samples = other.summary.tally, other.summary.text, other.summary.samples
         votes = SlotTally([m.text for m in other.members])
         text = WOMAN_TEXT + ", with glasses"
         uid, _ = (a, b)[assigner].assign_description(
             _record(text, robot_id=assigner, tick=2, track_id=1), 0.5)
         assert uid == (0, 0) and len(appender.members) == 3
-        assert appender.summary_text != summary and appender.samples != samples
-        assert other.tally is tally and other.tally == votes
-        assert (other.summary_text, other.samples) == (summary, samples)
+        assert appender.summary.text != summary and appender.summary.samples != samples
+        assert other.summary.tally is tally and other.summary.tally == votes
+        assert (other.summary.text, other.summary.samples) == (summary, samples)
         for db in (a, b):
             db.check_invariants()
 
@@ -622,7 +634,7 @@ class TestQuery:
                 (cluster,) = loaded.clusters.values()
                 assert [m.key for m in cluster.members] != sorted(
                     (m.key for m in cluster.members), key=lambda k: (-k[2], k[0], k[1]))
-                assert cluster.last_member_tick() == 9
+                assert cluster.summary.samples[0].tick == 9
                 hits = loaded.query(WOMAN_TEXT, k=1)
                 assert [s.key for s in hits[0].samples] == expected
 
@@ -666,7 +678,8 @@ class TestQueryScoreMemo:
         for tick, text in enumerate((WOMAN_TEXT, GREEN_TEXT, MAN_TEXT)):
             a.assign_description(_record(text, tick=tick, track_id=tick), 0.8)
         assert exchange(a, b, 0.8).copied_to_b == 3
-        assert all(b.clusters[uid].embedding is c.embedding for uid, c in a.clusters.items())
+        assert all(b.clusters[uid].summary.embedding is c.summary.embedding
+                   for uid, c in a.clusters.items())
         scored = []
         real = reid.cosine
         monkeypatch.setattr(reid, "cosine",
@@ -674,11 +687,11 @@ class TestQueryScoreMemo:
         # A text no other test asks, so its vector object is new to the memo.
         text = "a lady in a green top asked of two databases"
         hits = [db.query(text, k=3) for db in (a, b)]
-        assert sorted(scored) == sorted(id(c.embedding) for c in a.clusters.values())
+        assert sorted(scored) == sorted(id(c.summary.embedding) for c in a.clusters.values())
         assert hits[0] == hits[1]
         vec = embed(tokenize(text))
         assert sorted((-h.score, h.uid) for h in hits[0]) == sorted(
-            (-real(vec, c.embedding), uid) for uid, c in a.clusters.items())
+            (-real(vec, c.summary.embedding), uid) for uid, c in a.clusters.items())
         _TABLE.check()
 
     def test_rewritten_slot_is_scored_again(self):
@@ -692,7 +705,7 @@ class TestQueryScoreMemo:
         db.assign_description(_record(GREEN_TEXT, tick=1, track_id=1), 0.8)
         assert int(db._index._slots[0]) == slot
         (after,) = db.query(text, k=1)
-        expected = cosine(embed(tokenize(text)), db.clusters[(0, 0)].embedding)
+        expected = cosine(embed(tokenize(text)), db.clusters[(0, 0)].summary.embedding)
         assert after.score == expected != before.score
         db.check_invariants()
 
@@ -725,7 +738,7 @@ class TestSerialization:
             assert clone.to_json() == db.to_json()
             clone.check_invariants()
             # Loading builds no slot tallies; the first append does.
-            assert all(c.tally is None for c in clone.clusters.values())
+            assert all(c.summary.tally is None for c in clone.clusters.values())
 
     def test_canonical_key_order(self):
         db = self._db()
@@ -832,8 +845,8 @@ class TestSerialization:
         db = self._db()
         clone = ClusterDatabase.from_json(db.to_json())
         for uid, cluster in db.clusters.items():
-            assert np.array_equal(cluster.embedding,
-                                  clone.clusters[uid].embedding)
+            assert np.array_equal(cluster.summary.embedding,
+                                  clone.clusters[uid].summary.embedding)
 
 
 class TestVectorBaselineMode:
@@ -842,7 +855,7 @@ class TestVectorBaselineMode:
         db.assign_description(_record(WOMAN_TEXT, track_id=1), 0.8)
         cluster = db.clusters[(0, 0)]
         member_vec = embed(list(cluster.members[0].tokens))
-        assert np.allclose(cluster.embedding, member_vec)
+        assert np.allclose(cluster.summary.embedding, member_vec)
         db.check_invariants()
 
     def test_tombstone_cap_bounds_memory(self):

@@ -244,10 +244,11 @@ def _assert_tallies(dbs, seen):
     its state."""
     for db in dbs:
         for uid, c in db.clusters.items():
-            if c.tally is not None:
-                assert c.tally == SlotTally([m.text for m in c.members]), (
+            tally = c.summary.tally
+            if tally is not None:
+                assert tally == SlotTally([m.text for m in c.members]), (
                     f"tally of {uid} at robot {db.owner} differs from its members'")
-                seen.setdefault(id(c.tally), (c.tally, _tally_state(c.tally)))
+                seen.setdefault(id(tally), (tally, _tally_state(tally)))
     for tally, snapshot in seen.values():
         assert _tally_state(tally) == snapshot, "a tally changed after it was seen"
 
@@ -261,8 +262,8 @@ def _assert_delta_writes_nothing(a, b, theta_merge):
     """Taking a delta either way leaves both sides' snapshots, the tally
     each cluster holds and the state of every tally as they were."""
     def state():
-        return [(db.to_json(), [(id(c.tally), _tally_state(c.tally))
-                                for c in db.clusters.values() if c.tally is not None])
+        return [(db.to_json(), [(id(c.summary.tally), _tally_state(c.summary.tally))
+                                for c in db.clusters.values() if c.summary.tally is not None])
                 for db in (a, b)]
 
     before = state()
@@ -288,8 +289,7 @@ def _one_sided(receiver, sender, theta_merge):
         lacking = [(m, seq_of[uid, i]) for i, m in enumerate(c.members)
                    if m.key not in held]
         full.append(ClusterView(uid, [m for m, _ in lacking], [s for _, s in lacking],
-                                len(c.members), c.summary_text, c.embedding,
-                                c.members, c.tally, c.samples))
+                                len(c.members), c.members, c.summary))
     counts = receiver._absorb(full, theta_merge)
     return receiver.to_json(), counts
 
@@ -387,12 +387,12 @@ class TestIncrementalState:
                     if m.robot_id == db.owner:
                         first, last = tracks.get(m.track, (uid, m.tick))
                         tracks[m.track] = first, max(last, m.tick)
-                expected = embed(tokenize(c.summary_text))
+                expected = embed(tokenize(c.summary.text))
                 if mode == "vector-baseline":
                     mean = np.stack([embed(m.tokens) for m in c.members]).mean(axis=0)
                     norm = float(np.linalg.norm(mean))
                     expected = mean / norm if norm > 1e-12 else expected
-                assert c.embedding.tobytes() == expected.tobytes()
+                assert c.summary.embedding.tobytes() == expected.tobytes()
             assert db._tracks == tracks
 
 
@@ -434,7 +434,7 @@ class TestAdoption:
                         ops=LanguageOps(summarize=lambda texts: summarize(texts)))
         for db, twin in zip(adopting, listing):
             assert db.to_json() == twin.to_json()
-            assert all(c.tally is None for c in twin.clusters.values())
+            assert all(c.summary.tally is None for c in twin.clusters.values())
             for k in (1, 3, len(db.clusters) + 2):
                 assert db.query(text, k) == twin.query(text, k)
 
@@ -450,7 +450,7 @@ class _CheckedIndex(_SimilarityIndex):
 
     def _stacked(self):
         uids = list(self._clusters)
-        return uids, [self._clusters[uid].embedding for uid in uids]
+        return uids, [self._clusters[uid].summary.embedding for uid in uids]
 
     def best(self, vec):
         got = super().best(vec)

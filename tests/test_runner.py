@@ -283,6 +283,14 @@ class TestSweep:
         with pytest.raises(ConfigError, match="seeds: 0 is given more than once"):
             sweep(_small(), "people.count", [3], seeds=[0, 0])
 
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_workers_below_one_rejected_before_the_first_cell(self, workers):
+        progress = []
+        with pytest.raises(ConfigError, match="workers: must be at least 1"):
+            sweep(_small(duration_ticks=20), "people.count", [3], seeds=[0],
+                  workers=workers, progress=progress.append)
+        assert progress == []
+
     def test_every_value_validated_before_the_first_cell(self):
         progress = []
         with pytest.raises(ConfigError, match="people.count"):
@@ -373,8 +381,8 @@ def _rebuilt_state(db):
     """What loading rebuilds besides the saved fields, by value."""
     return {
         "keys": record_keys(db),
-        "samples": {uid: [m.key for m in c.samples] for uid, c in db.clusters.items()},
-        "vectors": {uid: c.embedding.tobytes() for uid, c in db.clusters.items()},
+        "samples": {uid: [m.key for m in c.summary.samples] for uid, c in db.clusters.items()},
+        "vectors": {uid: c.summary.embedding.tobytes() for uid, c in db.clusters.items()},
         "sums": {uid: None if c.embedding_sum is None else c.embedding_sum.tobytes()
                  for uid, c in db.clusters.items()},
     }
@@ -384,7 +392,7 @@ def _assert_index_ranks_as_stacked(db, probes):
     """The database's similarity index answers as a freshly stacked matrix
     of its cluster vectors, one row per cluster in creation order."""
     uids = list(db.clusters)
-    rows = [db.clusters[uid].embedding for uid in uids]
+    rows = [db.clusters[uid].summary.embedding for uid in uids]
     for vec in probes:
         assert db._index.best(vec) == stacked_best(uids, rows, vec)
         for k in (1, 5):
@@ -413,7 +421,7 @@ class TestLoadRebuildsDatabases:
             # Alternating databases, so every call finds the scratch taken.
             for one in (live, db):
                 _assert_index_ranks_as_stacked(
-                    one, probes + [c.embedding for c in list(live.clusters.values())[:3]])
+                    one, probes + [c.summary.embedding for c in list(live.clusters.values())[:3]])
 
 
 class TestSharedVectorTable:
@@ -426,7 +434,7 @@ class TestSharedVectorTable:
         gc.collect()
         before = _TABLE.live()
         text = run_experiment(_swarm16("text"))
-        vectors = {id(c.embedding) for db in text.databases for c in db.clusters.values()}
+        vectors = {id(c.summary.embedding) for db in text.databases for c in db.clusters.values()}
         rows = sum(len(db.clusters) for db in text.databases)
         assert (len(vectors), rows) == (321, 4881)
         assert _TABLE.live() <= before + len(vectors)
