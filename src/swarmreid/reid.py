@@ -411,8 +411,10 @@ class _SimilarityIndex:
         tied = sims == top
         if np.count_nonzero(tied) > 1:
             row = self._rows[min(self._uids[i] for i in np.flatnonzero(tied))]
-        # A row bitwise equal to the unit vector ``vec`` scores about 1.
-        if top >= 0.5 and np.array_equal(mat[row], vec):
+        # A row bitwise equal to the unit vector ``vec`` scores about 1. Rows
+        # and ``vec`` have one shape, so this is ``np.array_equal`` without
+        # its wrapper, which costs more than the comparison at this size.
+        if top >= 0.5 and (mat[row] == vec).all():
             return self._uids[row], 1.0
         return self._uids[row], min(1.0, max(-1.0, float(top)))
 

@@ -4,6 +4,20 @@ Randomness fans out from the single root seed through fixed namespace keys,
 one independent stream per person and per robot, so adding an agent never
 perturbs the streams of the existing ones and any behavioral difference is
 attributable to interaction.
+
+The tick loop is two stages. The world stage (``_world_stage``) moves the
+agents, senses, tracks, applies the description period, renders the
+reference descriptions and finds the robot pairs in range; it reads no
+database, as each robot perceives on its own. The reid stage consumes its
+ticks in order: it builds each record, assigns it, applies the exchange
+cooldown, exchanges and logs the events. A describer provider is called
+from the reid stage, once per sighting in sighting order. Where ``os.fork``
+exists and more than one CPU is usable, the world stage runs ahead in a
+forked child and sends its ticks down a pipe (``_run_ahead``); otherwise,
+or when the fork fails, the same generator runs in this process. Both
+routes give the same artifacts. Python 3.12 and later warn when a process
+that has threads forks, and numpy's OpenBLAS starts threads at import; the
+child calls no BLAS routine, so none of its locks is taken there.
 """
 
 from __future__ import annotations
@@ -12,11 +26,15 @@ import csv
 import gc
 import io
 import json
+import os
+import pickle
+import signal
 import statistics
+import traceback
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import BinaryIO, Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -217,6 +235,147 @@ class RunArtifact:
                    events=events, metrics=metrics)
 
 
+# One tick of the world stage: the sightings (robot, track id, person id,
+# text) that pass the description period, in robot then track order, and
+# the robot pairs in communication range.
+_Sighting = tuple[int, int, int, "str | None"]
+_WorldTick = tuple[list[_Sighting], list[tuple[int, int]]]
+
+
+def _world_stage(c: SimConfig, arena: Arena, people: list[PersonState],
+                 robots: list[RobotState], motion: AgentArrays,
+                 attributes: list[PersonAttributes],
+                 noise: DescriptionNoise | None,
+                 perception_rngs: list[np.random.Generator]) -> Iterator[_WorldTick]:
+    """Motion, sensing, tracking and describing, one item per tick. None of
+    it reads a database. With ``noise`` None a describer provider describes
+    in the reid stage: each text is None and no perception draw is made."""
+    tables = [TrackTable() for _ in robots]
+    last_emit: list[dict[int, int]] = [{} for _ in robots]
+    n_people = len(people)
+    for tick in range(c.duration_ticks):
+        # ballistic_step is looked up here at each tick, so a wrapper put on
+        # this module's name (as the benchmark tracer does) sees every
+        # surface hit. The wrapper runs where the world stage does: in the
+        # forked child, when there is one, whose counts the parent never sees.
+        motion.step(ballistic_step)
+        candidates = sensing_candidates(robots, motion.xy[:, :n_people])
+        sightings: list[_Sighting] = []
+        for i, robot in enumerate(robots):
+            visible = visible_people(robot, [people[j] for j in candidates[i]], arena)
+            assignments = tables[i].update_tracks(
+                visible, tick, c.perception.max_gap_ticks,
+                c.perception.p_track_break, perception_rngs[i],
+            )
+            for track_id, person_id in assignments:
+                last = last_emit[i].get(track_id)
+                if last is not None and tick - last < c.perception.description_period:
+                    continue
+                last_emit[i][track_id] = tick
+                text = None if noise is None else describe(
+                    attributes[person_id], noise, perception_rngs[i])
+                sightings.append((i, track_id, person_id, text))
+        yield sightings, comm_pairs(robots) if c.communication_enabled else []
+
+
+# Ticks per message from the forked world stage: enough to make pickling
+# and the pipe cheap, few enough that the reid stage starts at once.
+_BATCH_TICKS = 64
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _send(items: Iterator[T], out: BinaryIO) -> None:
+    """Pickle ``items`` to ``out`` as (items, end) messages: ``end`` is False
+    while more follow, True after the last item, or the exception that
+    stopped ``items``, sent after every item made before it with the
+    child's traceback as a note. An exception that does not survive pickling
+    is sent as a RuntimeError naming its type and message."""
+    batch: list[T] = []
+    end: bool | BaseException = True
+    try:
+        for item in items:
+            batch.append(item)
+            if len(batch) == _BATCH_TICKS:
+                pickle.dump((batch, False), out, pickle.HIGHEST_PROTOCOL)
+                out.flush()
+                batch = []
+    except Exception as exc:
+        end = exc
+        if hasattr(exc, "add_note"):  # Python >= 3.11
+            exc.add_note("".join(traceback.format_exception(exc)).rstrip())
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:  # a local class, or arguments its class refuses
+            end = RuntimeError(f"{type(exc).__name__}: {exc}")
+    pickle.dump((batch, end), out, pickle.HIGHEST_PROTOCOL)
+
+
+def _receive(src: BinaryIO) -> Iterator[T]:
+    """The items ``_send`` wrote, in order; its exception is raised here."""
+    while True:
+        try:
+            batch, end = pickle.load(src)
+        except EOFError:
+            raise RuntimeError("the world stage exited before its last tick") from None
+        yield from batch
+        if isinstance(end, BaseException):
+            raise end
+        if end:
+            return
+
+
+def _fork_sender(items: Iterator[T]) -> tuple[int, int] | None:
+    """Fork a child that sends ``items`` down a pipe; the child's pid and the
+    pipe's read end, or None where there is no ``os.fork``, one usable CPU,
+    or the fork fails. The child ends with ``os._exit``, so it runs none of
+    the parent's exit handlers, provider shutdowns or stdio flushes."""
+    if not hasattr(os, "fork") or _usable_cpus() < 2:
+        return None
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as out:
+                _send(items, out)
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    return pid, read_end
+
+
+@contextmanager
+def _run_ahead(items: Iterator[T]) -> Iterator[Iterator[T]]:
+    """``items`` in order, computed ahead in a forked child where one can
+    run on another CPU (``_fork_sender``), else in this process. The child
+    is killed and reaped however the block ends. It is an ``os.fork`` rather
+    than a ``multiprocessing`` process: it inherits the started state as it
+    is, which the spawn and forkserver start methods would have to pickle,
+    and a ``sweep`` pool worker forks it like any other process."""
+    forked = _fork_sender(items)
+    if forked is None:
+        yield items
+        return
+    pid, read_end = forked
+    try:
+        with open(read_end, "rb") as src:
+            yield _receive(src)
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
 def run_experiment(configuration: SimConfig) -> RunArtifact:
     """Simulate one full run and evaluate it."""
     cfg.require_valid(configuration)
@@ -270,37 +429,21 @@ def run_experiment(configuration: SimConfig) -> RunArtifact:
                             ops=providers.ops)
             for i in range(c.robots.count)
         ]
-        tables = [TrackTable() for _ in range(c.robots.count)]
-        last_emit: list[dict[int, int]] = [{} for _ in range(c.robots.count)]
         pair_last_exchange: dict[tuple[int, int], int] = {}
         events: list[dict] = []
 
-        # From here on the motion streams are read only by ``motion``.
-        n_people = len(people)
+        # From here on the motion streams are read only by ``motion``, and
+        # the perception streams only by the world stage.
         motion = AgentArrays(people + robots, c.dt, arena,
                              person_rngs + robot_motion_rngs)
-
-        for tick in range(c.duration_ticks):
-            # ballistic_step is looked up here at each tick, so a wrapper put
-            # on this module's name (as the benchmark tracer does) sees every
-            # surface hit.
-            motion.step(ballistic_step)
-            candidates = sensing_candidates(robots, motion.xy[:, :n_people])
-            for i, robot in enumerate(robots):
-                visible = visible_people(robot, [people[j] for j in candidates[i]], arena)
-                assignments = tables[i].update_tracks(
-                    visible, tick, c.perception.max_gap_ticks,
-                    c.perception.p_track_break, robot_perception_rngs[i],
-                )
-                for track_id, person_id in assignments:
-                    last = last_emit[i].get(track_id)
-                    if last is not None and tick - last < c.perception.description_period:
-                        continue
-                    if providers.describe_fn is not None:
+        stage = _world_stage(c, arena, people, robots, motion, attributes,
+                             noise if providers.describe_fn is None else None,
+                             robot_perception_rngs)
+        with _run_ahead(stage) as ticks:
+            for tick, (sightings, pairs) in enumerate(ticks):
+                for i, track_id, person_id, text in sightings:
+                    if text is None:
                         text = providers.describe_fn(attributes[person_id])
-                    else:
-                        text = describe(attributes[person_id], noise,
-                                        robot_perception_rngs[i])
                     record = DescriptionRecord.create(
                         text=text, robot_id=i, tick=tick,
                         track_id=track_id, person_id=person_id,
@@ -308,13 +451,11 @@ def run_experiment(configuration: SimConfig) -> RunArtifact:
                     uid, created = databases[i].assign_description(
                         record, c.thresholds.theta_local
                     )
-                    last_emit[i][track_id] = tick
                     events.append({
                         "type": "assign", "tick": tick, "robot": i,
                         "track_id": track_id, "uid": list(uid), "created": created,
                     })
-            if c.communication_enabled:
-                for pair in comm_pairs(robots):
+                for pair in pairs:
                     last = pair_last_exchange.get(pair)
                     if last is not None and tick - last < c.exchange_cooldown_ticks:
                         continue

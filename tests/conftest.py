@@ -1,3 +1,7 @@
+import errno
+import os
+
+import pytest
 from hypothesis import settings
 
 # A longer search than each test's own example count, for a separate pass
@@ -13,3 +17,16 @@ def examples(n):
     deep = settings.get_profile("deep")
     return settings(max_examples=deep.max_examples if settings.default is deep else n,
                     deadline=None)
+
+
+@pytest.fixture(params=["one_cpu", "fork_fails"])
+def world_stage_in_process(request, monkeypatch):
+    """Make ``run_experiment`` run its world stage in this process: as with
+    one usable CPU, or as where ``os.fork`` fails."""
+    if request.param == "one_cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    else:
+        def fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)

@@ -5,7 +5,8 @@ so a change that altered every result would still pass it. These short runs
 pin the content: text mode with and without crowding, gossip under scarce
 sightings, a tombstone cap small enough to evict during exchanges, and the
 ``vector-baseline`` centroid path, which the benchmark's golden file does not
-cover.
+cover. Three of them run again with the world stage in this process, as on
+a machine with one usable CPU or where ``os.fork`` fails.
 
 Re-record the digest file only in a change that declares new artifacts:
 
@@ -57,6 +58,15 @@ def test_every_golden_case_runs():
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_artifacts_match_golden_digests(case, tmp_path):
+    golden = json.loads(DIGESTS.read_text())
+    assert artifact_digests(case, tmp_path) == golden[case]
+
+
+@pytest.mark.parametrize("case", ["baseline", "crowded_8_robots", "crowded_vector_baseline"])
+def test_in_process_world_stage_matches_golden_digests(case, world_stage_in_process,
+                                                        tmp_path):
+    """Where the world stage cannot run in a forked child it runs in this
+    process, the same generator consumed in place, with the same artifacts."""
     golden = json.loads(DIGESTS.read_text())
     assert artifact_digests(case, tmp_path) == golden[case]
 

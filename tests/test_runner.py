@@ -1,6 +1,8 @@
 import gc
 import json
+import os
 import shutil
+import warnings
 from pathlib import Path
 
 import pytest
@@ -497,21 +499,31 @@ class TestLoadPausesCollector:
 
 class TestRunPausesCollector:
     """A run pauses the collector on the premise that it makes no reference
-    cycle: with the collector off, a collection after a run frees nothing."""
+    cycle: with the collector off, a collection after a run frees nothing.
+    The world stage may run in a forked child, so it is observed through a
+    file, and the reid stage through ``exchange`` in this process."""
 
     @pytest.mark.parametrize("mode", ["text", "vector-baseline"])
     @pytest.mark.parametrize("enabled", [True, False])
-    def test_run_makes_no_cycle_and_restores_the_setting(self, mode, enabled, monkeypatch):
+    def test_run_makes_no_cycle_and_restores_the_setting(self, mode, enabled,
+                                                         monkeypatch, tmp_path):
         c = _small(mode=mode)
         assert c.communication_enabled
-        during = []
-        step = runner.ballistic_step
+        world_log = tmp_path / "world_stage_collector"
+        reid_stage = []
+        step, swap = runner.ballistic_step, runner.exchange
 
-        def recording(*args, **kwargs):
-            during.append(gc.isenabled())
+        def world_recording(*args, **kwargs):
+            with world_log.open("a") as fh:
+                fh.write("1" if gc.isenabled() else "0")
             return step(*args, **kwargs)
 
-        monkeypatch.setattr(runner, "ballistic_step", recording)
+        def reid_recording(*args, **kwargs):
+            reid_stage.append(gc.isenabled())
+            return swap(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "ballistic_step", world_recording)
+        monkeypatch.setattr(runner, "exchange", reid_recording)
         was = gc.isenabled()
         gc.collect()
         (gc.enable if enabled else gc.disable)()
@@ -523,7 +535,107 @@ class TestRunPausesCollector:
         finally:
             (gc.enable if was else gc.disable)()
         assert any(e["type"] == "exchange" for e in art.events)
-        assert during and not any(during)
+        assert reid_stage and not any(reid_stage)
+        world_stage = world_log.read_text()
+        assert world_stage and "1" not in world_stage
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _forks():
+    return hasattr(os, "fork") and runner._usable_cpus() > 1
+
+
+class TestWorldStageProcess:
+    """Where ``os.fork`` works and another CPU is usable, the world stage
+    runs in a forked child; no exit path of a run leaves that child behind."""
+
+    @staticmethod
+    def _world_stage_pids(monkeypatch, tmp_path):
+        pids = tmp_path / "pids"
+        step = runner.ballistic_step
+
+        def recording(*args, **kwargs):
+            with pids.open("a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "ballistic_step", recording)
+        run_experiment(_small(duration_ticks=100))
+        _assert_no_child()
+        return set(pids.read_text().split())
+
+    def test_world_stage_runs_in_a_child_where_it_can(self, monkeypatch, tmp_path):
+        pids = self._world_stage_pids(monkeypatch, tmp_path)
+        assert (pids != {str(os.getpid())}) is _forks()
+
+    def test_world_stage_runs_here_where_it_cannot_fork(self, world_stage_in_process,
+                                                          monkeypatch, tmp_path):
+        assert self._world_stage_pids(monkeypatch, tmp_path) == {str(os.getpid())}
+
+    def test_world_stage_error_reaches_the_caller(self, monkeypatch):
+        c = _small()
+        calls = []
+        visible = runner.visible_people
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            tick = (len(calls) - 1) // c.robots.count
+            if tick == 5:
+                raise ContractError(f"robot view broke at tick {tick}")
+            return visible(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "visible_people", failing)
+        with pytest.raises(ContractError) as raised:
+            run_experiment(c)
+        assert type(raised.value) is ContractError
+        assert str(raised.value) == "robot view broke at tick 5"
+        _assert_no_child()
+
+    def test_unpicklable_world_error_keeps_its_type_name_and_message(self, monkeypatch):
+        class LocalError(Exception):
+            pass
+
+        def failing(*args, **kwargs):
+            raise LocalError("not importable")
+
+        monkeypatch.setattr(runner, "sensing_candidates", failing)
+        with pytest.raises(RuntimeError if _forks() else LocalError,
+                           match="not importable"):
+            run_experiment(_small())
+        _assert_no_child()
+
+    def test_world_stage_that_dies_ends_the_run(self, monkeypatch):
+        if not _forks():
+            pytest.skip("the world stage runs in this process here")
+        parent = os.getpid()
+        step = runner.ballistic_step
+
+        def dying(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "ballistic_step", dying)
+        with pytest.raises(RuntimeError, match="world stage exited before its last tick"):
+            run_experiment(_small())
+        _assert_no_child()
+
+    def test_reid_stage_error_leaves_no_child_and_no_open_pipe(self, monkeypatch):
+        def failing(self, record, theta):
+            raise RuntimeError("assignment failed")
+
+        monkeypatch.setattr(ClusterDatabase, "assign_description", failing)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(RuntimeError, match="assignment failed"):
+                run_experiment(_small())
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        _assert_no_child()
 
 
 class TestLoadRejectsBadFiles:
